@@ -35,7 +35,6 @@ from .model import (
     to_json_dict,
 )
 from .gradients import (
-    ParamGradients,
     finite_difference_check,
     input_subgradient,
     parameter_gradients,

@@ -28,8 +28,10 @@ from .model import (
     ForwardTrace,
     SocIcnnParams,
     forward,
+    half_sqnorm_rows,
     init_model,
     max_infeasibility,
+    norm_rows,
     spawn_rng,
 )
 
@@ -266,7 +268,7 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     quad_epi = []
     quad_tight = []
     for q, s in zip(trace.quad_q, trace.quad_s):
-        recomputed = 0.5 * float(np.dot(q, q))
+        recomputed = float(half_sqnorm_rows(q[None])[0])
         quad_epi.append(max(recomputed - s, 0.0))
         quad_tight.append(abs(s - recomputed))
     norm_epi = []
@@ -274,7 +276,7 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     norm_ball = []
     norm_align = []
     for br, u, t, mu in zip(params.conic, trace.conic_u, trace.conic_t, cert.mu_norm):
-        recomputed = float(np.sqrt(np.dot(u, u)))
+        recomputed = float(norm_rows(u[None])[0])
         norm_epi.append(max(recomputed - t, 0.0))
         norm_tight.append(abs(t - recomputed))
         norm_ball.append(max(float(np.sqrt(np.dot(mu, mu))) - br.weight, 0.0))

@@ -26,28 +26,16 @@ import numpy as np
 
 from . import __version__
 from .certificate import run_verification_trials, summarize_reports
-from .decisions import (
-    FAMILIES,
-    evaluate_decision_quality,
-    make_task,
-    pgd_minimize,
-    sample_context,
-    sample_feasible,
-    task_objective,
-)
-from .gradients import value_and_input_gradient_batch
-from .model import forward, save_model, spawn_rng
+from .decisions import FAMILIES, decide_instance, hash_key, make_task, sample_context
+from .model import save_model, spawn_rng
 from .targets import TARGET_NAMES, make_target
 from .theory import absorption_rate_rows, loglog_slope
 from .training import (
     VARIANTS,
-    Dataset,
     TrainConfig,
     anchor_width,
-    build_variant_model,
     fit_variant_to_target,
     save_history_csv,
-    train,
     variant_param_count,
 )
 
@@ -270,69 +258,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
-def hash_key(*parts: str) -> int:
-    """Stable small integer from string parts, for seed derivation."""
-    acc = 0
-    for part in parts:
-        for ch in part:
-            acc = (acc * 33 + ord(ch)) % (2**31)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # decide
-
-
-def decide_instance(
-    task,
-    theta,
-    model_variant: str,
-    instance_rng,
-    candidates: int = 64,
-    restarts: int = 5,
-    steps: int = 200,
-    oracle_config=(20, 2000),
-    surrogate_width: int = 8,
-    surrogate_epochs: int = 300,
-    surrogate_lr: float = 1e-2,
-):
-    """Train a per-instance surrogate on feasible candidates and score its
-    decision against the true-objective oracle.  Returns the decision report
-    and the chosen point."""
-    points = sample_feasible(task.feasible_set, candidates, instance_rng)
-    values, _ = task_objective(task, theta, points)
-    ds = Dataset(xs=points, ys=values)
-
-    surrogate = build_variant_model(
-        model_variant, task.dim, surrogate_width, 2, int(instance_rng.integers(2**62))
-    )
-    cfg = TrainConfig(
-        epochs=surrogate_epochs,
-        batch_size=candidates,
-        learning_rate=surrogate_lr,
-        seed=int(instance_rng.integers(2**62)),
-        early_stop_patience=surrogate_epochs,
-    )
-    trained, _ = train(surrogate, ds, ds, cfg)
-
-    x_hat, _ = pgd_minimize(
-        lambda X: value_and_input_gradient_batch(trained, X),
-        task.feasible_set,
-        restarts,
-        steps,
-        0.05,
-        int(instance_rng.integers(2**62)),
-        vectorized=True,
-    )
-    report = evaluate_decision_quality(
-        task,
-        theta,
-        x_hat,
-        oracle_config=oracle_config,
-        oracle_seed=int(instance_rng.integers(2**62)),
-        surrogate_value=forward(trained, x_hat).total,
-    )
-    return report, x_hat
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -438,6 +365,24 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _cell_counts(text: str) -> str:
+    """A comma-separated list of at least two distinct positive cell counts,
+    so that a slope can be fitted; kept as text for the manifest."""
+    cells = [int(v) for v in text.split(",")]
+    if min(cells) < 1 or len(set(cells)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"needs at least two distinct positive cell counts, got {text!r}"
+        )
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socicnn", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -480,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated target names")
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--variants", default="ReLU,Softplus,QuadOnly,NormOnly,SOC")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_positive_int, default=3)
     p.add_argument("--target-seed", type=int, default=0)
     p.add_argument("--train-n", type=int, default=2000)
     p.add_argument("--val-n", type=int, default=1000)
@@ -509,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="tangent-net rates and the piece bound")
     common(p, "runs/theory")
     p.add_argument("--dims", default="1,2")
-    p.add_argument("--cells", default="2,4,8,16")
+    p.add_argument("--cells", type=_cell_counts, default="2,4,8,16")
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=cmd_theory)
 

@@ -6,7 +6,8 @@ a strongly convex quadratic-linear backbone with one of four structured
 convex terms (cone norms, logistic sums, log-sum-exp blocks, Huber sums),
 all parameterized by an 8-dimensional context vector through frozen random
 affine maps.  Decision quality is scored against an intensified projected
-gradient oracle on the true objective.
+gradient oracle on the true objective; ``decide_instance`` runs the whole
+surrogate pipeline for one instance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .model import sigmoid, softplus, spawn_rng
+from .gradients import value_and_input_gradient_batch
+from .model import forward, norm_rows, sigmoid, softplus, spawn_rng
+from .targets import huber
+from .training import Dataset, TrainConfig, build_variant_model, train
 
 SET_KINDS = ("Simplex", "Box", "CappedSimplex")
 FAMILIES = (
@@ -339,14 +343,6 @@ def sample_context(seed: int, *key: int) -> np.ndarray:
     return spawn_rng(seed, *key).uniform(-1.0, 1.0, THETA_DIM)
 
 
-def _huber_value_grad(t: np.ndarray, delta: float) -> Tuple[np.ndarray, np.ndarray]:
-    a = np.abs(t)
-    small = a <= delta
-    value = np.where(small, t * t, 2.0 * delta * a - delta * delta)
-    grad = np.where(small, 2.0 * t, 2.0 * delta * np.sign(t))
-    return value, grad
-
-
 def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarray]:
     """Objective value and gradient in x; accepts a point or an (n, d) batch.
 
@@ -372,7 +368,7 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
         weight = float(softplus(cone.weight_base + cone.weight_map @ theta))
         offset = cone.offset_base + cone.offset_map @ theta
         U = X @ cone.proj.T - offset
-        norms = np.sqrt(np.einsum("ij,ij->i", U, U))
+        norms = norm_rows(U)
         vals += weight * norms
         safe = norms > 0.0
         scale = np.where(safe, weight / np.where(safe, norms, 1.0), 0.0)
@@ -387,7 +383,7 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
             vals += np.logaddexp(0.0, T) @ weights
             grads += (sigmoid(T) * weights) @ pieces.slopes
         else:
-            hv, hg = _huber_value_grad(T, task.delta)
+            hv, hg = huber(T, task.delta)
             vals += hv @ weights
             grads += (hg * weights) @ pieces.slopes
 
@@ -463,3 +459,68 @@ def evaluate_decision_quality(
         surrogate_value_at_decision=float(surrogate_value),
         true_value_at_decision=float(f_hat),
     )
+
+
+# ---------------------------------------------------------------------------
+# surrogate decision pipeline
+
+
+def hash_key(*parts: str) -> int:
+    """Stable small integer from string parts, for seed derivation."""
+    acc = 0
+    for part in parts:
+        for ch in part:
+            acc = (acc * 33 + ord(ch)) % (2**31)
+    return acc
+
+
+def decide_instance(
+    task,
+    theta,
+    model_variant: str,
+    instance_rng,
+    candidates: int = 64,
+    restarts: int = 5,
+    steps: int = 200,
+    oracle_config=(20, 2000),
+    surrogate_width: int = 8,
+    surrogate_epochs: int = 300,
+    surrogate_lr: float = 1e-2,
+):
+    """Train a per-instance surrogate on feasible candidates and score its
+    decision against the true-objective oracle.  Returns the decision report
+    and the chosen point."""
+    points = sample_feasible(task.feasible_set, candidates, instance_rng)
+    values, _ = task_objective(task, theta, points)
+    ds = Dataset(xs=points, ys=values)
+
+    surrogate = build_variant_model(
+        model_variant, task.dim, surrogate_width, 2, int(instance_rng.integers(2**62))
+    )
+    cfg = TrainConfig(
+        epochs=surrogate_epochs,
+        batch_size=candidates,
+        learning_rate=surrogate_lr,
+        seed=int(instance_rng.integers(2**62)),
+        early_stop_patience=surrogate_epochs,
+    )
+    trained, _ = train(surrogate, ds, ds, cfg)
+
+    x_hat, _ = pgd_minimize(
+        lambda X: value_and_input_gradient_batch(trained, X),
+        task.feasible_set,
+        restarts,
+        steps,
+        0.05,
+        int(instance_rng.integers(2**62)),
+        vectorized=True,
+    )
+    report = evaluate_decision_quality(
+        task,
+        theta,
+        x_hat,
+        oracle_config=oracle_config,
+        oracle_seed=int(instance_rng.integers(2**62)),
+        surrogate_value=forward(trained, x_hat).total,
+    )
+    return report, x_hat

@@ -9,46 +9,22 @@ the backward pass deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .model import (
     RELU,
+    ConicBranchParams,
     DimensionError,
     ForwardTrace,
+    LayerParams,
+    QuadBranchParams,
     SocIcnnParams,
     batch_forward,
     forward,
     sigmoid,
 )
-
-
-@dataclass(eq=False)
-class LayerGrads:
-    w_x: Optional[np.ndarray]
-    w_z: Optional[np.ndarray]
-    b: np.ndarray
-
-
-@dataclass(eq=False)
-class BranchGrads:
-    weight: float
-    proj: np.ndarray
-    offset: np.ndarray
-
-
-@dataclass(eq=False)
-class ParamGradients:
-    """Mirror of SocIcnnParams with one gradient entry per learnable scalar."""
-
-    layers: List[LayerGrads]
-    w_out: np.ndarray
-    w_skip: np.ndarray
-    b_out: float
-    quad: List[BranchGrads]
-    conic: List[BranchGrads]
 
 
 def _act_derivative(activation: str, pre: np.ndarray) -> np.ndarray:
@@ -57,22 +33,39 @@ def _act_derivative(activation: str, pre: np.ndarray) -> np.ndarray:
     return sigmoid(pre)
 
 
-def chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
-    """Top-down backward factors through the backbone.
+def _backbone_deltas(params: SocIcnnParams, preacts, seed: np.ndarray) -> List[np.ndarray]:
+    """The backward recursion through the backbone, over a batch cache.
 
-    For ReLU these are exactly the active-set multipliers
-    nu_L = w_out * 1[pre_L > 0], nu_l = (w_z_{l+1}^T nu_{l+1}) * 1[pre_l > 0];
-    for the smooth activation the indicator is replaced by the derivative.
+    ``seed[i]`` is the derivative of the output with respect to row i's
+    total; the result holds, per layer, the derivative with respect to that
+    layer's preactivations, row by row.  Seeded with ones under ReLU these are
+    exactly the active-set multipliers nu_L = w_out * 1[pre_L > 0],
+    nu_l = (w_z_{l+1}^T nu_{l+1}) * 1[pre_l > 0]; for the smooth activation
+    the indicator is replaced by the derivative.
     """
-    depth = len(params.layers)
-    nus: List[np.ndarray] = [None] * depth  # type: ignore[list-item]
-    upstream = params.w_out
-    for idx in range(depth - 1, -1, -1):
-        nu = upstream * _act_derivative(params.activation, preacts[idx])
-        nus[idx] = nu
+    deltas: List[np.ndarray] = [None] * params.depth  # type: ignore[list-item]
+    delta = (seed[:, None] * params.w_out) * _act_derivative(params.activation, preacts[-1])
+    for idx in range(params.depth - 1, -1, -1):
+        deltas[idx] = delta
         if idx > 0:
-            upstream = params.layers[idx].w_z.T @ nu
-    return nus
+            delta = (delta @ params.layers[idx].w_z) * _act_derivative(
+                params.activation, preacts[idx - 1]
+            )
+    return deltas
+
+
+def _norm_scales(params: SocIcnnParams, conic_t, seed: np.ndarray) -> List[np.ndarray]:
+    """seed * weight / ||u|| per conic branch and row; 0 where the norm vanishes."""
+    return [
+        np.where(t > 0.0, (seed * br.weight) / np.where(t > 0.0, t, 1.0), 0.0)
+        for br, t in zip(params.conic, conic_t)
+    ]
+
+
+def chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
+    """Backward factors through the backbone at one point (see _backbone_deltas)."""
+    deltas = _backbone_deltas(params, [pre[None] for pre in preacts], np.ones(1))
+    return [delta[0] for delta in deltas]
 
 
 def relu_chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
@@ -82,13 +75,15 @@ def relu_chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
 
 
 def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = None) -> np.ndarray:
-    """An element of the subdifferential of the forward value at x."""
+    """An element of the subdifferential of the forward value at x.
+
+    Summed layer by layer from the chain multipliers of one point, this is
+    the pointwise reference for ``value_and_input_gradient_batch``.
+    """
     if trace is None:
         trace = forward(params, x)
-    x = np.asarray(x, dtype=np.float64)
-    nus = chain_multipliers(params, trace.preacts)
     g = params.w_skip.copy()
-    for layer, nu in zip(params.layers, nus):
+    for layer, nu in zip(params.layers, chain_multipliers(params, trace.preacts)):
         if layer.w_x is not None:
             g += layer.w_x.T @ nu
     for br, q in zip(params.quad, trace.quad_q):
@@ -101,32 +96,30 @@ def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = 
 
 def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     """Forward values and input subgradients for every row of X at once."""
-    X = np.asarray(X, dtype=np.float64)
     totals, cache = batch_forward(params, X, with_cache=True)
-    n = X.shape[0]
-
+    n = totals.shape[0]
+    seed = np.ones(n)
     G = np.broadcast_to(params.w_skip, (n, params.input_dim)).copy()
-    delta = np.broadcast_to(params.w_out, (n, params.widths[-1])) * _act_derivative(
-        params.activation, cache["preacts"][-1]
-    )
-    for idx in range(params.depth - 1, -1, -1):
-        layer = params.layers[idx]
+    deltas = _backbone_deltas(params, cache["preacts"], seed)
+    # Top layer first: the summation order fixes the last bits of G, and with
+    # them the decisions that projected descent reaches.
+    for layer, delta in zip(params.layers[::-1], deltas[::-1]):
         if layer.w_x is not None:
             G += delta @ layer.w_x
-        if idx > 0:
-            delta = (delta @ layer.w_z) * _act_derivative(
-                params.activation, cache["preacts"][idx - 1]
-            )
     for br, Q in zip(params.quad, cache["quad_q"]):
         G += br.weight * (Q @ br.proj)
-    for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"]):
-        scale = np.where(t > 0.0, br.weight / np.where(t > 0.0, t, 1.0), 0.0)
+    scales = _norm_scales(params, cache["conic_t"], seed)
+    for br, U, scale in zip(params.conic, cache["conic_u"], scales):
         G += (scale[:, None] * U) @ br.proj
     return totals, G
 
 
-def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float, ParamGradients]:
-    """Mean-squared-error loss over a batch and its exact parameter gradients."""
+def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float, SocIcnnParams]:
+    """Mean-squared-error loss over a batch and its exact parameter gradients.
+
+    The gradient comes back as a model of the same structure, holding
+    d loss / d entry in place of every learnable entry.
+    """
     X = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -141,41 +134,36 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float,
     dtotal = (2.0 / n) * residual  # dL/d f(x_i)
 
     acts = cache["acts"]
-    preacts = cache["preacts"]
-    g_w_out = acts[-1].T @ dtotal
-    g_w_skip = X.T @ dtotal
-    g_b_out = float(np.sum(dtotal))
+    deltas = _backbone_deltas(params, cache["preacts"], dtotal)
+    layers = tuple(
+        LayerParams(
+            w_x=None if layer.w_x is None else delta.T @ X,
+            w_z=None if layer.w_z is None else delta.T @ acts[idx - 1],
+            b=delta.sum(axis=0),
+        )
+        for idx, (layer, delta) in enumerate(zip(params.layers, deltas))
+    )
 
-    layer_grads: List[LayerGrads] = [None] * params.depth  # type: ignore[list-item]
-    delta = (dtotal[:, None] * params.w_out) * _act_derivative(params.activation, preacts[-1])
-    for idx in range(params.depth - 1, -1, -1):
-        layer = params.layers[idx]
-        g_w_x = delta.T @ X if layer.w_x is not None else None
-        g_w_z = delta.T @ acts[idx - 1] if layer.w_z is not None else None
-        g_b = delta.sum(axis=0)
-        layer_grads[idx] = LayerGrads(w_x=g_w_x, w_z=g_w_z, b=g_b)
-        if idx > 0:
-            delta = (delta @ layer.w_z) * _act_derivative(params.activation, preacts[idx - 1])
-
-    quad_grads = []
+    quad = []
     for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"]):
-        g_weight = float(np.dot(dtotal, s))
         dQ = (dtotal * br.weight)[:, None] * Q
-        quad_grads.append(BranchGrads(weight=g_weight, proj=dQ.T @ X, offset=dQ.sum(axis=0)))
-    conic_grads = []
-    for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"]):
-        g_weight = float(np.dot(dtotal, t))
-        scale = np.where(t > 0.0, (dtotal * br.weight) / np.where(t > 0.0, t, 1.0), 0.0)
+        quad.append(QuadBranchParams(float(np.dot(dtotal, s)), dQ.T @ X, dQ.sum(axis=0)))
+    conic = []
+    scales = _norm_scales(params, cache["conic_t"], dtotal)
+    for U, t, scale in zip(cache["conic_u"], cache["conic_t"], scales):
         dU = scale[:, None] * U
-        conic_grads.append(BranchGrads(weight=g_weight, proj=dU.T @ X, offset=dU.sum(axis=0)))
+        conic.append(ConicBranchParams(float(np.dot(dtotal, t)), dU.T @ X, dU.sum(axis=0)))
 
-    grads = ParamGradients(
-        layers=layer_grads,
-        w_out=g_w_out,
-        w_skip=g_w_skip,
-        b_out=g_b_out,
-        quad=quad_grads,
-        conic=conic_grads,
+    grads = SocIcnnParams(
+        input_dim=params.input_dim,
+        layers=layers,
+        w_out=acts[-1].T @ dtotal,
+        w_skip=X.T @ dtotal,
+        b_out=float(np.sum(dtotal)),
+        quad=tuple(quad),
+        conic=tuple(conic),
+        passthrough=params.passthrough,
+        activation=params.activation,
     )
     return loss, grads
 

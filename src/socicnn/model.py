@@ -16,8 +16,8 @@ module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,12 +62,19 @@ def sigmoid(t):
     return out
 
 
-def half_sqnorm(q: np.ndarray) -> float:
-    return 0.5 * float(np.dot(q, q))
+def half_sqnorm_rows(Q: np.ndarray) -> np.ndarray:
+    """1/2 ||q||^2 of every row of Q.
+
+    This and ``norm_rows`` are the only norm reductions of the forward pass;
+    every check that must reproduce a forward value bit for bit (the
+    diagnostics, exactly representable targets) calls them on the same rows.
+    """
+    return 0.5 * np.einsum("ij,ij->i", Q, Q)
 
 
-def l2norm(u: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(u, u)))
+def norm_rows(U: np.ndarray) -> np.ndarray:
+    """||u|| of every row of U."""
+    return np.sqrt(np.einsum("ij,ij->i", U, U))
 
 
 # ---------------------------------------------------------------------------
@@ -250,36 +257,88 @@ def init_model(
     )
 
 
-def project_feasible(params: SocIcnnParams) -> SocIcnnParams:
-    """Clamp every sign-constrained entry to max(., 0); idempotent."""
+# ---------------------------------------------------------------------------
+# parameter layout
+
+
+def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
+    """The canonical parameter layout.
+
+    Calls ``leaf(value, nonneg)`` on every learnable entry in a fixed order
+    (per layer w_x, w_z, b; then w_out, w_skip, b_out; then each quadratic
+    and each conic branch as weight, proj, offset) and returns a model of the
+    same structure holding the results.  ``nonneg`` marks the sign-constrained
+    entries: w_z, w_out and the branch weights.
+    """
     layers = tuple(
-        layer if layer.w_z is None else replace(layer, w_z=np.maximum(layer.w_z, 0.0))
+        LayerParams(
+            None if layer.w_x is None else leaf(layer.w_x, False),
+            None if layer.w_z is None else leaf(layer.w_z, True),
+            leaf(layer.b, False),
+        )
         for layer in params.layers
     )
-    quad = tuple(replace(br, weight=max(float(br.weight), 0.0)) for br in params.quad)
-    conic = tuple(replace(br, weight=max(float(br.weight), 0.0)) for br in params.conic)
-    return replace(
-        params,
-        layers=layers,
-        w_out=np.maximum(params.w_out, 0.0),
-        quad=quad,
-        conic=conic,
+    w_out = leaf(params.w_out, True)
+    w_skip = leaf(params.w_skip, False)
+    b_out = leaf(params.b_out, False)
+    quad = tuple(
+        QuadBranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
+        for br in params.quad
     )
+    conic = tuple(
+        ConicBranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
+        for br in params.conic
+    )
+    return SocIcnnParams(
+        params.input_dim, layers, w_out, w_skip, b_out, quad, conic,
+        params.passthrough, params.activation,
+    )
+
+
+def _leaves(params: SocIcnnParams) -> list:
+    """(value, nonneg) for every learnable entry, in layout order."""
+    leaves = []
+    _rebuild(params, lambda value, nonneg: leaves.append((value, nonneg)))
+    return leaves
+
+
+def flatten_params(params: SocIcnnParams) -> np.ndarray:
+    """Every learnable scalar, in layout order, as one float64 vector."""
+    return np.concatenate([np.ravel(value) for value, _ in _leaves(params)])
+
+
+def nonneg_mask(params: SocIcnnParams) -> np.ndarray:
+    """True at the entries of ``flatten_params`` that must stay >= 0."""
+    return np.concatenate([np.full(np.size(value), nonneg) for value, nonneg in _leaves(params)])
+
+
+def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams:
+    """Model shaped like ``template`` whose arrays are views of ``flat``."""
+    pos = 0
+
+    def take(value, nonneg):
+        nonlocal pos
+        size = np.size(value)
+        chunk = flat[pos : pos + size]
+        pos += size
+        return chunk.reshape(value.shape) if isinstance(value, np.ndarray) else float(chunk[0])
+
+    params = _rebuild(template, take)
+    if pos != flat.shape[0]:
+        raise DimensionError(f"layout holds {pos} entries, got a vector of {flat.shape[0]}")
+    return params
+
+
+def project_feasible(params: SocIcnnParams) -> SocIcnnParams:
+    """Clamp every sign-constrained entry to max(., 0); idempotent."""
+    flat = flatten_params(params)
+    return unflatten_params(params, np.where(nonneg_mask(params), np.maximum(flat, 0.0), flat))
 
 
 def max_infeasibility(params: SocIcnnParams) -> float:
     """Largest violation of the sign constraints (0.0 when feasible)."""
-    worst = 0.0
-    for layer in params.layers:
-        if layer.w_z is not None and layer.w_z.size:
-            worst = max(worst, float(np.max(-layer.w_z)))
-    if params.w_out.size:
-        worst = max(worst, float(np.max(-params.w_out)))
-    for br in params.quad:
-        worst = max(worst, -float(br.weight))
-    for br in params.conic:
-        worst = max(worst, -float(br.weight))
-    return max(worst, 0.0)
+    worst = np.max(-flatten_params(params)[nonneg_mask(params)], initial=0.0)
+    return max(0.0, float(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -292,54 +351,68 @@ def _apply_activation(activation: str, pre: np.ndarray) -> np.ndarray:
     return softplus(pre)
 
 
+def _forward_rows(params: SocIcnnParams, X: np.ndarray):
+    """The forward pass over the rows of X: totals and every intermediate.
+
+    Both public forwards are this one computation; a single point is a
+    one-row batch.
+    """
+    if not np.all(np.isfinite(X)):
+        raise ValueError("input contains non-finite values")
+
+    preacts = []
+    acts = []
+    Z = None
+    for layer in params.layers:
+        # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width)
+        pre = layer.b
+        if layer.w_x is not None:
+            pre = pre + X @ layer.w_x.T
+        if layer.w_z is not None:
+            pre = pre + Z @ layer.w_z.T
+        Z = _apply_activation(params.activation, pre)
+        preacts.append(pre)
+        acts.append(Z)
+
+    backbone = Z @ params.w_out + X @ params.w_skip + params.b_out
+
+    totals = backbone.copy()
+    quad_q = [X @ br.proj.T + br.offset for br in params.quad]
+    quad_s = [half_sqnorm_rows(Q) for Q in quad_q]
+    for br, s in zip(params.quad, quad_s):
+        totals += br.weight * s
+    conic_u = [X @ br.proj.T + br.offset for br in params.conic]
+    conic_t = [norm_rows(U) for U in conic_u]
+    for br, t in zip(params.conic, conic_t):
+        totals += br.weight * t
+
+    cache = {
+        "preacts": preacts,
+        "acts": acts,
+        "backbone": backbone,
+        "quad_q": quad_q,
+        "quad_s": quad_s,
+        "conic_u": conic_u,
+        "conic_t": conic_t,
+    }
+    return totals, cache
+
+
 def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at one input, recording every intermediate."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise DimensionError(f"expected input of shape ({params.input_dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-
-    preacts = []
-    acts = []
-    z = None
-    for layer in params.layers:
-        pre = layer.b.copy()
-        if layer.w_x is not None:
-            pre = pre + layer.w_x @ x
-        if layer.w_z is not None:
-            pre = pre + layer.w_z @ z
-        z = _apply_activation(params.activation, pre)
-        preacts.append(pre)
-        acts.append(z)
-
-    backbone = float(params.w_out @ z) + float(params.w_skip @ x) + params.b_out
-
-    quad_q, quad_s = [], []
-    total = backbone
-    for br in params.quad:
-        q = br.proj @ x + br.offset
-        s = half_sqnorm(q)
-        quad_q.append(q)
-        quad_s.append(s)
-        total += br.weight * s
-    conic_u, conic_t = [], []
-    for br in params.conic:
-        u = br.proj @ x + br.offset
-        t = l2norm(u)
-        conic_u.append(u)
-        conic_t.append(t)
-        total += br.weight * t
-
+    totals, cache = _forward_rows(params, x[None])
     return ForwardTrace(
-        preacts=tuple(preacts),
-        acts=tuple(acts),
-        backbone_value=backbone,
-        quad_q=tuple(quad_q),
-        quad_s=tuple(quad_s),
-        conic_u=tuple(conic_u),
-        conic_t=tuple(conic_t),
-        total=float(total),
+        preacts=tuple(pre[0] for pre in cache["preacts"]),
+        acts=tuple(act[0] for act in cache["acts"]),
+        backbone_value=float(cache["backbone"][0]),
+        quad_q=tuple(Q[0] for Q in cache["quad_q"]),
+        quad_s=tuple(float(s[0]) for s in cache["quad_s"]),
+        conic_u=tuple(U[0] for U in cache["conic_u"]),
+        conic_t=tuple(float(t[0]) for t in cache["conic_t"]),
+        total=float(totals[0]),
     )
 
 
@@ -352,51 +425,8 @@ def batch_forward(params: SocIcnnParams, X: np.ndarray, with_cache: bool = False
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
-    n = X.shape[0]
-
-    preacts = []
-    acts = []
-    Z = None
-    for layer in params.layers:
-        pre = np.broadcast_to(layer.b, (n, layer.width)).copy()
-        if layer.w_x is not None:
-            pre += X @ layer.w_x.T
-        if layer.w_z is not None:
-            pre += Z @ layer.w_z.T
-        Z = _apply_activation(params.activation, pre)
-        preacts.append(pre)
-        acts.append(Z)
-
-    backbone = Z @ params.w_out + X @ params.w_skip + params.b_out
-
-    totals = backbone.copy()
-    quad_q, quad_s = [], []
-    for br in params.quad:
-        Q = X @ br.proj.T + br.offset
-        s = 0.5 * np.einsum("ij,ij->i", Q, Q)
-        quad_q.append(Q)
-        quad_s.append(s)
-        totals += br.weight * s
-    conic_u, conic_t = [], []
-    for br in params.conic:
-        U = X @ br.proj.T + br.offset
-        t = np.sqrt(np.einsum("ij,ij->i", U, U))
-        conic_u.append(U)
-        conic_t.append(t)
-        totals += br.weight * t
-
-    if not with_cache:
-        return totals
-    cache = {
-        "preacts": preacts,
-        "acts": acts,
-        "backbone": backbone,
-        "quad_q": quad_q,
-        "quad_s": quad_s,
-        "conic_u": conic_u,
-        "conic_t": conic_t,
-    }
-    return totals, cache
+    totals, cache = _forward_rows(params, X)
+    return (totals, cache) if with_cache else totals
 
 
 def forward_total_batch(params: SocIcnnParams, X: np.ndarray) -> np.ndarray:
@@ -461,17 +491,7 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
 
 
 def count_parameters(params: SocIcnnParams) -> int:
-    total = 0
-    for layer in params.layers:
-        for arr in (layer.w_x, layer.w_z, layer.b):
-            if arr is not None:
-                total += arr.size
-    total += params.w_out.size + params.w_skip.size + 1
-    for br in params.quad:
-        total += br.proj.size + br.offset.size + 1
-    for br in params.conic:
-        total += br.proj.size + br.offset.size + 1
-    return total
+    return flatten_params(params).size
 
 
 def count_forward_flops(params: SocIcnnParams) -> int:
@@ -568,7 +588,7 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
         )
         for e in doc["conic"]
     )
-    return SocIcnnParams(
+    params = SocIcnnParams(
         input_dim=int(doc["d0"]),
         layers=tuple(layers),
         w_out=np.asarray(doc["c"], dtype=np.float64),
@@ -579,6 +599,34 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
         passthrough=bool(doc["passthrough"]),
         activation=str(doc["activation"]),
     )
+    _check_loaded(params)
+    return params
+
+
+def _check_loaded(params: SocIcnnParams) -> None:
+    """Reject a model that is malformed, non-finite or not convex.
+
+    The shapes are compared with those of a model drawn from the document's
+    own sizes, which also checks the activation and the sizes themselves.
+    """
+    reference = init_model(
+        params.input_dim,
+        [np.size(layer.b) for layer in params.layers],
+        len(params.quad),
+        [np.size(br.offset) for br in params.quad],
+        len(params.conic),
+        [np.size(br.offset) for br in params.conic],
+        params.passthrough,
+        params.activation,
+        seed=0,
+    )
+    if [np.shape(v) for v, _ in _leaves(params)] != [np.shape(v) for v, _ in _leaves(reference)]:
+        raise DimensionError("array shapes disagree with the widths, branch sizes or passthrough")
+    if not np.all(np.isfinite(flatten_params(params))):
+        raise ValueError("model contains non-finite values")
+    worst = max_infeasibility(params)
+    if worst > 0.0:
+        raise ConstraintError(f"a sign-constrained entry is negative (violation {worst:.3g})")
 
 
 def save_model(params: SocIcnnParams, path) -> None:

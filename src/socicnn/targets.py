@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import spawn_rng
+from .model import half_sqnorm_rows, norm_rows, sigmoid, spawn_rng
 
 TARGET_NAMES = (
     "QuadraticIso",
@@ -75,109 +75,77 @@ def make_target(name: str, dim: int, seed: int) -> TargetFunction:
     )
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
-
-
-def _huber_value(t: np.ndarray, delta: float) -> np.ndarray:
+def huber(t: np.ndarray, delta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Elementwise Huber function (t^2 inside |t| <= delta, 2 delta |t| - delta^2
+    beyond) and its derivative, with sign(0) = 0."""
     a = np.abs(t)
-    return np.where(a <= delta, t * t, 2.0 * delta * a - delta * delta)
+    small = a <= delta
+    value = np.where(small, t * t, 2.0 * delta * a - delta * delta)
+    grad = np.where(small, 2.0 * t, 2.0 * delta * np.sign(t))
+    return value, grad
 
 
-def _huber_grad(t: np.ndarray, delta: float) -> np.ndarray:
-    return np.where(np.abs(t) <= delta, 2.0 * t, 2.0 * delta * np.sign(t))
+def _unit_rows(V: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows of V divided by r, and 0 where r vanishes."""
+    return np.where(r[:, None] > 0.0, V / np.where(r > 0.0, r, 1.0)[:, None], 0.0)
+
+
+def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
+    """Values (n,) and subgradients (n, d) on the rows of X.
+
+    The squared-norm and norm reductions are the model's own, so a model that
+    represents a target exactly produces bitwise-zero residuals (and hence
+    exactly zero gradients) on sampled datasets.
+    """
+    name = target.name
+    if name == "QuadraticIso":
+        return half_sqnorm_rows(X), X.copy()
+    if name == "QuadraticAniso":
+        w = target.weights
+        return 0.5 * (X * X) @ w, w * X
+    if name == "NormEuclid":
+        r = norm_rows(X)
+        return r, _unit_rows(X, r)
+    if name == "NormAniso":
+        w = target.weights
+        r = np.sqrt((X * X) @ w)
+        return r, _unit_rows(w * X, r)
+    if name == "Mixed":
+        w1, w2 = target.weights, target.weights2
+        quad = 0.25 * (X * X) @ w1
+        root = np.sqrt((X * X) @ w2)
+        pieces = X @ target.piece_slopes.T + target.piece_intercepts
+        active = target.piece_slopes[np.argmax(pieces, axis=1)]
+        value = quad + 0.7 * root + np.max(pieces, axis=1)
+        return value, 0.5 * w1 * X + active + 0.7 * _unit_rows(w2 * X, root)
+    if name == "SoftplusSum":
+        return np.sum(np.logaddexp(0.0, X), axis=1), sigmoid(X)
+    if name == "LogSumExpQuad":
+        m = np.max(X, axis=1, keepdims=True)
+        e = np.exp(X - m)
+        total = np.sum(e, axis=1)
+        value = m[:, 0] + np.log(total) + 0.1 * np.sum(X * X, axis=1)
+        return value, e / total[:, None] + 0.2 * X
+    if name == "Huber":
+        value, grad = huber(X, target.delta)
+        return np.sum(value, axis=1), grad
+    if name == "L1Norm":
+        return np.sum(np.abs(X), axis=1), np.sign(X)
+    if name == "ICKANPaperTarget":
+        w = target.weights
+        value = np.sum(np.abs(X) + np.abs(1.0 - X), axis=1) + 0.25 * (X * X) @ w
+        return value, np.sign(X) - np.sign(1.0 - X) + 0.5 * w * X
+    raise AssertionError(name)
 
 
 def target_value_and_subgradient(target: TargetFunction, x) -> Tuple[float, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (target.dim,):
         raise ValueError(f"expected input of shape ({target.dim},), got {x.shape}")
-    name = target.name
-
-    if name == "QuadraticIso":
-        return 0.5 * float(np.dot(x, x)), x.copy()
-    if name == "QuadraticAniso":
-        w = target.weights
-        return 0.5 * float(np.dot(w, x * x)), w * x
-    if name == "NormEuclid":
-        r = float(np.sqrt(np.dot(x, x)))
-        return r, x / r if r > 0 else np.zeros_like(x)
-    if name == "NormAniso":
-        w = target.weights
-        r = float(np.sqrt(np.dot(w, x * x)))
-        return r, (w * x) / r if r > 0 else np.zeros_like(x)
-    if name == "Mixed":
-        w1, w2 = target.weights, target.weights2
-        quad = 0.25 * float(np.dot(w1, x * x))
-        root = float(np.sqrt(np.dot(w2, x * x)))
-        pieces = target.piece_slopes @ x + target.piece_intercepts
-        k = int(np.argmax(pieces))
-        value = quad + 0.7 * root + float(pieces[k])
-        grad = 0.5 * w1 * x + target.piece_slopes[k].copy()
-        if root > 0:
-            grad += 0.7 * (w2 * x) / root
-        return value, grad
-    if name == "SoftplusSum":
-        value = float(np.sum(np.logaddexp(0.0, x)))
-        e = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        return value, e
-    if name == "LogSumExpQuad":
-        return _logsumexp(x) + 0.1 * float(np.dot(x, x)), _softmax(x) + 0.2 * x
-    if name == "Huber":
-        return float(np.sum(_huber_value(x, target.delta))), _huber_grad(x, target.delta)
-    if name == "L1Norm":
-        return float(np.sum(np.abs(x))), np.sign(x)
-    if name == "ICKANPaperTarget":
-        w = target.weights
-        value = float(np.sum(np.abs(x) + np.abs(1.0 - x))) + 0.25 * float(np.dot(w, x * x))
-        grad = np.sign(x) - np.sign(1.0 - x) + 0.5 * w * x
-        return value, grad
-    raise AssertionError(name)
-
-
-def target_value(target: TargetFunction, x) -> float:
-    return target_value_and_subgradient(target, x)[0]
+    values, grads = _value_and_subgradient_rows(target, x[None])
+    return float(values[0]), grads[0]
 
 
 def target_values_batch(target: TargetFunction, X) -> np.ndarray:
-    """Values on the rows of X; used for dataset generation and sampling tests.
-
-    The squared-norm and norm reductions deliberately use the same einsum
-    primitive as the model's branch evaluation, so a model that represents a
-    target exactly produces bitwise-zero residuals (and hence exactly zero
-    gradients) on sampled datasets.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    name = target.name
-    if name == "QuadraticIso":
-        return 0.5 * np.einsum("ij,ij->i", X, X)
-    if name == "QuadraticAniso":
-        return 0.5 * (X * X) @ target.weights
-    if name == "NormEuclid":
-        return np.sqrt(np.einsum("ij,ij->i", X, X))
-    if name == "NormAniso":
-        return np.sqrt((X * X) @ target.weights)
-    if name == "Mixed":
-        quad = 0.25 * (X * X) @ target.weights
-        root = np.sqrt((X * X) @ target.weights2)
-        pieces = X @ target.piece_slopes.T + target.piece_intercepts
-        return quad + 0.7 * root + np.max(pieces, axis=1)
-    if name == "SoftplusSum":
-        return np.sum(np.logaddexp(0.0, X), axis=1)
-    if name == "LogSumExpQuad":
-        m = np.max(X, axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.sum(np.exp(X - m), axis=1))
-        return lse + 0.1 * np.sum(X * X, axis=1)
-    if name == "Huber":
-        return np.sum(_huber_value(X, target.delta), axis=1)
-    if name == "L1Norm":
-        return np.sum(np.abs(X), axis=1)
-    if name == "ICKANPaperTarget":
-        return np.sum(np.abs(X) + np.abs(1.0 - X), axis=1) + 0.25 * (X * X) @ target.weights
-    raise AssertionError(name)
+    """Values on the rows of X; used for dataset generation and sampling tests."""
+    return _value_and_subgradient_rows(target, np.asarray(X, dtype=np.float64))[0]

@@ -15,16 +15,19 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gradients import ParamGradients, parameter_gradients
+from .gradients import parameter_gradients
 from .model import (
     RELU,
     SOFTPLUS,
     DimensionError,
     SocIcnnParams,
     count_parameters,
+    flatten_params,
     forward_total_batch,
     init_model,
+    nonneg_mask,
     spawn_rng,
+    unflatten_params,
 )
 from .targets import TargetFunction, target_values_batch
 
@@ -108,80 +111,6 @@ def save_history_csv(history: Sequence[Tuple[int, float, float]], path) -> None:
             writer.writerow([epoch, repr(float(train_loss)), repr(float(val_loss))])
 
 
-# ---------------------------------------------------------------------------
-# parameter flattening for the optimizer
-
-
-def _flatten(params: SocIcnnParams) -> Tuple[List[np.ndarray], List[bool]]:
-    """Canonical array list plus a per-array nonnegativity flag."""
-    arrays: List[np.ndarray] = []
-    nonneg: List[bool] = []
-
-    def push(arr, constrained):
-        arrays.append(np.array(arr, dtype=np.float64))
-        nonneg.append(constrained)
-
-    for layer in params.layers:
-        if layer.w_x is not None:
-            push(layer.w_x, False)
-        if layer.w_z is not None:
-            push(layer.w_z, True)
-        push(layer.b, False)
-    push(params.w_out, True)
-    push(params.w_skip, False)
-    push(np.float64(params.b_out), False)
-    for br in params.quad:
-        push(np.float64(br.weight), True)
-        push(br.proj, False)
-        push(br.offset, False)
-    for br in params.conic:
-        push(np.float64(br.weight), True)
-        push(br.proj, False)
-        push(br.offset, False)
-    return arrays, nonneg
-
-
-def _unflatten(template: SocIcnnParams, arrays: List[np.ndarray]) -> SocIcnnParams:
-    it = iter(arrays)
-    layers = []
-    for layer in template.layers:
-        w_x = next(it).copy() if layer.w_x is not None else None
-        w_z = next(it).copy() if layer.w_z is not None else None
-        layers.append(replace(layer, w_x=w_x, w_z=w_z, b=next(it).copy()))
-    w_out = next(it).copy()
-    w_skip = next(it).copy()
-    b_out = float(next(it))
-    quad = tuple(
-        replace(br, weight=float(next(it)), proj=next(it).copy(), offset=next(it).copy())
-        for br in template.quad
-    )
-    conic = tuple(
-        replace(br, weight=float(next(it)), proj=next(it).copy(), offset=next(it).copy())
-        for br in template.conic
-    )
-    return replace(
-        template, layers=tuple(layers), w_out=w_out, w_skip=w_skip, b_out=b_out, quad=quad, conic=conic
-    )
-
-
-def _flatten_grads(grads: ParamGradients, template: SocIcnnParams) -> List[np.ndarray]:
-    arrays: List[np.ndarray] = []
-    for layer, lg in zip(template.layers, grads.layers):
-        if layer.w_x is not None:
-            arrays.append(lg.w_x)
-        if layer.w_z is not None:
-            arrays.append(lg.w_z)
-        arrays.append(lg.b)
-    arrays.append(grads.w_out)
-    arrays.append(grads.w_skip)
-    arrays.append(np.float64(grads.b_out))
-    for bg in grads.quad:
-        arrays.extend([np.float64(bg.weight), bg.proj, bg.offset])
-    for bg in grads.conic:
-        arrays.extend([np.float64(bg.weight), bg.proj, bg.offset])
-    return arrays
-
-
 def _mse(params: SocIcnnParams, ds: Dataset) -> float:
     resid = forward_total_batch(params, ds.xs) - ds.ys
     return float(np.mean(resid**2))
@@ -204,16 +133,19 @@ def train(
     if train_ds.xs.shape[1] != params.input_dim or val_ds.xs.shape[1] != params.input_dim:
         raise DimensionError("dataset dimension does not match the model")
 
-    arrays, nonneg = _flatten(params)
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
+    flat = flatten_params(params)
+    # Lower bounds of the projection: 0 on sign-constrained entries, -inf elsewhere.
+    lower = np.where(nonneg_mask(params), 0.0, -np.inf)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    b1, b2 = config.adam_beta1, config.adam_beta2
     step = 0
     rng = spawn_rng(config.seed)
     n = train_ds.size
     batch = min(config.batch_size, n)
 
     best_val = np.inf
-    best_arrays = [a.copy() for a in arrays]
+    best_flat = flat  # iterates are replaced, never written in place
     stall = 0
     history: List[Tuple[int, float, float]] = []
 
@@ -222,26 +154,21 @@ def train(
         epoch_losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            model = _unflatten(params, arrays)
+            model = unflatten_params(params, flat)
             loss, grads = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx])
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training aborted: non-finite loss at epoch {epoch}, step {step}"
                 )
             epoch_losses.append(loss)
-            garrays = _flatten_grads(grads, params)
+            g = flatten_params(grads)
             step += 1
-            lr_t = config.learning_rate * (
-                np.sqrt(1.0 - config.adam_beta2**step) / (1.0 - config.adam_beta1**step)
-            )
-            for k, g in enumerate(garrays):
-                m[k] = config.adam_beta1 * m[k] + (1.0 - config.adam_beta1) * g
-                v[k] = config.adam_beta2 * v[k] + (1.0 - config.adam_beta2) * (g * g)
-                arrays[k] = arrays[k] - lr_t * m[k] / (np.sqrt(v[k]) + config.adam_eps)
-                if nonneg[k]:
-                    arrays[k] = np.maximum(arrays[k], 0.0)
+            lr_t = config.learning_rate * (np.sqrt(1.0 - b2**step) / (1.0 - b1**step))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            flat = np.maximum(flat - lr_t * m / (np.sqrt(v) + config.adam_eps), lower)
 
-        current = _unflatten(params, arrays)
+        current = unflatten_params(params, flat)
         train_loss = float(np.mean(epoch_losses))
         val_loss = _mse(current, val_ds)
         if not np.isfinite(val_loss):
@@ -249,7 +176,7 @@ def train(
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_arrays = [a.copy() for a in arrays]
+            best_flat = flat
             stall = 0
         else:
             stall += 1
@@ -258,7 +185,7 @@ def train(
         if stall >= config.early_stop_patience:
             break
 
-    return _unflatten(params, best_arrays), history
+    return unflatten_params(params, best_flat), history
 
 
 def relative_l2_error(params: SocIcnnParams, test: Dataset) -> float:

@@ -33,14 +33,15 @@ from socicnn import (
     value_and_input_gradient_batch,
 )
 from socicnn.certificate import _METRIC_FIELDS
-from socicnn.cli import decide_instance
+from socicnn.decisions import decide_instance
 from socicnn.theory import (
     absorption_rate_rows,
     cpwl_piece_lower_bound,
     loglog_slope,
     smallest_net_reaching,
 )
-from socicnn.training import TrainConfig, fit_variant_to_target, _flatten, _flatten_grads, _unflatten
+from socicnn.model import flatten_params, unflatten_params
+from socicnn.training import TrainConfig, fit_variant_to_target
 
 
 def _line(criterion, ok, detail):
@@ -180,24 +181,20 @@ def test_c4_convexity_and_gradient_suites():
         X = data_rng.uniform(-2.0, 2.0, (8, 4))
         y = data_rng.standard_normal(8)
         _, grads = parameter_gradients(model, X, y)
-        arrays, _ = _flatten(model)
-        flat = _flatten_grads(grads, model)
+        params = flatten_params(model)
+        flat = flatten_params(grads)
         step = 1e-5
-        for k, arr in enumerate(arrays):
-            view = np.atleast_1d(arr)
-            it = np.nditer(view, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                bumped = [a.copy() for a in arrays]
-                np.atleast_1d(bumped[k])[idx] += step
-                up = forward_total_batch(_unflatten(model, bumped), X) - y
-                np.atleast_1d(bumped[k])[idx] -= 2 * step
-                down = forward_total_batch(_unflatten(model, bumped), X) - y
-                fd = (float(np.mean(up**2)) - float(np.mean(down**2))) / (2 * step)
-                analytic = float(np.atleast_1d(flat[k])[idx])
-                worst_param = max(
-                    worst_param, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
-                )
+        for k in range(params.size):
+            bumped = params.copy()
+            bumped[k] += step
+            up = forward_total_batch(unflatten_params(model, bumped), X) - y
+            bumped[k] -= 2 * step
+            down = forward_total_batch(unflatten_params(model, bumped), X) - y
+            fd = (float(np.mean(up**2)) - float(np.mean(down**2))) / (2 * step)
+            analytic = float(flat[k])
+            worst_param = max(
+                worst_param, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
+            )
 
     # input subgradient finite differences away from kinks
     worst_input = 0.0

@@ -121,3 +121,19 @@ def test_outputs_stay_under_out_dir(tmp_path):
     produced = {p.name for p in out.iterdir()}
     assert produced == {"manifest.json", "theory.csv"}
     assert {p.name for p in tmp_path.iterdir()} == {"only"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--seeds", "0"],
+    ["benchmark", "--seeds", "-2"],
+    ["theory", "--cells", "1"],
+    ["theory", "--cells", "4,4"],
+    ["theory", "--cells", "0,2"],
+])
+def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not out.exists()

@@ -15,8 +15,13 @@ from socicnn import (
     value_and_input_gradient_batch,
 )
 from socicnn.gradients import relu_chain_multipliers
-from socicnn.model import LayerParams, SocIcnnParams, forward_total_batch
-from socicnn.training import _flatten, _flatten_grads, _unflatten
+from socicnn.model import (
+    LayerParams,
+    SocIcnnParams,
+    flatten_params,
+    forward_total_batch,
+    unflatten_params,
+)
 
 from test_model import random_model, relu_scalar_model
 
@@ -115,8 +120,7 @@ def test_zero_loss_means_zero_gradients():
     y = forward_total_batch(m, X)
     loss, grads = parameter_gradients(m, X, y)
     assert loss == 0.0
-    flat = _flatten_grads(grads, m)
-    assert all(np.all(arr == 0.0) for arr in flat)
+    assert np.all(flatten_params(grads) == 0.0)
 
 
 def test_bias_only_model_gradient():
@@ -145,8 +149,8 @@ def test_parameter_gradients_validation():
         parameter_gradients(m, np.zeros((3, m.input_dim)), np.zeros(4))
 
 
-def _loss_of_arrays(template, arrays, X, y):
-    model = _unflatten(template, arrays)
+def _loss_of_flat(template, flat, X, y):
+    model = unflatten_params(template, flat)
     resid = forward_total_batch(model, X) - y
     return float(np.mean(resid**2))
 
@@ -158,22 +162,19 @@ def test_parameter_gradients_match_finite_differences(activation):
     X = rng.uniform(-2, 2, (8, 4))
     y = rng.standard_normal(8)
     _, grads = parameter_gradients(m, X, y)
-    arrays, _ = _flatten(m)
-    flat_grads = _flatten_grads(grads, m)
+    flat = flatten_params(m)
+    flat_grads = flatten_params(grads)
     step = 1e-5
     worst = 0.0
-    for k, arr in enumerate(arrays):
-        it = np.nditer(np.atleast_1d(arr), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            bumped = [a.copy() for a in arrays]
-            np.atleast_1d(bumped[k])[idx] += step
-            up = _loss_of_arrays(m, bumped, X, y)
-            np.atleast_1d(bumped[k])[idx] -= 2 * step
-            down = _loss_of_arrays(m, bumped, X, y)
-            fd = (up - down) / (2 * step)
-            analytic = float(np.atleast_1d(flat_grads[k])[idx])
-            worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3))
+    for k in range(flat.size):
+        bumped = flat.copy()
+        bumped[k] += step
+        up = _loss_of_flat(m, bumped, X, y)
+        bumped[k] -= 2 * step
+        down = _loss_of_flat(m, bumped, X, y)
+        fd = (up - down) / (2 * step)
+        analytic = float(flat_grads[k])
+        worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3))
     assert worst <= 1e-5
 
 

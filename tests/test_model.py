@@ -6,9 +6,11 @@ import pytest
 from socicnn import (
     RELU,
     SOFTPLUS,
+    ConicBranchParams,
     ConstraintError,
     DimensionError,
     LayerParams,
+    QuadBranchParams,
     SocIcnnParams,
     count_parameters,
     forward,
@@ -23,7 +25,15 @@ from socicnn import (
     spawn_rng,
     to_json_dict,
 )
-from socicnn.model import count_forward_flops
+from socicnn.model import (
+    batch_forward,
+    count_forward_flops,
+    flatten_params,
+    half_sqnorm_rows,
+    nonneg_mask,
+    norm_rows,
+    unflatten_params,
+)
 
 
 def relu_scalar_model():
@@ -170,9 +180,9 @@ def test_trace_invariants_hold_exactly():
         assert np.array_equal(act, np.maximum(pre, 0.0))
         assert np.min(act) >= 0.0
     for q, s in zip(tr.quad_q, tr.quad_s):
-        assert s == 0.5 * float(np.dot(q, q))
+        assert s == half_sqnorm_rows(q[None])[0]
     for u, t in zip(tr.conic_u, tr.conic_t):
-        assert t == float(np.sqrt(np.dot(u, u)))
+        assert t == norm_rows(u[None])[0]
     recomposed = tr.backbone_value
     for br, s in zip(m.quad, tr.quad_s):
         recomposed += br.weight * s
@@ -197,6 +207,32 @@ def test_degenerate_reduction_matches_plain_icnn_recursion():
             z = np.maximum(pre, 0.0)
         expected = float(m.w_out @ z + m.w_skip @ x) + m.b_out
         assert forward(m, x).total == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+def test_forward_is_row_zero_of_the_batch():
+    for passthrough in (True, False):
+        m = random_model(12, num_quad=2, num_conic=2, passthrough=passthrough)
+        x = spawn_rng(12, 1).uniform(-2, 2, m.input_dim)
+        tr = forward(m, x)
+        totals, cache = batch_forward(m, x[None], with_cache=True)
+        assert tr.total == totals[0]
+        assert tr.backbone_value == cache["backbone"][0]
+        for name in ("preacts", "acts", "quad_q", "conic_u"):
+            for row, full in zip(getattr(tr, name), cache[name], strict=True):
+                assert np.array_equal(row, full[0])
+        for name in ("quad_s", "conic_t"):
+            assert list(getattr(tr, name)) == [v[0] for v in cache[name]]
+
+
+def test_batch_forward_rejects_non_finite_rows():
+    m = random_model(13)
+    X = spawn_rng(13, 1).uniform(-2, 2, (4, m.input_dim))
+    for bad in (np.nan, np.inf):
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_forward(m, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(m, X[2])
 
 
 def test_batch_forward_matches_pointwise():
@@ -291,6 +327,47 @@ def test_icnn_subset_is_reproduced_exactly():
 # accounting and serialization
 
 
+def test_layout_round_trip_is_exact():
+    for passthrough in (True, False):
+        m = random_model(14, num_quad=2, num_conic=1, passthrough=passthrough)
+        flat = flatten_params(m)
+        assert flat.dtype == np.float64 and flat.size == count_parameters(m)
+        back = unflatten_params(m, flat)
+        assert np.array_equal(flatten_params(back), flat)
+        assert to_json_dict(back) == to_json_dict(m)
+    with pytest.raises(DimensionError):
+        unflatten_params(m, np.append(flat, 0.0))
+
+
+def test_layout_mask_marks_exactly_the_sign_constrained_entries():
+    m = random_model(15, widths=(3, 4, 2), num_quad=1, num_conic=2)
+    # 1 on w_z, w_out and the branch weights, 0 everywhere else
+    marked = SocIcnnParams(
+        input_dim=m.input_dim,
+        layers=tuple(
+            LayerParams(
+                w_x=np.zeros_like(layer.w_x),
+                w_z=None if layer.w_z is None else np.ones_like(layer.w_z),
+                b=np.zeros_like(layer.b),
+            )
+            for layer in m.layers
+        ),
+        w_out=np.ones_like(m.w_out),
+        w_skip=np.zeros_like(m.w_skip),
+        b_out=0.0,
+        quad=tuple(QuadBranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
+                   for br in m.quad),
+        conic=tuple(ConicBranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
+                    for br in m.conic),
+        passthrough=m.passthrough,
+        activation=m.activation,
+    )
+    mask = nonneg_mask(m)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, flatten_params(marked) == 1.0)
+    assert int(mask.sum()) == 4 * 3 + 2 * 4 + 2 + 3
+
+
 def test_count_parameters_formula():
     m = init_model(10, [20, 20], 1, [10], 1, [10], True, RELU, 0)
     expected = (20 * 10 + 20) + (20 * 20 + 20 + 20 * 10) + (20 + 10 + 1) + 2 * (10 * 10 + 10 + 1)
@@ -350,3 +427,48 @@ def test_json_schema_keys():
                         "b0", "quad", "conic"}
     assert set(doc["quad"][0]) == {"alpha", "B", "e"}
     assert set(doc["conic"][0]) == {"lambda", "A", "d"}
+
+
+def _doc(seed=16):
+    return json.loads(json.dumps(to_json_dict(random_model(seed))))
+
+
+def test_load_rejects_a_negative_sign_constrained_entry():
+    doc = _doc()
+    doc["layers"][1]["U"][0][0] = -5.0
+    with pytest.raises(ConstraintError):
+        from_json_dict(doc)
+    doc = _doc()
+    doc["conic"][0]["lambda"] = -0.5
+    with pytest.raises(ConstraintError):
+        from_json_dict(doc)
+
+
+def test_load_rejects_an_unknown_activation():
+    doc = _doc()
+    doc["activation"] = "tanh"
+    with pytest.raises(ValueError, match="activation"):
+        from_json_dict(doc)
+
+
+def test_load_rejects_shape_mismatches():
+    doc = _doc()
+    doc["layers"][1]["U"] = doc["layers"][1]["U"][:-1]
+    with pytest.raises(DimensionError):
+        from_json_dict(doc)
+    doc = _doc()
+    doc["quad"][0]["B"] = [row[:-1] for row in doc["quad"][0]["B"]]
+    with pytest.raises(DimensionError):
+        from_json_dict(doc)
+    doc = _doc()
+    doc["c"].append(1.0)
+    with pytest.raises(DimensionError):
+        from_json_dict(doc)
+
+
+def test_load_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf")):
+        doc = _doc()
+        doc["layers"][0]["W"][0][0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            from_json_dict(doc)
