@@ -190,21 +190,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     out = _prepare_out(args)
     targets = args.targets.split(",")
     variants = args.variants.split(",")
-    for name in targets:
-        if name not in TARGET_NAMES:
-            print(
-                f"unknown target {name!r}; valid names: {', '.join(TARGET_NAMES)}",
-                file=sys.stderr,
-            )
-            return 2
-    for variant in variants:
-        if variant not in VARIANTS:
-            print(
-                f"unknown variant {variant!r}; valid names: {', '.join(VARIANTS)}",
-                file=sys.stderr,
-            )
-            return 2
-
     width = anchor_width(args.d)
     anchor_count = variant_param_count(args.d, width, 2, "SOC")
     rows = []
@@ -265,17 +250,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     out = _prepare_out(args)
     families = args.families.split(",")
-    for family in families:
-        if family not in FAMILIES:
-            print(
-                f"unknown family {family!r}; valid names: {', '.join(FAMILIES)}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.model not in VARIANTS:
-        print(f"unknown variant {args.model!r}; valid names: {', '.join(VARIANTS)}", file=sys.stderr)
-        return 2
-
     rows = []
     worst_regret = 0.0
     for family in families:
@@ -372,6 +346,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dims(text: str) -> str:
+    """A comma-separated list of positive dimensions; kept as text for the
+    manifest."""
+    if min(int(v) for v in text.split(",")) < 1:
+        raise argparse.ArgumentTypeError(f"needs positive dimensions, got {text!r}")
+    return text
+
+
 def _cell_counts(text: str) -> str:
     """A comma-separated list of at least two distinct positive cell counts,
     so that a slope can be fitted; kept as text for the manifest."""
@@ -411,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="random-model optimality diagnostics")
     common(p, "runs/verify")
-    p.add_argument("--trials", type=int, default=150)
+    p.add_argument("--trials", type=_positive_int, default=150)
     p.add_argument("--d0", type=int, default=20)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--depth", type=int, default=3)
@@ -439,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "runs/decide")
     p.add_argument("--families", default="SimplexSocp,BudgetHuber")
     p.add_argument("--d", type=int, default=10)
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--model", default="QuadOnly")
+    p.add_argument("--instances", type=_positive_int, default=50)
+    p.add_argument("--model", default="QuadOnly", choices=VARIANTS)
     p.add_argument("--candidates", type=int, default=64)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--steps", type=int, default=200)
@@ -453,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="tangent-net rates and the piece bound")
     common(p, "runs/theory")
-    p.add_argument("--dims", default="1,2")
+    p.add_argument("--dims", type=_dims, default="1,2")
     p.add_argument("--cells", type=_cell_counts, default="2,4,8,16")
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=cmd_theory)
@@ -461,8 +443,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that hold comma-separated names: (noun, valid names)
+_NAME_FLAGS = {
+    "targets": ("target", TARGET_NAMES),
+    "variants": ("variant", VARIANTS),
+    "families": ("family", FAMILIES),
+}
+
+
+def _unknown_name(args: argparse.Namespace):
+    """The usage message for the first unknown name in a name flag, or None."""
+    for flag, (noun, valid) in _NAME_FLAGS.items():
+        if not hasattr(args, flag):
+            continue
+        for name in getattr(args, flag).split(","):
+            if name not in valid:
+                return f"unknown {noun} {name!r}; valid names: {', '.join(valid)}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # names are checked before the run writes its manifest
+    error = _unknown_name(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

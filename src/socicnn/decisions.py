@@ -2,12 +2,13 @@
 
 Three feasible sets are supported: the probability simplex, the unit box,
 and the capped simplex (box coordinates with a fixed budget sum).  Tasks pair
-a strongly convex quadratic-linear backbone with one of four structured
-convex terms (cone norms, logistic sums, log-sum-exp blocks, Huber sums),
-all parameterized by an 8-dimensional context vector through frozen random
-affine maps.  Decision quality is scored against an intensified projected
-gradient oracle on the true objective; ``decide_instance`` runs the whole
-surrogate pipeline for one instance.
+a strongly convex quadratic-linear backbone with one or two ``AffineTerm``s
+of one kind (cone norm, logistic sum, log-sum-exp block or Huber sum), all
+parameterized by an 8-dimensional context vector through frozen random
+affine maps.  One table, ``_FAMILY_TABLE``, gives each family its feasible
+set, backbone scale and terms.  Decision quality is scored against an
+intensified projected gradient oracle on the true objective;
+``decide_instance`` runs the whole surrogate pipeline for one instance.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ from .targets import huber
 from .training import Dataset, TrainConfig, build_variant_model, train
 
 SET_KINDS = ("Simplex", "Box", "CappedSimplex")
-FAMILIES = (
-    "SimplexSocp",
-    "BoxSocp",
-    "BudgetTwoConeSocp",
-    "SimplexLogistic",
-    "BoxLogsumexp",
-    "BudgetHuber",
-)
+
+# family: (set kind, alpha, term kind, term count, rows per term as a function
+# of d).  Norm terms get d + 2 rows: the overdetermined map keeps the norm
+# smooth on the set.
+_FAMILY_TABLE = {
+    "SimplexSocp": ("Simplex", 1.0, "norm", 1, lambda d: d + 2),
+    "BoxSocp": ("Box", 1.0, "norm", 1, lambda d: d + 2),
+    "BudgetTwoConeSocp": ("CappedSimplex", 1.0, "norm", 2, lambda d: d + 2),
+    "SimplexLogistic": ("Simplex", 0.35, "logistic", 1, lambda d: max(6, d // 3)),
+    "BoxLogsumexp": ("Box", 0.35, "lse", 2, lambda d: max(4, d // 4)),
+    "BudgetHuber": ("CappedSimplex", 1.0, "huber", 1, lambda d: max(8, d // 2)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 THETA_DIM = 8
 
@@ -112,19 +118,6 @@ def sample_feasible(feasible: FeasibleSet, n: int, rng: np.random.Generator) -> 
 # projected gradient descent
 
 
-def _batch_adapter(objective: Callable) -> Callable:
-    def batched(X: np.ndarray):
-        vals = np.empty(X.shape[0])
-        grads = np.empty_like(X)
-        for i, row in enumerate(X):
-            v, g = objective(row)
-            vals[i] = v
-            grads[i] = g
-        return vals, grads
-
-    return batched
-
-
 def pgd_minimize(
     objective: Callable,
     feasible: FeasibleSet,
@@ -133,7 +126,6 @@ def pgd_minimize(
     step_size: float,
     seed: int,
     decay: float = 0.999,
-    vectorized: bool = False,
 ) -> Tuple[np.ndarray, float]:
     """Best iterate of projected (sub)gradient descent over random restarts.
 
@@ -143,12 +135,11 @@ def pgd_minimize(
     ties go to the lowest restart index.  A restart that produces a
     non-finite value is abandoned; if every restart dies, this is an error.
 
-    ``objective`` maps a point to (value, gradient).  Pass vectorized=True
-    when it accepts an (n, d) batch and returns ((n,), (n, d)).
+    ``objective`` maps an (n, d) batch of points to their values and
+    gradients, shaped ((n,), (n, d)).
     """
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be >= 1")
-    fn = objective if vectorized else _batch_adapter(objective)
     rng = spawn_rng(seed)
     X = sample_feasible(feasible, restarts, rng)
 
@@ -166,13 +157,13 @@ def pgd_minimize(
 
     step = step_size
     for _ in range(steps):
-        vals, grads = fn(X)
+        vals, grads = objective(X)
         record(vals, X)
         move = X - step * grads
         move[~alive] = X[~alive]
         X = project_onto_batch(feasible, move)
         step *= decay
-    vals, _ = fn(X)
+    vals, _ = objective(X)
     record(vals, X)
 
     if not np.any(np.isfinite(best_vals)):
@@ -186,40 +177,25 @@ def pgd_minimize(
 
 
 @dataclass(frozen=True, eq=False)
-class ConeTerm:
-    """weight(theta) * ||proj @ x - (offset_base + offset_map @ theta)||."""
+class AffineTerm:
+    """One structured convex term of a task objective.
 
-    proj: np.ndarray
-    offset_base: np.ndarray
-    offset_map: np.ndarray
-    weight_base: float
-    weight_map: np.ndarray
+    Its rows are u = proj @ x - shift(theta), and its weights are
+    softplus(weight_base + weight_map @ theta), with
+    shift(theta) = shift_base + shift_map @ theta.  ``kind`` picks the term:
 
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseTerm:
-    """Rows a_k with theta-affine shifts and softplus-transformed weights.
-
-    Used by both the logistic and the Huber families: the k-th summand is
-    weight_k(theta) * phi(a_k @ x - shift_k(theta)) for a scalar convex phi.
+    * ``norm``:     weight * ||u||             (one weight)
+    * ``lse``:      weight * logsumexp(u)      (one weight)
+    * ``logistic``: sum_k weight_k * log(1 + exp(u_k))
+    * ``huber``:    sum_k weight_k * huber(u_k)
     """
 
-    slopes: np.ndarray  # (K, d)
+    kind: str
+    proj: np.ndarray  # (K, d)
     shift_base: np.ndarray  # (K,)
     shift_map: np.ndarray  # (K, THETA_DIM)
-    weight_base: np.ndarray  # (K,)
-    weight_map: np.ndarray  # (K, THETA_DIM)
-
-
-@dataclass(frozen=True, eq=False)
-class LogSumExpTerm:
-    """weight(theta) * logsumexp(proj @ x - shift(theta))."""
-
-    proj: np.ndarray
-    shift_base: np.ndarray
-    shift_map: np.ndarray
-    weight_base: float
-    weight_map: np.ndarray
+    weight_base: np.ndarray  # () or (K,)
+    weight_map: np.ndarray  # (THETA_DIM,) or (K, THETA_DIM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +209,7 @@ class ParametricTask:
     m_map: np.ndarray
     c_base: np.ndarray
     c_map: np.ndarray
-    cones: Tuple[ConeTerm, ...] = ()
-    pieces: Optional[PiecewiseTerm] = None
-    lse: Tuple[LogSumExpTerm, ...] = ()
+    terms: Tuple[AffineTerm, ...] = ()
     delta: float = 0.35
     theta_dim: int = THETA_DIM
 
@@ -246,6 +220,19 @@ def _affine_maps(rng: np.random.Generator, dim: int) -> Tuple[np.ndarray, np.nda
     return base, mat
 
 
+def _draw_term(rng: np.random.Generator, kind: str, rows: int, dim: int) -> AffineTerm:
+    """Draws proj, shift base, shift map, weight base and weight map, in order."""
+    weight_shape = (rows,) if kind in ("logistic", "huber") else ()
+    return AffineTerm(
+        kind=kind,
+        proj=rng.standard_normal((rows, dim)) / math.sqrt(dim),
+        shift_base=rng.standard_normal(rows),
+        shift_map=rng.standard_normal((rows, THETA_DIM)) / math.sqrt(THETA_DIM),
+        weight_base=rng.standard_normal(weight_shape),
+        weight_map=rng.standard_normal(weight_shape + (THETA_DIM,)) / math.sqrt(THETA_DIM),
+    )
+
+
 def make_task(family: str, dim: int, seed: int) -> ParametricTask:
     """Freeze one task's coefficients from (family, dim, seed)."""
     if family not in FAMILIES:
@@ -253,75 +240,15 @@ def make_task(family: str, dim: int, seed: int) -> ParametricTask:
     if dim < 2:
         raise ValueError("task dimension must be >= 2")
     rng = spawn_rng(seed, FAMILIES.index(family), dim)
-
-    if family.startswith("Simplex"):
-        feasible = FeasibleSet("Simplex", dim)
-    elif family.startswith("Box"):
-        feasible = FeasibleSet("Box", dim)
-    else:
+    set_kind, alpha, term_kind, term_count, rows = _FAMILY_TABLE[family]
+    if set_kind == "CappedSimplex":
         feasible = capped_simplex(dim)
-
-    smooth_family = family in ("SimplexLogistic", "BoxLogsumexp")
-    alpha = 0.35 if smooth_family else 1.0
+    else:
+        feasible = FeasibleSet(set_kind, dim)
     weights = rng.uniform(0.8, 1.6, dim)
     m_base, m_map = _affine_maps(rng, dim)
     c_base, c_map = _affine_maps(rng, dim)
-
-    cones: Tuple[ConeTerm, ...] = ()
-    pieces = None
-    lse: Tuple[LogSumExpTerm, ...] = ()
-
-    if family in ("SimplexSocp", "BoxSocp", "BudgetTwoConeSocp"):
-        num_cones = 2 if family == "BudgetTwoConeSocp" else 1
-        cone_dim = dim + 2  # overdetermined map: the norm stays smooth on the set
-        built = []
-        for _ in range(num_cones):
-            proj = rng.standard_normal((cone_dim, dim)) / math.sqrt(dim)
-            offset_base = rng.standard_normal(cone_dim)
-            offset_map = rng.standard_normal((cone_dim, THETA_DIM)) / math.sqrt(THETA_DIM)
-            built.append(
-                ConeTerm(
-                    proj=proj,
-                    offset_base=offset_base,
-                    offset_map=offset_map,
-                    weight_base=float(rng.standard_normal()),
-                    weight_map=rng.standard_normal(THETA_DIM) / math.sqrt(THETA_DIM),
-                )
-            )
-        cones = tuple(built)
-    elif family == "SimplexLogistic":
-        count = max(6, dim // 3)
-        pieces = PiecewiseTerm(
-            slopes=rng.standard_normal((count, dim)) / math.sqrt(dim),
-            shift_base=rng.standard_normal(count),
-            shift_map=rng.standard_normal((count, THETA_DIM)) / math.sqrt(THETA_DIM),
-            weight_base=rng.standard_normal(count),
-            weight_map=rng.standard_normal((count, THETA_DIM)) / math.sqrt(THETA_DIM),
-        )
-    elif family == "BoxLogsumexp":
-        rows = max(4, dim // 4)
-        built_lse = []
-        for _ in range(2):
-            built_lse.append(
-                LogSumExpTerm(
-                    proj=rng.standard_normal((rows, dim)) / math.sqrt(dim),
-                    shift_base=rng.standard_normal(rows),
-                    shift_map=rng.standard_normal((rows, THETA_DIM)) / math.sqrt(THETA_DIM),
-                    weight_base=float(rng.standard_normal()),
-                    weight_map=rng.standard_normal(THETA_DIM) / math.sqrt(THETA_DIM),
-                )
-            )
-        lse = tuple(built_lse)
-    else:  # BudgetHuber
-        count = max(8, dim // 2)
-        pieces = PiecewiseTerm(
-            slopes=rng.standard_normal((count, dim)) / math.sqrt(dim),
-            shift_base=rng.standard_normal(count),
-            shift_map=rng.standard_normal((count, THETA_DIM)) / math.sqrt(THETA_DIM),
-            weight_base=rng.standard_normal(count),
-            weight_map=rng.standard_normal((count, THETA_DIM)) / math.sqrt(THETA_DIM),
-        )
-
+    terms = tuple(_draw_term(rng, term_kind, rows(dim), dim) for _ in range(term_count))
     return ParametricTask(
         family=family,
         dim=dim,
@@ -332,9 +259,7 @@ def make_task(family: str, dim: int, seed: int) -> ParametricTask:
         m_map=m_map,
         c_base=c_base,
         c_map=c_map,
-        cones=cones,
-        pieces=pieces,
-        lse=lse,
+        terms=terms,
     )
 
 
@@ -364,38 +289,31 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
     vals = 0.5 * task.alpha * (diff * diff) @ w + X @ c
     grads = task.alpha * (diff * w) + c
 
-    for cone in task.cones:
-        weight = float(softplus(cone.weight_base + cone.weight_map @ theta))
-        offset = cone.offset_base + cone.offset_map @ theta
-        U = X @ cone.proj.T - offset
-        norms = norm_rows(U)
-        vals += weight * norms
-        safe = norms > 0.0
-        scale = np.where(safe, weight / np.where(safe, norms, 1.0), 0.0)
-        grads += (scale[:, None] * U) @ cone.proj
-
-    if task.pieces is not None:
-        pieces = task.pieces
-        weights = softplus(pieces.weight_base + pieces.weight_map @ theta)  # (K,)
-        shifts = pieces.shift_base + pieces.shift_map @ theta
-        T = X @ pieces.slopes.T - shifts  # (n, K)
-        if task.family == "SimplexLogistic":
+    for term in task.terms:
+        weights = softplus(term.weight_base + term.weight_map @ theta)
+        shifts = term.shift_base + term.shift_map @ theta
+        T = X @ term.proj.T - shifts  # (n, K)
+        if term.kind == "norm":
+            weight = float(weights)
+            norms = norm_rows(T)
+            vals += weight * norms
+            safe = norms > 0.0
+            scale = np.where(safe, weight / np.where(safe, norms, 1.0), 0.0)
+            grads += (scale[:, None] * T) @ term.proj
+        elif term.kind == "lse":
+            weight = float(weights)
+            mx = np.max(T, axis=1, keepdims=True)
+            expT = np.exp(T - mx)
+            denom = np.sum(expT, axis=1)
+            vals += weight * (mx[:, 0] + np.log(denom))
+            grads += weight * ((expT / denom[:, None]) @ term.proj)
+        elif term.kind == "logistic":
             vals += np.logaddexp(0.0, T) @ weights
-            grads += (sigmoid(T) * weights) @ pieces.slopes
+            grads += (sigmoid(T) * weights) @ term.proj
         else:
             hv, hg = huber(T, task.delta)
             vals += hv @ weights
-            grads += (hg * weights) @ pieces.slopes
-
-    for term in task.lse:
-        weight = float(softplus(term.weight_base + term.weight_map @ theta))
-        shift = term.shift_base + term.shift_map @ theta
-        T = X @ term.proj.T - shift
-        mx = np.max(T, axis=1, keepdims=True)
-        expT = np.exp(T - mx)
-        denom = np.sum(expT, axis=1)
-        vals += weight * (mx[:, 0] + np.log(denom))
-        grads += weight * ((expT / denom[:, None]) @ term.proj)
+            grads += (hg * weights) @ term.proj
 
     if single:
         return float(vals[0]), grads[0]
@@ -423,15 +341,7 @@ def minimize_task(
 ) -> Tuple[np.ndarray, float]:
     """Projected gradient descent on the true objective."""
     objective = lambda X: task_objective(task, theta, X)
-    return pgd_minimize(
-        objective,
-        task.feasible_set,
-        restarts,
-        steps,
-        step_size,
-        seed,
-        vectorized=True,
-    )
+    return pgd_minimize(objective, task.feasible_set, restarts, steps, step_size, seed)
 
 
 def evaluate_decision_quality(
@@ -482,7 +392,7 @@ def decide_instance(
     candidates: int = 64,
     restarts: int = 5,
     steps: int = 200,
-    oracle_config=(20, 2000),
+    oracle_config=DEFAULT_ORACLE_CONFIG,
     surrogate_width: int = 8,
     surrogate_epochs: int = 300,
     surrogate_lr: float = 1e-2,
@@ -513,7 +423,6 @@ def decide_instance(
         steps,
         0.05,
         int(instance_rng.integers(2**62)),
-        vectorized=True,
     )
     report = evaluate_decision_quality(
         task,

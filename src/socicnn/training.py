@@ -98,6 +98,11 @@ def load_dataset_csv(path) -> Dataset:
         dim = len(header) - 1
         xs, ys = [], []
         for row in reader:
+            if len(row) <= dim:
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {dim + 1}"
+                )
             xs.append([float(v) for v in row[:dim]])
             ys.append(float(row[dim]))
     return Dataset(xs=np.asarray(xs, dtype=np.float64), ys=np.asarray(ys, dtype=np.float64))

@@ -55,16 +55,17 @@ def test_train_rejects_unknown_target(tmp_path, capsys):
 
 
 def test_benchmark_unknown_names_exit_usage(tmp_path, capsys):
-    code = main([
-        "benchmark", "--targets", "NotReal", "--out", str(tmp_path / "bench"),
-    ])
+    out = tmp_path / "bench"
+    code = main(["benchmark", "--targets", "NotReal", "--out", str(out)])
     assert code == 2
     assert "NormEuclid" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "bench2"
     code = main([
-        "benchmark", "--targets", "NormEuclid", "--variants", "Huh",
-        "--out", str(tmp_path / "bench2"),
+        "benchmark", "--targets", "NormEuclid", "--variants", "Huh", "--out", str(out),
     ])
     assert code == 2
+    assert not out.exists()
 
 
 def test_benchmark_small_run(tmp_path):
@@ -84,14 +85,17 @@ def test_benchmark_small_run(tmp_path):
     assert int(relu["params"]) >= int(soc["params"])  # budget fairness
 
 
+SMALL_DECIDE = [
+    "decide", "--families", "SimplexSocp", "--d", "5", "--instances", "2",
+    "--candidates", "16", "--restarts", "2", "--steps", "60",
+    "--oracle-restarts", "4", "--oracle-steps", "300",
+    "--surrogate-epochs", "30", "--seed", "0",
+]
+
+
 def test_decide_small_run(tmp_path):
     out = tmp_path / "decide"
-    code = main([
-        "decide", "--families", "SimplexSocp", "--d", "5", "--instances", "2",
-        "--candidates", "16", "--restarts", "2", "--steps", "60",
-        "--oracle-restarts", "4", "--oracle-steps", "300",
-        "--surrogate-epochs", "30", "--seed", "0", "--out", str(out), "--check",
-    ])
+    code = main(SMALL_DECIDE + ["--out", str(out), "--check"])
     assert code == 0
     rows = read_csv(out / "decisions.csv")
     assert len(rows) == 2
@@ -99,6 +103,13 @@ def test_decide_small_run(tmp_path):
                             "decision_error", "surrogate_value", "true_value"}
     for row in rows:
         assert float(row["regret"]) >= -1e-9
+
+
+def test_decide_is_byte_identical_across_reruns(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(SMALL_DECIDE + ["--out", str(out_a)]) == 0
+    assert main(SMALL_DECIDE + ["--out", str(out_b)]) == 0
+    assert (out_a / "decisions.csv").read_bytes() == (out_b / "decisions.csv").read_bytes()
 
 
 def test_theory_run_and_check(tmp_path):
@@ -129,6 +140,9 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["theory", "--cells", "1"],
     ["theory", "--cells", "4,4"],
     ["theory", "--cells", "0,2"],
+    ["decide", "--instances", "0"],
+    ["verify", "--trials", "0"],
+    ["theory", "--dims", "0,1"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

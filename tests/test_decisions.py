@@ -108,7 +108,7 @@ def test_feasible_set_validation():
 
 def test_pgd_interior_minimum_on_box():
     center = np.array([0.5, 0.5])
-    obj = lambda x: (0.5 * float(np.sum((x - center) ** 2)), x - center)
+    obj = lambda X: (0.5 * np.sum((X - center) ** 2, axis=1), X - center)
     x, value = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, 0.1, seed=0)
     assert np.allclose(x, center, atol=1e-6)
     assert value <= 1e-10
@@ -116,7 +116,7 @@ def test_pgd_interior_minimum_on_box():
 
 def test_pgd_linear_on_simplex_hits_vertex():
     c = np.array([1.0, 2.0])
-    obj = lambda x: (float(c @ x), c.copy())
+    obj = lambda X: (X @ c, np.tile(c, (X.shape[0], 1)))
     x, value = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, 0.1, seed=1)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
@@ -128,8 +128,8 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
     Q = H.T @ H + 0.5 * np.eye(3)
     b = rng.standard_normal(3)
 
-    def obj(x):
-        return 0.5 * float(x @ Q @ x) + float(b @ x), Q @ x + b
+    def obj(X):
+        return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b, X @ Q + b
 
     cap = capped_simplex(3, 0.9)
     x, value = pgd_minimize(obj, cap, 5, 800, 0.05, seed=2)
@@ -140,38 +140,21 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
         for c2 in np.arange(0.0, 0.9 - a + 1e-12, 0.01):
             z = np.array([a, c2, 0.9 - a - c2])
             if z[2] <= 1.0:
-                best = min(best, obj(z)[0])
+                best = min(best, float(obj(z[None, :])[0][0]))
     assert value <= best + 1e-4
-
-
-def test_pgd_vectorized_matches_scalar_path():
-    center = np.array([0.2, 0.8, 0.4])
-
-    def scalar(x):
-        return 0.5 * float(np.sum((x - center) ** 2)), x - center
-
-    def batched(X):
-        diff = X - center
-        return 0.5 * np.sum(diff * diff, axis=1), diff
-
-    box = FeasibleSet("Box", 3)
-    xa, va = pgd_minimize(scalar, box, 4, 100, 0.1, seed=3)
-    xb, vb = pgd_minimize(batched, box, 4, 100, 0.1, seed=3, vectorized=True)
-    assert np.array_equal(xa, xb) and va == vb
 
 
 def test_pgd_abandons_nonfinite_restarts():
     # objective blows up on half the box; surviving restarts still answer
-    def obj(x):
-        if x[0] > 0.6:
-            return float("nan"), np.zeros(2)
-        return float(np.sum(x**2)), 2 * x
+    def obj(X):
+        vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
+        return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
     x, value = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, 0.1, seed=4)
     assert np.isfinite(value)
     assert x[0] <= 0.6
 
-    always_bad = lambda x: (float("nan"), np.zeros(2))
+    always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
     with pytest.raises(RuntimeError):
         pgd_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, 0.1, seed=5)
 
@@ -180,17 +163,19 @@ def test_pgd_returns_best_value_seen():
     # the reported optimum is the min over every evaluated iterate
     seen = []
 
-    def obj(x):
-        value = float(np.sum((x - 0.3) ** 2)) + 0.1 * float(np.sin(8 * x[0]))
-        seen.append(value)
-        return value, 2 * (x - 0.3) + np.array([0.8 * np.cos(8 * x[0]), 0.0])
+    def obj(X):
+        values = np.sum((X - 0.3) ** 2, axis=1) + 0.1 * np.sin(8 * X[:, 0])
+        seen.extend(values)
+        grads = 2 * (X - 0.3)
+        grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
+        return values, grads
 
     _, value = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, 0.2, seed=6)
     assert value == min(seen)
 
 
 def test_pgd_validation():
-    obj = lambda x: (0.0, np.zeros(2))
+    obj = lambda X: (np.zeros(X.shape[0]), np.zeros_like(X))
     with pytest.raises(ValueError):
         pgd_minimize(obj, FeasibleSet("Box", 2), 0, 10, 0.1, seed=0)
     with pytest.raises(ValueError):
@@ -205,7 +190,7 @@ def test_make_task_determinism_and_shapes():
     a = make_task("SimplexSocp", 10, 3)
     b = make_task("SimplexSocp", 10, 3)
     assert np.array_equal(a.backbone_weights, b.backbone_weights)
-    assert np.array_equal(a.cones[0].proj, b.cones[0].proj)
+    assert np.array_equal(a.terms[0].proj, b.terms[0].proj)
     assert a.theta_dim == THETA_DIM == 8
     assert np.all(a.backbone_weights >= 0.8) and np.all(a.backbone_weights <= 1.6)
     with pytest.raises(ValueError):
@@ -214,17 +199,17 @@ def test_make_task_determinism_and_shapes():
 
 def test_task_family_structure():
     logistic = make_task("SimplexLogistic", 10, 0)
-    assert logistic.pieces.slopes.shape[0] == 6  # max(6, 10 // 3)
+    assert logistic.terms[0].proj.shape[0] == 6  # max(6, 10 // 3)
     assert logistic.alpha == 0.35
     huber = make_task("BudgetHuber", 10, 0)
-    assert huber.pieces.slopes.shape[0] == 8  # max(8, 10 // 2)
+    assert huber.terms[0].proj.shape[0] == 8  # max(8, 10 // 2)
     assert huber.alpha == 1.0 and huber.delta == 0.35
     twocone = make_task("BudgetTwoConeSocp", 10, 0)
     assert twocone.feasible_set.kind == "CappedSimplex"
     assert twocone.feasible_set.budget == pytest.approx(3.0)
-    assert len(twocone.cones) == 2
+    assert len(twocone.terms) == 2
     assert make_task("BoxLogsumexp", 10, 0).feasible_set.kind == "Box"
-    assert len(make_task("BoxSocp", 10, 0).cones) == 1
+    assert len(make_task("BoxSocp", 10, 0).terms) == 1
 
 
 def test_theta_zero_uses_base_coefficients():
@@ -235,9 +220,9 @@ def test_theta_zero_uses_base_coefficients():
     diff = x - task.m_base
     expected = 0.5 * task.alpha * float(task.backbone_weights @ (diff * diff))
     expected += float(task.c_base @ x)
-    cone = task.cones[0]
+    cone = task.terms[0]
     weight = float(np.logaddexp(0.0, cone.weight_base))
-    expected += weight * float(np.linalg.norm(cone.proj @ x - cone.offset_base))
+    expected += weight * float(np.linalg.norm(cone.proj @ x - cone.shift_base))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -247,9 +232,9 @@ def test_backbone_vanishes_at_its_anchor_point():
     m = task.m_base + task.m_map @ theta
     value, _ = task_objective(task, theta, m)
     linear = float((task.c_base + task.c_map @ theta) @ m)
-    cone = task.cones[0]
+    cone = task.terms[0]
     weight = float(np.logaddexp(0.0, cone.weight_base + cone.weight_map @ theta))
-    resid = cone.proj @ m - (cone.offset_base + cone.offset_map @ theta)
+    resid = cone.proj @ m - (cone.shift_base + cone.shift_map @ theta)
     assert value == pytest.approx(linear + weight * float(np.linalg.norm(resid)), rel=1e-12)
 
 

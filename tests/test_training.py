@@ -66,6 +66,13 @@ def test_dataset_csv_round_trip_exact(tmp_path):
     assert header == "x0,x1,x2,x3,y"
 
 
+def test_short_csv_row_is_a_named_error(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x0,y\n1.0,2.0\n3.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_dataset_csv(path)
+
+
 def test_relative_error_reference_points():
     t = make_target("QuadraticIso", 2, 0)
     ds = sample_uniform_dataset(t, 2, 200, -3.0, 3.0, 1)
