@@ -13,12 +13,11 @@ from .model import (
     ACTIVATIONS,
     RELU,
     SOFTPLUS,
-    ConicBranchParams,
+    BranchParams,
     ConstraintError,
     DimensionError,
     ForwardTrace,
     LayerParams,
-    QuadBranchParams,
     SocIcnnParams,
     count_forward_flops,
     count_parameters,

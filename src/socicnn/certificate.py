@@ -14,15 +14,13 @@ has no exact lift and is rejected rather than silently approximated.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import simplex
-from .gradients import relu_chain_multipliers
+from .gradients import chain_multipliers
 from .model import (
     RELU,
     ForwardTrace,
@@ -63,7 +61,6 @@ class LpLift:
     row_coeffs: np.ndarray
     row_rhs: np.ndarray
     constant: float
-    widths: Tuple[int, ...]
 
     @property
     def num_variables(self) -> int:
@@ -108,7 +105,6 @@ def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
         row_coeffs=rows,
         row_rhs=rhs,
         constant=constant,
-        widths=widths,
     )
 
 
@@ -167,7 +163,7 @@ def extract_dual_certificate(
     """
     _require_relu(params)
     x = np.asarray(x, dtype=np.float64)
-    nus = relu_chain_multipliers(params, trace.preacts)
+    nus = chain_multipliers(params, trace.preacts)
 
     dual = float(params.w_skip @ x) + params.b_out
     for layer, nu in zip(params.layers, nus):
@@ -190,21 +186,6 @@ def extract_dual_certificate(
     return DualCertificate(nu=tuple(nus), mu_norm=tuple(mus), dual_value=dual)
 
 
-_METRIC_FIELDS = (
-    "primal_dual_gap",
-    "forward_vs_oracle_abs_err",
-    "relu_primal_violation",
-    "relu_dual_box_violation",
-    "relu_complementarity_slack",
-    "quad_epigraph_violation",
-    "quad_tightness_slack",
-    "norm_epigraph_violation",
-    "norm_tightness_slack",
-    "norm_dual_ball_violation",
-    "norm_dual_alignment_violation",
-)
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """The eleven optimality metrics, each a max over components, all >= 0."""
@@ -221,8 +202,8 @@ class DiagnosticsReport:
     norm_dual_ball_violation: float
     norm_dual_alignment_violation: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+_METRIC_FIELDS = tuple(f.name for f in fields(DiagnosticsReport))
 
 
 def _max_over(values) -> float:
@@ -237,9 +218,11 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
 
     All primal quantities are read from the forward trace itself, and dual
     bounds are recomputed through the identical expressions used during
-    extraction, so the feasibility and tightness rows are exact zeros by
-    construction whenever the model is feasible; the gap and oracle rows
-    absorb genuine floating-point error only.
+    extraction, so the three ReLU rows and the epigraph and tightness rows of
+    both branch kinds are exact zeros by construction whenever the model is
+    feasible.  The gap, the oracle error and the two norm-dual rows absorb
+    floating-point error only: the norm dual weight/t * u rounds unless the
+    norm t vanishes.
     """
     _require_relu(params)
     x = np.asarray(x, dtype=np.float64)
@@ -297,20 +280,6 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     )
 
 
-def report_to_dict(report: DiagnosticsReport, **metadata) -> dict:
-    doc = report.to_dict()
-    doc.update(metadata)
-    return doc
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SOCICNN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_verification_trials(
     num_trials: int,
     input_dim: int,
@@ -326,14 +295,15 @@ def run_verification_trials(
     """Random-model diagnostic sweep for one passthrough setting.
 
     Each trial draws its own model and input from seeds derived from the root
-    seed and the trial index, so serial and parallel executions produce the
-    same list.  Parallelism is capped by the SOCICNN_THREADS environment
-    variable (default 1).
+    seed and the trial index alone, so a trial's report does not depend on
+    the other trials.  Each report holds the eleven metrics of
+    ``DiagnosticsReport`` plus the trial's seed, index and model settings.
     """
     if branch_size is None:
         branch_size = input_dim
 
-    def one_trial(index: int) -> dict:
+    reports = []
+    for index in range(num_trials):
         model = init_model(
             input_dim,
             [width] * depth,
@@ -350,22 +320,16 @@ def run_verification_trials(
         x = spawn_rng(seed, index, int(passthrough), 1).uniform(
             -input_range, input_range, input_dim
         )
-        report = diagnostics_report(model, x)
-        return report_to_dict(
-            report,
+        reports.append(dict(
+            asdict(diagnostics_report(model, x)),
             seed=seed,
             trial=index,
             d0=input_dim,
             width=width,
             depth=depth,
             passthrough=passthrough,
-        )
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_trial, range(num_trials)))
-    return [one_trial(i) for i in range(num_trials)]
+        ))
+    return reports
 
 
 def summarize_reports(reports: List[dict]) -> dict:

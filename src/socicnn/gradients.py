@@ -15,11 +15,10 @@ import numpy as np
 
 from .model import (
     RELU,
-    ConicBranchParams,
+    BranchParams,
     DimensionError,
     ForwardTrace,
     LayerParams,
-    QuadBranchParams,
     SocIcnnParams,
     batch_forward,
     forward,
@@ -66,12 +65,6 @@ def chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
     """Backward factors through the backbone at one point (see _backbone_deltas)."""
     deltas = _backbone_deltas(params, [pre[None] for pre in preacts], np.ones(1))
     return [delta[0] for delta in deltas]
-
-
-def relu_chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
-    if params.activation != RELU:
-        raise ValueError("chain multipliers as dual data require the ReLU activation")
-    return chain_multipliers(params, preacts)
 
 
 def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = None) -> np.ndarray:
@@ -147,12 +140,12 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float,
     quad = []
     for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"]):
         dQ = (dtotal * br.weight)[:, None] * Q
-        quad.append(QuadBranchParams(float(np.dot(dtotal, s)), dQ.T @ X, dQ.sum(axis=0)))
+        quad.append(BranchParams(float(np.dot(dtotal, s)), dQ.T @ X, dQ.sum(axis=0)))
     conic = []
     scales = _norm_scales(params, cache["conic_t"], dtotal)
     for U, t, scale in zip(cache["conic_u"], cache["conic_t"], scales):
         dU = scale[:, None] * U
-        conic.append(ConicBranchParams(float(np.dot(dtotal, t)), dU.T @ X, dU.sum(axis=0)))
+        conic.append(BranchParams(float(np.dot(dtotal, t)), dU.T @ X, dU.sum(axis=0)))
 
     grads = SocIcnnParams(
         input_dim=params.input_dim,

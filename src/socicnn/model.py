@@ -100,29 +100,16 @@ class LayerParams:
 
 
 @dataclass(frozen=True, eq=False)
-class QuadBranchParams:
-    """Curvature branch: weight/2 * ||proj @ x + offset||^2 with weight >= 0."""
+class BranchParams:
+    """One structural branch: weight >= 0 times a norm of proj @ x + offset.
+
+    The model's ``quad`` branches apply weight/2 * ||.||^2 and its ``conic``
+    branches weight * ||.||; the data is the same.
+    """
 
     weight: float
     proj: np.ndarray
     offset: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.proj.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ConicBranchParams:
-    """Norm branch: weight * ||proj @ x + offset|| with weight >= 0."""
-
-    weight: float
-    proj: np.ndarray
-    offset: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.proj.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +125,8 @@ class SocIcnnParams:
     w_out: np.ndarray  # nonnegative readout of the last hidden state
     w_skip: np.ndarray  # unconstrained direct readout of the input
     b_out: float
-    quad: Tuple[QuadBranchParams, ...]
-    conic: Tuple[ConicBranchParams, ...]
+    quad: Tuple[BranchParams, ...]  # weight/2 * ||proj @ x + offset||^2
+    conic: Tuple[BranchParams, ...]  # weight * ||proj @ x + offset||
     passthrough: bool
     activation: str
 
@@ -228,22 +215,12 @@ def init_model(
     w_out = np.abs(rng.standard_normal(widths[-1])) / widths[-1]
     w_skip = rng.standard_normal(input_dim) / np.sqrt(input_dim)
 
-    quad = tuple(
-        QuadBranchParams(
-            weight=0.1,
-            proj=_matrix(rng, int(r), input_dim, 1.0 / np.sqrt(input_dim)),
-            offset=np.zeros(int(r)),
-        )
-        for r in quad_ranks
-    )
-    conic = tuple(
-        ConicBranchParams(
-            weight=0.1,
-            proj=_matrix(rng, int(k), input_dim, 1.0 / np.sqrt(input_dim)),
-            offset=np.zeros(int(k)),
-        )
-        for k in conic_dims
-    )
+    def branch(size: int) -> BranchParams:
+        proj = _matrix(rng, size, input_dim, 1.0 / np.sqrt(input_dim))
+        return BranchParams(weight=0.1, proj=proj, offset=np.zeros(size))
+
+    quad = tuple(branch(int(r)) for r in quad_ranks)
+    conic = tuple(branch(int(k)) for k in conic_dims)
     return SocIcnnParams(
         input_dim=input_dim,
         layers=tuple(layers),
@@ -281,14 +258,12 @@ def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
     w_out = leaf(params.w_out, True)
     w_skip = leaf(params.w_skip, False)
     b_out = leaf(params.b_out, False)
-    quad = tuple(
-        QuadBranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
-        for br in params.quad
-    )
-    conic = tuple(
-        ConicBranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
-        for br in params.conic
-    )
+
+    def branch(br: BranchParams) -> BranchParams:
+        return BranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
+
+    quad = tuple(branch(br) for br in params.quad)
+    conic = tuple(branch(br) for br in params.conic)
     return SocIcnnParams(
         params.input_dim, layers, w_out, w_skip, b_out, quad, conic,
         params.passthrough, params.activation,
@@ -459,7 +434,7 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
         if B.size:
             if B.ndim != 2 or B.shape[1] != d0:
                 raise DimensionError(f"quad_matrix must have {d0} columns")
-            quad = (QuadBranchParams(weight=1.0, proj=B, offset=np.zeros(B.shape[0])),)
+            quad = (BranchParams(weight=1.0, proj=B, offset=np.zeros(B.shape[0])),)
 
     conic = []
     for weight, proj, offset in norm_terms:
@@ -470,7 +445,7 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
         offset = np.asarray(offset, dtype=np.float64)
         if proj.ndim != 2 or proj.shape[1] != d0 or offset.shape != (proj.shape[0],):
             raise DimensionError("norm term shapes must be (k, d0) and (k,)")
-        conic.append(ConicBranchParams(weight=weight, proj=proj, offset=offset))
+        conic.append(BranchParams(weight=weight, proj=proj, offset=offset))
 
     layers = (LayerParams(w_x=np.zeros((1, d0)), w_z=None, b=np.zeros(1)),)
     return SocIcnnParams(
@@ -518,16 +493,11 @@ def count_forward_flops(params: SocIcnnParams) -> int:
         total += w  # bias
         total += w  # activation
     total += (2 * params.widths[-1] - 1) + (2 * d0 - 1) + 2  # readout
-    for br in params.quad:
-        r = br.rank
-        total += matvec(r, d0) + r  # affine map and offset
-        total += (2 * r - 1) + 1  # squared norm and the 1/2 factor
+    for br in params.quad + params.conic:
+        k = br.proj.shape[0]
+        total += matvec(k, d0) + k  # affine map and offset
+        total += (2 * k - 1) + 1  # squared norm, then the 1/2 factor or the sqrt
         total += 2  # branch weight and accumulation
-    for br in params.conic:
-        k = br.dim
-        total += matvec(k, d0) + k
-        total += (2 * k - 1) + 1  # squared norm and sqrt
-        total += 2
     return total
 
 
@@ -572,22 +542,16 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
         w_x = np.asarray(entry["W"], dtype=np.float64) if "W" in entry else None
         w_z = np.asarray(entry["U"], dtype=np.float64) if "U" in entry else None
         layers.append(LayerParams(w_x=w_x, w_z=w_z, b=np.asarray(entry["b"], dtype=np.float64)))
-    quad = tuple(
-        QuadBranchParams(
-            weight=float(e["alpha"]),
-            proj=np.asarray(e["B"], dtype=np.float64),
-            offset=np.asarray(e["e"], dtype=np.float64),
+
+    def branch(entry: dict, weight: str, proj: str, offset: str) -> BranchParams:
+        return BranchParams(
+            weight=float(entry[weight]),
+            proj=np.asarray(entry[proj], dtype=np.float64),
+            offset=np.asarray(entry[offset], dtype=np.float64),
         )
-        for e in doc["quad"]
-    )
-    conic = tuple(
-        ConicBranchParams(
-            weight=float(e["lambda"]),
-            proj=np.asarray(e["A"], dtype=np.float64),
-            offset=np.asarray(e["d"], dtype=np.float64),
-        )
-        for e in doc["conic"]
-    )
+
+    quad = tuple(branch(e, "alpha", "B", "e") for e in doc["quad"])
+    conic = tuple(branch(e, "lambda", "A", "d") for e in doc["conic"])
     params = SocIcnnParams(
         input_dim=int(doc["d0"]),
         layers=tuple(layers),

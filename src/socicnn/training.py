@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in (0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +96,9 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 def load_dataset_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: the file is empty")
         dim = len(header) - 1
         xs, ys = [], []
         for row in reader:
@@ -105,6 +109,8 @@ def load_dataset_csv(path) -> Dataset:
                 )
             xs.append([float(v) for v in row[:dim]])
             ys.append(float(row[dim]))
+    if not ys:
+        raise ValueError(f"{path}: no data rows after the header")
     return Dataset(xs=np.asarray(xs, dtype=np.float64), ys=np.asarray(ys, dtype=np.float64))
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from socicnn.certificate import _METRIC_FIELDS
 from socicnn.cli import main
 
 
@@ -29,6 +30,31 @@ def test_verify_writes_report_and_passes_check(tmp_path):
     assert manifest["subcommand"] == "verify"
     assert manifest["seed"] == 3
     assert manifest["version"]
+
+
+def test_verify_check_reports_every_breached_metric(tmp_path, capsys, monkeypatch):
+    report = dict.fromkeys(_METRIC_FIELDS, 0.0)
+    report.update(
+        primal_dual_gap=2e-9,
+        forward_vs_oracle_abs_err=3e-9,
+        quad_tightness_slack=1e-9,
+        norm_dual_ball_violation=5e-11,  # under the feasibility threshold
+    )
+    monkeypatch.setattr(
+        "socicnn.cli.run_verification_trials",
+        lambda count, *args: [dict(report) for _ in range(count)],
+    )
+    code = main(["verify", "--trials", "2", "--out", str(tmp_path / "v"), "--check"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"check failed: passthrough_{setting}: {line}"
+        for setting in ("false", "true")
+        for line in (
+            "primal_dual_gap 2.000e-09",
+            "forward_vs_oracle_abs_err 3.000e-09",
+            "quad_tightness_slack 1.000e-09",
+        )
+    ]
 
 
 def test_train_is_byte_identical_across_reruns(tmp_path):
@@ -143,6 +169,27 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["decide", "--instances", "0"],
     ["verify", "--trials", "0"],
     ["theory", "--dims", "0,1"],
+    ["train", "--epochs", "0", "--target", "QuadraticIso"],
+    ["train", "--batch-size", "0", "--target", "QuadraticIso"],
+    ["train", "--train-n", "0", "--target", "QuadraticIso"],
+    ["train", "--val-n", "0", "--target", "QuadraticIso"],
+    ["train", "--test-n", "0", "--target", "QuadraticIso"],
+    ["benchmark", "--train-n", "0"],
+    ["benchmark", "--val-n", "0"],
+    ["benchmark", "--test-n", "0"],
+    ["benchmark", "--epochs", "0"],
+    ["benchmark", "--batch-size", "0"],
+    ["decide", "--candidates", "0"],
+    ["decide", "--restarts", "0"],
+    ["decide", "--steps", "0"],
+    ["decide", "--oracle-restarts", "0"],
+    ["decide", "--oracle-steps", "0"],
+    ["decide", "--surrogate-width", "0"],
+    ["decide", "--surrogate-epochs", "0"],
+    ["theory", "--samples", "0"],
+    ["verify", "--d0", "0"],
+    ["verify", "--width", "0"],
+    ["verify", "--depth", "0"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

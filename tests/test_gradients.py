@@ -14,7 +14,7 @@ from socicnn import (
     spawn_rng,
     value_and_input_gradient_batch,
 )
-from socicnn.gradients import relu_chain_multipliers
+from socicnn.gradients import chain_multipliers
 from socicnn.model import (
     LayerParams,
     SocIcnnParams,
@@ -84,7 +84,7 @@ def test_backbone_gradient_cone_chain_constraints():
     for _ in range(20):
         x = rng.uniform(-3, 3, 5)
         tr = forward(m, x)
-        nus = relu_chain_multipliers(m, tr.preacts)
+        nus = chain_multipliers(m, tr.preacts)
         upper = m.w_out
         for idx in range(m.depth - 1, -1, -1):
             assert np.min(nus[idx]) >= 0.0

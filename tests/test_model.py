@@ -6,11 +6,10 @@ import pytest
 from socicnn import (
     RELU,
     SOFTPLUS,
-    ConicBranchParams,
+    BranchParams,
     ConstraintError,
     DimensionError,
     LayerParams,
-    QuadBranchParams,
     SocIcnnParams,
     count_parameters,
     forward,
@@ -355,9 +354,9 @@ def test_layout_mask_marks_exactly_the_sign_constrained_entries():
         w_out=np.ones_like(m.w_out),
         w_skip=np.zeros_like(m.w_skip),
         b_out=0.0,
-        quad=tuple(QuadBranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
+        quad=tuple(BranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
                    for br in m.quad),
-        conic=tuple(ConicBranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
+        conic=tuple(BranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
                     for br in m.conic),
         passthrough=m.passthrough,
         activation=m.activation,

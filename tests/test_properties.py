@@ -1,0 +1,96 @@
+"""Property-based checks over randomly drawn models.
+
+Every example is derived from a fixed seed (``derandomize``) and nothing is
+stored between runs, so the suite is deterministic.
+"""
+
+import json
+from dataclasses import asdict, replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from socicnn import (
+    ACTIVATIONS,
+    RELU,
+    diagnostics_report,
+    forward,
+    forward_total_batch,
+    from_json_dict,
+    init_model,
+    spawn_rng,
+    to_json_dict,
+)
+from socicnn.model import flatten_params, nonneg_mask, unflatten_params
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+@st.composite
+def models(draw, activations=ACTIVATIONS):
+    """A feasible model with 0-2 branches of each kind and every learnable
+    entry drawn at random (sign-constrained entries nonnegative)."""
+    d0 = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    quad_ranks = draw(st.lists(st.integers(1, 3), max_size=2))
+    conic_dims = draw(st.lists(st.integers(1, 3), max_size=2))
+    passthrough = draw(st.booleans())
+    activation = draw(st.sampled_from(activations))
+    seed = draw(st.integers(0, 2**32 - 1))
+    template = init_model(
+        d0, widths, len(quad_ranks), quad_ranks, len(conic_dims), conic_dims,
+        passthrough, activation, seed,
+    )
+    flat = spawn_rng(seed, 1).standard_normal(flatten_params(template).size)
+    return unflatten_params(template, np.where(nonneg_mask(template), np.abs(flat), flat))
+
+
+def points(d0, count):
+    return st.lists(
+        st.lists(st.floats(-5.0, 5.0), min_size=d0, max_size=d0),
+        min_size=count,
+        max_size=count,
+    ).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+@PROPERTY
+@given(models())
+def test_json_round_trip_is_value_exact(m):
+    doc = to_json_dict(m)
+    back = from_json_dict(json.loads(json.dumps(doc)))
+    assert np.array_equal(flatten_params(back), flatten_params(m))
+    assert to_json_dict(back) == doc
+
+
+@PROPERTY
+@given(st.data())
+def test_forward_is_convex_along_segments(data):
+    m = data.draw(models())
+    x, y = data.draw(points(m.input_dim, 2))
+    t = np.linspace(0.0, 1.0, 11)[:, None]
+    values = forward_total_batch(m, (1.0 - t) * x + t * y)
+    chord = (1.0 - t[:, 0]) * values[0] + t[:, 0] * values[-1]
+    tol = 1e-9 * (1.0 + np.max(np.abs(values)))
+    assert np.all(values <= chord + tol)
+
+
+@PROPERTY
+@given(st.data())
+def test_certificate_is_exact_at_constructed_kinks(data):
+    m = data.draw(models(activations=(RELU,)))
+    (x,) = data.draw(points(m.input_dim, 1))
+    X = x[None]
+    # the same products the forward pass forms, negated: every first-layer
+    # preactivation and every conic residual are exactly 0.  (Away from a
+    # norm kink the two norm-dual rows carry the rounding of weight/t * u.)
+    first = replace(m.layers[0], b=-(X @ m.layers[0].w_x.T)[0])
+    conic = tuple(replace(br, offset=-(X @ br.proj.T)[0]) for br in m.conic)
+    kinked = replace(m, layers=(first,) + m.layers[1:], conic=conic)
+    trace = forward(kinked, x)
+    assert np.all(trace.preacts[0] == 0.0)
+    assert all(t == 0.0 for t in trace.conic_t)
+    rep = asdict(diagnostics_report(kinked, x))
+    assert rep.pop("primal_dual_gap") <= 1e-9
+    rep.pop("forward_vs_oracle_abs_err")
+    assert rep == dict.fromkeys(rep, 0.0)

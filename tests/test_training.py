@@ -44,6 +44,10 @@ def test_train_config_validation():
         TrainConfig(adam_beta2=0.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=0)
 
 
 def test_dataset_sampling_validation():
@@ -70,6 +74,14 @@ def test_short_csv_row_is_a_named_error(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("x0,y\n1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="line 3"):
+        load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "x0,y\n"])
+def test_empty_csv_is_a_named_error(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty.csv"):
         load_dataset_csv(path)
 
 
