@@ -26,7 +26,14 @@ import numpy as np
 
 from . import __version__
 from .certificate import run_verification_trials, summarize_reports
-from .decisions import FAMILIES, decide_instance, hash_key, make_task, sample_context
+from .decisions import (
+    CERTIFIED_GAP,
+    FAMILIES,
+    decide_instance,
+    hash_key,
+    make_task,
+    sample_context,
+)
 from .model import save_model, spawn_rng
 from .targets import TARGET_NAMES, make_target
 from .theory import absorption_rate_rows, loglog_slope
@@ -42,7 +49,8 @@ from .training import (
 GAP_THRESHOLD = 1e-9
 ORACLE_THRESHOLD = 1e-9
 FEASIBILITY_THRESHOLD = 1e-10
-REGRET_FLOOR = -1e-9
+# a certified oracle's value is within CERTIFIED_GAP of the minimum
+REGRET_FLOOR = -CERTIFIED_GAP
 
 # verify --check limits; every other metric is held to FEASIBILITY_THRESHOLD
 _VERIFY_LIMITS = {
@@ -263,6 +271,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
                     "seed": args.seed,
                     "model": args.model,
                     "regret": report.regret,
+                    "oracle_gap": report.oracle_gap,
                     "decision_error": report.decision_error,
                     "surrogate_value": report.surrogate_value_at_decision,
                     "true_value": report.true_value_at_decision,
@@ -309,11 +318,22 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lower: int):
+    """An argparse type for integers no smaller than ``lower``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be >= {lower}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+_dimension = _int_at_least(2)  # targets and tasks need two coordinates
 
 
 def _dims(text: str) -> str:
@@ -347,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one variant to a named target")
     common(p, "runs/train")
     p.add_argument("--target", required=True, choices=TARGET_NAMES)
-    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--variant", default="SOC", choices=VARIANTS)
     p.add_argument("--target-seed", type=int, default=0)
     p.add_argument("--train-n", type=_positive_int, default=2000)
@@ -367,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=_positive_int, default=20)
     p.add_argument("--width", type=_positive_int, default=32)
     p.add_argument("--depth", type=_positive_int, default=3)
-    p.add_argument("--quad", type=int, default=2)
-    p.add_argument("--conic", type=int, default=2)
+    p.add_argument("--quad", type=_nonnegative_int, default=2)
+    p.add_argument("--conic", type=_nonnegative_int, default=2)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("benchmark", help="budget-matched variant comparison")
     common(p, "runs/benchmark")
     p.add_argument("--targets", "--target", default="NormEuclid,QuadraticIso",
                    help="comma-separated target names")
-    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--variants", default="ReLU,Softplus,QuadOnly,NormOnly,SOC")
     p.add_argument("--seeds", type=_positive_int, default=3)
     p.add_argument("--target-seed", type=int, default=0)
@@ -390,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="surrogate decision pipeline with regret")
     common(p, "runs/decide")
     p.add_argument("--families", default="SimplexSocp,BudgetHuber")
-    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--instances", type=_positive_int, default=50)
     p.add_argument("--model", default="QuadOnly", choices=VARIANTS)
     p.add_argument("--candidates", type=_positive_int, default=64)

@@ -125,7 +125,7 @@ def test_decide_small_run(tmp_path):
     assert code == 0
     rows = read_csv(out / "decisions.csv")
     assert len(rows) == 2
-    assert set(rows[0]) == {"task", "family", "d", "seed", "model", "regret",
+    assert set(rows[0]) == {"task", "family", "d", "seed", "model", "regret", "oracle_gap",
                             "decision_error", "surrogate_value", "true_value"}
     for row in rows:
         assert float(row["regret"]) >= -1e-9
@@ -190,6 +190,11 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["verify", "--d0", "0"],
     ["verify", "--width", "0"],
     ["verify", "--depth", "0"],
+    ["train", "--d", "1", "--target", "QuadraticIso"],
+    ["benchmark", "--d", "0"],
+    ["decide", "--d", "1"],
+    ["verify", "--quad", "-1"],
+    ["verify", "--conic", "-1"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from socicnn import (
     FAMILIES,
     FeasibleSet,
     capped_simplex,
+    decisions,
     evaluate_decision_quality,
     make_task,
     minimize_task,
@@ -14,7 +17,14 @@ from socicnn import (
     spawn_rng,
     task_objective,
 )
-from socicnn.decisions import THETA_DIM, project_onto_batch, sample_feasible
+from socicnn.decisions import (
+    CERTIFIED_GAP,
+    DEFAULT_ORACLE_CONFIG,
+    THETA_DIM,
+    fw_gap,
+    project_onto_batch,
+    sample_feasible,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +105,65 @@ def test_projection_idempotence(feasible):
     assert np.max(np.abs(project_onto_batch(feasible, P) - P)) <= 1e-12
 
 
+def bisection_capped_projection(Y, budget):
+    # reference: bisection on the shift tau until the row sums meet the budget
+    lo = np.min(Y, axis=1) - 1.0
+    hi = np.max(Y, axis=1)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = np.clip(Y - mid[:, None], 0.0, 1.0).sum(axis=1) > budget
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    return np.clip(Y - (0.5 * (lo + hi))[:, None], 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dim,budget", [(2, 0.5), (5, 1.0), (7, 4.0), (10, 3.0), (10, 7.25), (40, 12.5), (5, 1e-17)]
+)
+def test_capped_projection_matches_bisection(dim, budget):
+    rng = spawn_rng(16, dim)
+    cap = capped_simplex(dim, budget)
+    random_rows = rng.uniform(-2.0, 3.0, (100, dim))
+    # ties on a 0.1 grid, whose kink sums carry rounding
+    tied_rows = np.round(rng.uniform(-2.0, 3.0, (100, dim)), 1)
+    tied_rows[:10] = budget / dim  # every coordinate tied
+    feasible_rows = bisection_capped_projection(rng.uniform(-1.0, 2.0, (100, dim)), budget)
+    for Y in (random_rows, tied_rows, feasible_rows):
+        got = project_onto_batch(cap, Y)
+        assert np.max(np.abs(got - bisection_capped_projection(Y, budget))) <= 1e-12
+
+
+def brute_force_gap(feasible, x, g):
+    # g . x minus the smallest g . s over every candidate vertex: entries in
+    # {0, fractional part of the budget, 1}, kept when the point is feasible
+    if feasible.kind == "Box":
+        grid = [0.0, 1.0]
+    else:
+        budget = 1.0 if feasible.kind == "Simplex" else feasible.budget
+        grid = sorted({0.0, budget - np.floor(budget), 1.0})
+    points = np.array(list(itertools.product(grid, repeat=feasible.dim)))
+    if feasible.kind != "Box":
+        points = points[np.abs(points.sum(axis=1) - budget) <= 1e-12]
+    return float(g @ x - np.min(points @ g))
+
+
+@pytest.mark.parametrize(
+    "feasible",
+    [FeasibleSet("Box", 4), FeasibleSet("Simplex", 4), capped_simplex(5, 2.0),
+     capped_simplex(5, 2.6)],
+    ids=["box", "simplex", "capped-integer", "capped-fractional"],
+)
+def test_fw_gap_matches_vertex_enumeration(feasible):
+    rng = spawn_rng(17)
+    X = sample_feasible(feasible, 30, rng)
+    G = rng.standard_normal((30, feasible.dim))
+    G[:5] = np.round(G[:5])  # tied gradient entries
+    got = fw_gap(feasible, X, G)
+    ref = [brute_force_gap(feasible, x, g) for x, g in zip(X, G)]
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+    assert np.min(got) >= 0.0
+
+
 def test_feasible_set_validation():
     with pytest.raises(ValueError):
         FeasibleSet("Diamond", 3)
@@ -109,7 +178,7 @@ def test_feasible_set_validation():
 def test_pgd_interior_minimum_on_box():
     center = np.array([0.5, 0.5])
     obj = lambda X: (0.5 * np.sum((X - center) ** 2, axis=1), X - center)
-    x, value = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, 0.1, seed=0)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, 0.1, seed=0)
     assert np.allclose(x, center, atol=1e-6)
     assert value <= 1e-10
 
@@ -117,7 +186,7 @@ def test_pgd_interior_minimum_on_box():
 def test_pgd_linear_on_simplex_hits_vertex():
     c = np.array([1.0, 2.0])
     obj = lambda X: (X @ c, np.tile(c, (X.shape[0], 1)))
-    x, value = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, 0.1, seed=1)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, 0.1, seed=1)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -132,7 +201,7 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
         return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b, X @ Q + b
 
     cap = capped_simplex(3, 0.9)
-    x, value = pgd_minimize(obj, cap, 5, 800, 0.05, seed=2)
+    x, value, _ = pgd_minimize(obj, cap, 5, 800, 0.05, seed=2)
 
     # grid-search oracle with pitch 0.01 over the two free coordinates
     best = np.inf
@@ -150,7 +219,7 @@ def test_pgd_abandons_nonfinite_restarts():
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
-    x, value = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, 0.1, seed=4)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, 0.1, seed=4)
     assert np.isfinite(value)
     assert x[0] <= 0.6
 
@@ -170,8 +239,26 @@ def test_pgd_returns_best_value_seen():
         grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
         return values, grads
 
-    _, value = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, 0.2, seed=6)
+    _, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, 0.2, seed=6)
     assert value == min(seen)
+
+
+def test_pgd_without_certificate_runs_every_step():
+    calls = []
+    center = np.array([0.5, 0.5])
+
+    def obj(X):
+        calls.append(X.shape[0])
+        return 0.5 * np.sum((X - center) ** 2, axis=1), X - center
+
+    _, _, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 5, 0.01, seed=0)
+    assert len(calls) == 6  # every step and the last iterate
+    assert CERTIFIED_GAP < gap < np.inf
+
+    calls.clear()
+    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 400, 0.5, seed=0)
+    assert len(calls) < 400
+    assert gap <= CERTIFIED_GAP and value <= gap
 
 
 def test_pgd_validation():
@@ -295,6 +382,26 @@ def test_decision_report_at_the_optimum():
     report = evaluate_decision_quality(task, theta, x_star, oracle_seed=0)
     assert report.regret == pytest.approx(0.0, abs=1e-12)
     assert report.decision_error == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_certifies_before_its_last_step(family, monkeypatch):
+    task = make_task(family, 10, 1)
+    theta = sample_context(1, 0)
+    calls = []
+    objective = decisions.task_objective
+
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(decisions, "task_objective", counted)
+    restarts, steps = DEFAULT_ORACLE_CONFIG
+    x_star, _ = minimize_task(task, theta, restarts, steps)
+    assert len(calls) < steps
+    report = evaluate_decision_quality(task, theta, x_star)  # the same search
+    assert report.oracle_gap <= CERTIFIED_GAP
+    assert report.decision_error == 0.0
 
 
 def test_regret_is_nonnegative_for_feasible_points():

@@ -1,11 +1,14 @@
-"""Property-based checks over randomly drawn models.
+"""Property-based checks over randomly drawn models, feasible-set
+projections and dataset files.
 
 Every example is derived from a fixed seed (``derandomize``) and nothing is
 stored between runs, so the suite is deterministic.
 """
 
 import json
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +25,9 @@ from socicnn import (
     spawn_rng,
     to_json_dict,
 )
+from socicnn.decisions import FeasibleSet, fw_gap, project_onto_batch
 from socicnn.model import flatten_params, nonneg_mask, unflatten_params
+from socicnn.training import Dataset, load_dataset_csv, save_dataset_csv
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -94,3 +99,45 @@ def test_certificate_is_exact_at_constructed_kinks(data):
     assert rep.pop("primal_dual_gap") <= 1e-9
     rep.pop("forward_vs_oracle_abs_err")
     assert rep == dict.fromkeys(rep, 0.0)
+
+
+@st.composite
+def feasible_sets(draw):
+    dim = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("Box", "Simplex", "CappedSimplex")))
+    if kind != "CappedSimplex":
+        return FeasibleSet(kind, dim)
+    budget = draw(st.one_of(st.integers(1, dim - 1).map(float), st.floats(0.01, dim - 0.01)))
+    return FeasibleSet(kind, dim, budget)
+
+
+@PROPERTY
+@given(st.data())
+def test_projection_is_feasible_idempotent_and_variational(data):
+    feasible = data.draw(feasible_sets())
+    Y = data.draw(points(feasible.dim, 4))
+    P = project_onto_batch(feasible, Y)
+    assert np.all((P >= 0.0) & (P <= 1.0))
+    if feasible.kind != "Box":
+        budget = 1.0 if feasible.kind == "Simplex" else feasible.budget
+        assert np.max(np.abs(P.sum(axis=1) - budget)) <= 1e-12 * feasible.dim
+    assert np.max(np.abs(project_onto_batch(feasible, P) - P)) <= 1e-12
+    # (y - p) . (x - p) <= 0 for every feasible x: the largest value over the
+    # set is the Frank-Wolfe gap of p with gradient p - y
+    assert np.max(fw_gap(feasible, P, P - Y)) <= 1e-9
+
+
+@PROPERTY
+@given(st.data())
+def test_dataset_csv_round_trip_is_value_exact(data):
+    n = data.draw(st.integers(1, 5))
+    dim = data.draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(st.lists(finite, min_size=n * (dim + 1), max_size=n * (dim + 1)))
+    table = np.array(values, dtype=np.float64).reshape(n, dim + 1)
+    ds = Dataset(xs=table[:, :dim], ys=table[:, dim])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset_csv(ds, path)
+        back = load_dataset_csv(path)
+    assert np.array_equal(back.xs, ds.xs) and np.array_equal(back.ys, ds.ys)
