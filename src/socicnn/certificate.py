@@ -220,9 +220,22 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     bounds are recomputed through the identical expressions used during
     extraction, so the three ReLU rows and the epigraph and tightness rows of
     both branch kinds are exact zeros by construction whenever the model is
-    feasible.  The gap, the oracle error and the two norm-dual rows absorb
-    floating-point error only: the norm dual weight/t * u rounds unless the
-    norm t vanishes.
+    feasible.  The gap and the oracle error absorb floating-point error.
+
+    The two norm-dual rows are exact zeros at a norm kink (t = 0 gives mu = 0)
+    and rounding elsewhere, bounded per branch of dimension k.  With unit
+    roundoff r = eps/2, a length-k dot product of one-signed terms (u.u,
+    mu.mu, mu.u) errs by a factor 1 + theta, |theta| <= k r + O(r^2) in any
+    summation order, and each other operation by 1 + d, |d| <= r.  As
+    t = ||u|| sqrt(1+theta) (1+d3) and mu_i = (weight/t) (1+d1) u_i (1+d2_i),
+
+        fl(||mu||) = weight (1+d1)(1+e)(1+d4) sqrt(1+theta') / ((1+d3) sqrt(1+theta))
+        fl(mu.u) = weight t (1+d1)(1+e')(1+theta'') / ((1+d3)^2 (1+theta))
+
+    with |e|, |e'| <= r, against weight and fl(weight t) = weight t (1+d5).
+    To first order in r, norm_dual_ball_violation <= (k+4)/2 eps weight and
+    norm_dual_alignment_violation <= (k+5/2) eps weight t, assuming u.u does
+    not underflow nor weight/t overflow.
     """
     _require_relu(params)
     x = np.asarray(x, dtype=np.float64)

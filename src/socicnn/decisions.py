@@ -376,7 +376,10 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
 @dataclass(frozen=True)
 class DecisionReport:
     """``oracle_gap`` is the oracle's certified gap: the regret against the
-    true minimum lies in [regret, regret + oracle_gap]."""
+    true minimum lies in [regret, regret + oracle_gap].  Only ``regret`` is
+    certified: ``decision_error`` is measured against the oracle's point,
+    known only to within sqrt(2 * oracle_gap / mu) of the true minimiser, with
+    mu = alpha * min(backbone_weights) the strong-convexity modulus."""
 
     regret: float
     decision_error: float

@@ -9,16 +9,14 @@ the backward pass deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .model import (
     RELU,
-    BranchParams,
     DimensionError,
     ForwardTrace,
-    LayerParams,
     SocIcnnParams,
     batch_forward,
     forward,
@@ -89,7 +87,7 @@ def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = 
 
 def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     """Forward values and input subgradients for every row of X at once."""
-    totals, cache = batch_forward(params, X, with_cache=True)
+    totals, cache = batch_forward(params, X)
     n = totals.shape[0]
     seed = np.ones(n)
     G = np.broadcast_to(params.w_skip, (n, params.input_dim)).copy()
@@ -107,12 +105,10 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     return totals, G
 
 
-def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float, SocIcnnParams]:
-    """Mean-squared-error loss over a batch and its exact parameter gradients.
-
-    The gradient comes back as a model of the same structure, holding
-    d loss / d entry in place of every learnable entry.
-    """
+def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnParams) -> float:
+    """Mean-squared-error loss over a batch; its exact parameter gradients,
+    d loss / d entry, overwrite every entry of ``out``, a model made by
+    ``unflatten_params`` over a gradient vector."""
     X = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -121,44 +117,34 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y) -> Tuple[float,
         raise DimensionError("batch_y must match the number of batch rows")
     n = X.shape[0]
 
-    totals, cache = batch_forward(params, X, with_cache=True)
+    totals, cache = batch_forward(params, X)
     residual = totals - y
     loss = float(np.mean(residual**2))
     dtotal = (2.0 / n) * residual  # dL/d f(x_i)
 
     acts = cache["acts"]
     deltas = _backbone_deltas(params, cache["preacts"], dtotal)
-    layers = tuple(
-        LayerParams(
-            w_x=None if layer.w_x is None else delta.T @ X,
-            w_z=None if layer.w_z is None else delta.T @ acts[idx - 1],
-            b=delta.sum(axis=0),
-        )
-        for idx, (layer, delta) in enumerate(zip(params.layers, deltas))
-    )
+    for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
+        if grad.w_x is not None:
+            grad.w_x[...] = delta.T @ X
+        if grad.w_z is not None:
+            grad.w_z[...] = delta.T @ acts[idx - 1]
+        grad.b[...] = delta.sum(axis=0)
+    out.w_out[...] = acts[-1].T @ dtotal
+    out.w_skip[...] = X.T @ dtotal
+    out.b_out[...] = np.sum(dtotal)
 
-    quad = []
-    for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"]):
-        dQ = (dtotal * br.weight)[:, None] * Q
-        quad.append(BranchParams(float(np.dot(dtotal, s)), dQ.T @ X, dQ.sum(axis=0)))
-    conic = []
+    # per branch: d loss / d residual rows, and the norm values the weight scales
+    quad = [((dtotal * br.weight)[:, None] * Q, s)
+            for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"])]
     scales = _norm_scales(params, cache["conic_t"], dtotal)
-    for U, t, scale in zip(cache["conic_u"], cache["conic_t"], scales):
-        dU = scale[:, None] * U
-        conic.append(BranchParams(float(np.dot(dtotal, t)), dU.T @ X, dU.sum(axis=0)))
-
-    grads = SocIcnnParams(
-        input_dim=params.input_dim,
-        layers=layers,
-        w_out=acts[-1].T @ dtotal,
-        w_skip=X.T @ dtotal,
-        b_out=float(np.sum(dtotal)),
-        quad=tuple(quad),
-        conic=tuple(conic),
-        passthrough=params.passthrough,
-        activation=params.activation,
-    )
-    return loss, grads
+    conic = [(scale[:, None] * U, t)
+             for U, t, scale in zip(cache["conic_u"], cache["conic_t"], scales)]
+    for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
+        grad.weight[...] = np.dot(dtotal, norms)
+        grad.proj[...] = dR.T @ X
+        grad.offset[...] = dR.sum(axis=0)
+    return loss
 
 
 def _near_kink(params: SocIcnnParams, trace: ForwardTrace, threshold: float) -> bool:

@@ -107,7 +107,7 @@ class BranchParams:
     branches weight * ||.||; the data is the same.
     """
 
-    weight: float
+    weight: float  # a 0-d view of the flat vector in a model from unflatten_params
     proj: np.ndarray
     offset: np.ndarray
 
@@ -117,14 +117,15 @@ class SocIcnnParams:
     """Full model: backbone layers, readout, and structural branches.
 
     Treat instances as immutable values; all mutation helpers return new
-    objects, so sharing a model across threads is safe.
+    objects.  A model from ``unflatten_params`` views one flat vector instead,
+    and writes to that vector move it.
     """
 
     input_dim: int
     layers: Tuple[LayerParams, ...]
     w_out: np.ndarray  # nonnegative readout of the last hidden state
     w_skip: np.ndarray  # unconstrained direct readout of the input
-    b_out: float
+    b_out: float  # a 0-d view of the flat vector in a model from unflatten_params
     quad: Tuple[BranchParams, ...]  # weight/2 * ||proj @ x + offset||^2
     conic: Tuple[BranchParams, ...]  # weight * ||proj @ x + offset||
     passthrough: bool
@@ -288,7 +289,8 @@ def nonneg_mask(params: SocIcnnParams) -> np.ndarray:
 
 
 def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams:
-    """Model shaped like ``template`` whose arrays are views of ``flat``."""
+    """Model shaped like ``template`` whose every entry is a view of ``flat``
+    (scalar entries as 0-d views), so writes to ``flat`` move the model."""
     pos = 0
 
     def take(value, nonneg):
@@ -296,7 +298,7 @@ def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams
         size = np.size(value)
         chunk = flat[pos : pos + size]
         pos += size
-        return chunk.reshape(value.shape) if isinstance(value, np.ndarray) else float(chunk[0])
+        return chunk.reshape(np.shape(value))
 
     params = _rebuild(template, take)
     if pos != flat.shape[0]:
@@ -391,21 +393,20 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     )
 
 
-def batch_forward(params: SocIcnnParams, X: np.ndarray, with_cache: bool = False):
+def batch_forward(params: SocIcnnParams, X: np.ndarray):
     """Vectorized forward over the rows of X.
 
-    Returns totals of shape (n,), plus a cache of per-layer and per-branch
-    intermediates when ``with_cache`` is set (used by the gradient engine).
+    Returns totals of shape (n,) and the cache of per-layer and per-branch
+    intermediates that the gradient engine reads.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
-    totals, cache = _forward_rows(params, X)
-    return (totals, cache) if with_cache else totals
+    return _forward_rows(params, X)
 
 
 def forward_total_batch(params: SocIcnnParams, X: np.ndarray) -> np.ndarray:
-    return batch_forward(params, X, with_cache=False)
+    return batch_forward(params, X)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,6 @@ def save_history_csv(history: Sequence[Tuple[int, float, float]], path) -> None:
             writer.writerow([epoch, repr(float(train_loss)), repr(float(val_loss))])
 
 
-def _mse(params: SocIcnnParams, ds: Dataset) -> float:
-    resid = forward_total_batch(params, ds.xs) - ds.ys
-    return float(np.mean(resid**2))
-
-
 def train(
     params: SocIcnnParams,
     train_ds: Dataset,
@@ -136,15 +131,19 @@ def train(
 ) -> Tuple[SocIcnnParams, List[Tuple[int, float, float]]]:
     """Projected Adam on mean-squared error; returns the best-validation model.
 
-    Every Adam step is followed by clamping the sign-constrained arrays at
-    zero, so each intermediate model is feasible.  The run is deterministic
-    in (params, datasets, config.seed).  ``on_epoch`` is a test hook called
-    with the current feasible model after each epoch.
+    The model and its gradient are views of two flat buffers, built once.
+    Every Adam step updates the parameter vector in place and clamps the
+    sign-constrained entries at zero, so each iterate is feasible.  The run is
+    deterministic in (params, datasets, config.seed).  ``on_epoch`` is a test
+    hook called after each epoch with the live model, which later steps move.
     """
     if train_ds.xs.shape[1] != params.input_dim or val_ds.xs.shape[1] != params.input_dim:
         raise DimensionError("dataset dimension does not match the model")
 
     flat = flatten_params(params)
+    g = np.zeros_like(flat)
+    model = unflatten_params(params, flat)
+    grads = unflatten_params(params, g)
     # Lower bounds of the projection: 0 on sign-constrained entries, -inf elsewhere.
     lower = np.where(nonneg_mask(params), 0.0, -np.inf)
     m = np.zeros_like(flat)
@@ -156,7 +155,7 @@ def train(
     batch = min(config.batch_size, n)
 
     best_val = np.inf
-    best_flat = flat  # iterates are replaced, never written in place
+    best_flat = flat.copy()
     stall = 0
     history: List[Tuple[int, float, float]] = []
 
@@ -165,34 +164,31 @@ def train(
         epoch_losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            model = unflatten_params(params, flat)
-            loss, grads = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx])
+            loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training aborted: non-finite loss at epoch {epoch}, step {step}"
                 )
             epoch_losses.append(loss)
-            g = flatten_params(grads)
             step += 1
             lr_t = config.learning_rate * (np.sqrt(1.0 - b2**step) / (1.0 - b1**step))
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
-            flat = np.maximum(flat - lr_t * m / (np.sqrt(v) + config.adam_eps), lower)
+            flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + config.adam_eps), lower)
 
-        current = unflatten_params(params, flat)
         train_loss = float(np.mean(epoch_losses))
-        val_loss = _mse(current, val_ds)
+        val_loss = float(np.mean((forward_total_batch(model, val_ds.xs) - val_ds.ys) ** 2))
         if not np.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_flat = flat
+            best_flat[:] = flat
             stall = 0
         else:
             stall += 1
         if on_epoch is not None:
-            on_epoch(epoch, current)
+            on_epoch(epoch, model)
         if stall >= config.early_stop_patience:
             break
 

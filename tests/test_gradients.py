@@ -26,6 +26,11 @@ from socicnn.model import (
 from test_model import random_model, relu_scalar_model
 
 
+def _gradient_model(m):
+    """A gradient buffer for m: views of a fresh zero vector in m's layout."""
+    return unflatten_params(m, np.zeros_like(flatten_params(m)))
+
+
 def test_input_subgradient_relu_unit():
     m = relu_scalar_model()
     assert input_subgradient(m, [2.0])[0] == 1.0
@@ -118,7 +123,8 @@ def test_zero_loss_means_zero_gradients():
     m = random_model(25)
     X = spawn_rng(25, 1).uniform(-2, 2, (12, m.input_dim))
     y = forward_total_batch(m, X)
-    loss, grads = parameter_gradients(m, X, y)
+    grads = _gradient_model(m)
+    loss = parameter_gradients(m, X, y, grads)
     assert loss == 0.0
     assert np.all(flatten_params(grads) == 0.0)
 
@@ -136,7 +142,8 @@ def test_bias_only_model_gradient():
         passthrough=True,
         activation=RELU,
     )
-    loss, grads = parameter_gradients(m, np.array([[0.5]]), np.array([3.0]))
+    grads = _gradient_model(m)
+    loss = parameter_gradients(m, np.array([[0.5]]), np.array([3.0]), grads)
     assert loss == pytest.approx(4.0, abs=1e-15)
     assert grads.b_out == pytest.approx(-4.0, abs=1e-14)
 
@@ -144,9 +151,25 @@ def test_bias_only_model_gradient():
 def test_parameter_gradients_validation():
     m = random_model(26)
     with pytest.raises(DimensionError):
-        parameter_gradients(m, np.zeros((0, m.input_dim)), np.zeros(0))
+        parameter_gradients(m, np.zeros((0, m.input_dim)), np.zeros(0), _gradient_model(m))
     with pytest.raises(DimensionError):
-        parameter_gradients(m, np.zeros((3, m.input_dim)), np.zeros(4))
+        parameter_gradients(m, np.zeros((3, m.input_dim)), np.zeros(4), _gradient_model(m))
+
+
+def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
+    # a NaN left anywhere in the reused buffer would survive into the result
+    for passthrough in (True, False):
+        m = random_model(27, num_quad=2, num_conic=2, passthrough=passthrough)
+        rng = spawn_rng(27, int(passthrough))
+        reused = np.full(flatten_params(m).size, np.nan)
+        grads = unflatten_params(m, reused)
+        for rows in (9, 4):
+            X = rng.uniform(-2, 2, (rows, m.input_dim))
+            y = rng.standard_normal(rows)
+            fresh = np.zeros_like(reused)
+            loss = parameter_gradients(m, X, y, grads)
+            assert loss == parameter_gradients(m, X, y, unflatten_params(m, fresh))
+            assert np.array_equal(reused, fresh)
 
 
 def _loss_of_flat(template, flat, X, y):
@@ -161,7 +184,8 @@ def test_parameter_gradients_match_finite_differences(activation):
     rng = spawn_rng(23, 7)
     X = rng.uniform(-2, 2, (8, 4))
     y = rng.standard_normal(8)
-    _, grads = parameter_gradients(m, X, y)
+    grads = _gradient_model(m)
+    parameter_gradients(m, X, y, grads)
     flat = flatten_params(m)
     flat_grads = flatten_params(grads)
     step = 1e-5

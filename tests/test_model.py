@@ -213,7 +213,7 @@ def test_forward_is_row_zero_of_the_batch():
         m = random_model(12, num_quad=2, num_conic=2, passthrough=passthrough)
         x = spawn_rng(12, 1).uniform(-2, 2, m.input_dim)
         tr = forward(m, x)
-        totals, cache = batch_forward(m, x[None], with_cache=True)
+        totals, cache = batch_forward(m, x[None])
         assert tr.total == totals[0]
         assert tr.backbone_value == cache["backbone"][0]
         for name in ("preacts", "acts", "quad_q", "conic_u"):
@@ -334,6 +334,11 @@ def test_layout_round_trip_is_exact():
         back = unflatten_params(m, flat)
         assert np.array_equal(flatten_params(back), flat)
         assert to_json_dict(back) == to_json_dict(m)
+        # every entry is a view: a write to flat moves the model, scalars included
+        flat[:] = np.arange(flat.size) + 1.0
+        assert np.array_equal(flatten_params(back), flat)
+        for scalar in [back.b_out] + [br.weight for br in back.quad + back.conic]:
+            assert np.shares_memory(scalar, flat)
     with pytest.raises(DimensionError):
         unflatten_params(m, np.append(flat, 0.0))
 

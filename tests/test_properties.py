@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from socicnn import (
@@ -33,13 +33,14 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def models(draw, activations=ACTIVATIONS):
-    """A feasible model with 0-2 branches of each kind and every learnable
-    entry drawn at random (sign-constrained entries nonnegative)."""
+def models(draw, activations=ACTIVATIONS, min_conic=0):
+    """A feasible model with 0-2 quadratic branches, ``min_conic`` to
+    ``min_conic`` + 2 conic branches and every learnable entry drawn at
+    random (sign-constrained entries nonnegative)."""
     d0 = draw(st.integers(1, 4))
     widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     quad_ranks = draw(st.lists(st.integers(1, 3), max_size=2))
-    conic_dims = draw(st.lists(st.integers(1, 3), max_size=2))
+    conic_dims = draw(st.lists(st.integers(1, 3), min_size=min_conic, max_size=min_conic + 2))
     passthrough = draw(st.booleans())
     activation = draw(st.sampled_from(activations))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -99,6 +100,25 @@ def test_certificate_is_exact_at_constructed_kinks(data):
     assert rep.pop("primal_dual_gap") <= 1e-9
     rep.pop("forward_vs_oracle_abs_err")
     assert rep == dict.fromkeys(rep, 0.0)
+
+
+@PROPERTY
+@given(st.data())
+def test_norm_dual_rows_are_ulp_bounded_away_from_kinks(data):
+    # the first-order bounds of diagnostics_report's docstring, (k + 4)/2 and
+    # k + 5/2, each with eps/2 of slack for the second-order terms
+    m = data.draw(models(activations=(RELU,), min_conic=2))
+    (x,) = data.draw(points(m.input_dim, 1))
+    trace = forward(m, x)
+    assume(all(t > 0.0 for t in trace.conic_t))
+    eps = np.finfo(np.float64).eps
+    ball = max((br.offset.size + 5) / 2 * eps * br.weight for br in m.conic)
+    align = max(
+        (br.offset.size + 3) * eps * br.weight * t for br, t in zip(m.conic, trace.conic_t)
+    )
+    rep = diagnostics_report(m, x)
+    assert rep.norm_dual_ball_violation <= ball
+    assert rep.norm_dual_alignment_violation <= align
 
 
 @st.composite
