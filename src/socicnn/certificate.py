@@ -15,7 +15,7 @@ has no exact lift and is rejected rather than silently approximated.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -302,8 +302,6 @@ def run_verification_trials(
     num_conic: int,
     passthrough: bool,
     seed: int,
-    branch_size: Optional[int] = None,
-    input_range: float = 3.0,
 ) -> List[dict]:
     """Random-model diagnostic sweep for one passthrough setting.
 
@@ -311,28 +309,25 @@ def run_verification_trials(
     seed and the trial index alone, so a trial's report does not depend on
     the other trials.  Each report holds the eleven metrics of
     ``DiagnosticsReport`` plus the trial's seed, index and model settings.
+    Every branch has size ``input_dim``, and inputs are uniform on
+    [-3, 3]^input_dim.
     """
-    if branch_size is None:
-        branch_size = input_dim
-
     reports = []
     for index in range(num_trials):
         model = init_model(
             input_dim,
             [width] * depth,
             num_quad,
-            [branch_size] * num_quad,
+            [input_dim] * num_quad,
             num_conic,
-            [branch_size] * num_conic,
+            [input_dim] * num_conic,
             passthrough,
             RELU,
             spawn_rng(seed, index, int(passthrough)).integers(0, 2**63 - 1),
         )
         if max_infeasibility(model) != 0.0:
             raise RuntimeError("initialization produced an infeasible model")
-        x = spawn_rng(seed, index, int(passthrough), 1).uniform(
-            -input_range, input_range, input_dim
-        )
+        x = spawn_rng(seed, index, int(passthrough), 1).uniform(-3.0, 3.0, input_dim)
         reports.append(dict(
             asdict(diagnostics_report(model, x)),
             seed=seed,

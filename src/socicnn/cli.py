@@ -355,6 +355,21 @@ def _cell_counts(text: str) -> str:
     return text
 
 
+def _names(noun: str, valid):
+    """An argparse type for a comma-separated list of names from ``valid``;
+    kept as text for the manifest."""
+
+    def parse(text: str) -> str:
+        for name in text.split(","):
+            if name not in valid:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {noun} {name!r}; valid names: {', '.join(valid)}"
+                )
+        return text
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socicnn", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -393,10 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="budget-matched variant comparison")
     common(p, "runs/benchmark")
-    p.add_argument("--targets", "--target", default="NormEuclid,QuadraticIso",
-                   help="comma-separated target names")
+    p.add_argument("--targets", "--target", type=_names("target", TARGET_NAMES),
+                   default="NormEuclid,QuadraticIso", help="comma-separated target names")
     p.add_argument("--d", type=_dimension, default=10)
-    p.add_argument("--variants", default="ReLU,Softplus,QuadOnly,NormOnly,SOC")
+    p.add_argument("--variants", type=_names("variant", VARIANTS),
+                   default="ReLU,Softplus,QuadOnly,NormOnly,SOC")
     p.add_argument("--seeds", type=_positive_int, default=3)
     p.add_argument("--target-seed", type=int, default=0)
     p.add_argument("--train-n", type=_positive_int, default=2000)
@@ -409,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="surrogate decision pipeline with regret")
     common(p, "runs/decide")
-    p.add_argument("--families", default="SimplexSocp,BudgetHuber")
+    p.add_argument("--families", type=_names("family", FAMILIES),
+                   default="SimplexSocp,BudgetHuber")
     p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--instances", type=_positive_int, default=50)
     p.add_argument("--model", default="QuadOnly", choices=VARIANTS)
@@ -433,32 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags that hold comma-separated names: (noun, valid names)
-_NAME_FLAGS = {
-    "targets": ("target", TARGET_NAMES),
-    "variants": ("variant", VARIANTS),
-    "families": ("family", FAMILIES),
-}
-
-
-def _unknown_name(args: argparse.Namespace):
-    """The usage message for the first unknown name in a name flag, or None."""
-    for flag, (noun, valid) in _NAME_FLAGS.items():
-        if not hasattr(args, flag):
-            continue
-        for name in getattr(args, flag).split(","):
-            if name not in valid:
-                return f"unknown {noun} {name!r}; valid names: {', '.join(valid)}"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # names are checked before the run writes its manifest
-    error = _unknown_name(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -42,6 +42,9 @@ FAMILIES = tuple(_FAMILY_TABLE)
 
 THETA_DIM = 8
 
+# Huber threshold of the ``huber`` terms.
+HUBER_DELTA = 0.35
+
 
 @dataclass(frozen=True)
 class FeasibleSet:
@@ -157,6 +160,10 @@ def sample_feasible(feasible: FeasibleSet, n: int, rng: np.random.Generator) -> 
 # value is then within this of the minimum.
 CERTIFIED_GAP = 1e-9
 
+# First step of every task and surrogate search, and its per-step decay.
+SEARCH_STEP = 0.05
+STEP_DECAY = 0.999
+
 
 def pgd_minimize(
     objective: Callable,
@@ -165,16 +172,16 @@ def pgd_minimize(
     steps: int,
     step_size: float,
     seed: int,
-    decay: float = 0.999,
 ) -> Tuple[np.ndarray, float, float]:
     """Best iterate of projected (sub)gradient descent over random restarts,
     with the certified bound on its suboptimality.
 
     Each restart starts from the projection of a uniform box sample and
-    iterates x <- project(x - step_k * grad) with geometrically decaying
-    steps.  The best objective value seen at any iterate of any restart wins;
-    ties go to the lowest restart index.  A restart that produces a
-    non-finite value is abandoned; if every restart dies, this is an error.
+    iterates x <- project(x - step_k * grad) with steps decaying
+    geometrically by ``STEP_DECAY``.  The best objective value seen at any
+    iterate of any restart wins; ties go to the lowest restart index.  A
+    restart that produces a non-finite value is abandoned; if every restart
+    dies, this is an error.
 
     Every evaluated iterate of a live restart also yields its Frank-Wolfe
     gap (``fw_gap``).  For a convex objective the smallest gap seen bounds
@@ -215,7 +222,7 @@ def pgd_minimize(
         move = X - step * grads
         move[~alive] = X[~alive]
         X = project_onto_batch(feasible, move)
-        step *= decay
+        step *= STEP_DECAY
     else:
         record(X, *objective(X))
 
@@ -263,8 +270,6 @@ class ParametricTask:
     c_base: np.ndarray
     c_map: np.ndarray
     terms: Tuple[AffineTerm, ...] = ()
-    delta: float = 0.35
-    theta_dim: int = THETA_DIM
 
 
 def _affine_maps(rng: np.random.Generator, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,8 +332,8 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
     Gradients at a vanishing cone norm use the zero-vector convention.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (task.theta_dim,):
-        raise ValueError(f"theta must have shape ({task.theta_dim},)")
+    if theta.shape != (THETA_DIM,):
+        raise ValueError(f"theta must have shape ({THETA_DIM},)")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
@@ -364,7 +369,7 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
             vals += np.logaddexp(0.0, T) @ weights
             grads += (sigmoid(T) * weights) @ term.proj
         else:
-            hv, hg = huber(T, task.delta)
+            hv, hg = huber(T, HUBER_DELTA)
             vals += hv @ weights
             grads += (hg * weights) @ term.proj
 
@@ -396,13 +401,12 @@ def minimize_task(
     theta,
     restarts: int,
     steps: int,
-    step_size: float = 0.05,
     seed: int = 0,
 ) -> Tuple[np.ndarray, float]:
     """Projected gradient descent on the true objective: the best point and
     its value.  ``pgd_minimize`` also returns the certified gap."""
     objective = lambda X: task_objective(task, theta, X)
-    x, value, _ = pgd_minimize(objective, task.feasible_set, restarts, steps, step_size, seed)
+    x, value, _ = pgd_minimize(objective, task.feasible_set, restarts, steps, SEARCH_STEP, seed)
     return x, value
 
 
@@ -430,7 +434,7 @@ def evaluate_decision_quality(
         task.feasible_set,
         restarts,
         steps,
-        0.05,
+        SEARCH_STEP,
         oracle_seed,
     )
     f_hat, _ = task_objective(task, theta, x_hat)
@@ -494,7 +498,7 @@ def decide_instance(
         task.feasible_set,
         restarts,
         steps,
-        0.05,
+        SEARCH_STEP,
         int(instance_rng.integers(2**62)),
     )
     report = evaluate_decision_quality(

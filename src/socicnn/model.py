@@ -291,6 +291,9 @@ def nonneg_mask(params: SocIcnnParams) -> np.ndarray:
 def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams:
     """Model shaped like ``template`` whose every entry is a view of ``flat``
     (scalar entries as 0-d views), so writes to ``flat`` move the model."""
+    size = sum(np.size(value) for value, _ in _leaves(template))
+    if flat.shape != (size,):
+        raise DimensionError(f"layout holds {size} entries, got an array of shape {flat.shape}")
     pos = 0
 
     def take(value, nonneg):
@@ -300,10 +303,7 @@ def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams
         pos += size
         return chunk.reshape(np.shape(value))
 
-    params = _rebuild(template, take)
-    if pos != flat.shape[0]:
-        raise DimensionError(f"layout holds {pos} entries, got a vector of {flat.shape[0]}")
-    return params
+    return _rebuild(template, take)
 
 
 def project_feasible(params: SocIcnnParams) -> SocIcnnParams:

@@ -76,11 +76,12 @@ def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter:
     raise SimplexError("iteration limit exceeded")
 
 
-def solve_min_geq(c, A, b, max_iter: int = 0) -> Tuple[float, np.ndarray]:
+def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
     """Minimize c @ y subject to A @ y >= b and y >= 0.
 
     Returns (optimal value, optimal basic feasible y).  Raises
-    InfeasibleProblem / UnboundedProblem accordingly.
+    InfeasibleProblem / UnboundedProblem accordingly, and SimplexError once a
+    phase runs past 200 * (m + n + 10) pivots.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -88,8 +89,7 @@ def solve_min_geq(c, A, b, max_iter: int = 0) -> Tuple[float, np.ndarray]:
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    if max_iter <= 0:
-        max_iter = 200 * (m + n + 10)
+    max_iter = 200 * (m + n + 10)
 
     # Equality form A y - s = b with every right-hand side nonnegative: rows
     # with b <= 0 are negated so their surplus column enters with coefficient

@@ -35,12 +35,10 @@ _MIXED_PIECES = 5
 class TargetFunction:
     name: str
     dim: int
-    seed: int
     weights: Optional[np.ndarray] = None  # per-coordinate weights
     weights2: Optional[np.ndarray] = None  # second weight vector (Mixed)
     piece_slopes: Optional[np.ndarray] = None  # max-affine block (Mixed)
     piece_intercepts: Optional[np.ndarray] = None
-    delta: float = 1.0
 
 
 def make_target(name: str, dim: int, seed: int) -> TargetFunction:
@@ -66,12 +64,10 @@ def make_target(name: str, dim: int, seed: int) -> TargetFunction:
     return TargetFunction(
         name=name,
         dim=dim,
-        seed=seed,
         weights=weights,
         weights2=weights2,
         piece_slopes=slopes,
         piece_intercepts=intercepts,
-        delta=1.0,
     )
 
 
@@ -127,7 +123,7 @@ def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
         value = m[:, 0] + np.log(total) + 0.1 * np.sum(X * X, axis=1)
         return value, e / total[:, None] + 0.2 * X
     if name == "Huber":
-        value, grad = huber(X, target.delta)
+        value, grad = huber(X, 1.0)
         return np.sum(value, axis=1), grad
     if name == "L1Norm":
         return np.sum(np.abs(X), axis=1), np.sign(X)

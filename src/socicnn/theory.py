@@ -152,13 +152,14 @@ def loglog_slope(ns: Sequence[float], errors: Sequence[float]) -> float:
     return float(coef[0])
 
 
-def smallest_net_reaching(eps: float, dim: int = 1, max_cells: int = 4096) -> int:
+def smallest_net_reaching(eps: float, dim: int = 1) -> int:
     """Smallest uniform tangent net (piece count) with sup error <= eps for
     the half-squared-norm target on [-1, 1]^dim; exact error evaluation for
-    this target is spacing^2 * dim / 8 at cell centers."""
-    for k in range(1, max_cells + 1):
+    this target is spacing^2 * dim / 8 at cell centers; nets are searched up
+    to 4096 cells per axis."""
+    for k in range(1, 4097):
         # exact sup error of the tangent net on the midpoint grid
         err = dim * (1.0 / k) ** 2 / 2.0
         if err <= eps:
             return k**dim
-    raise ValueError("no net within max_cells reaches the requested accuracy")
+    raise ValueError("no net within 4096 cells per axis reaches the requested accuracy")

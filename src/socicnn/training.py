@@ -10,7 +10,7 @@ deepening the backbone at fixed width.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +31,20 @@ from .model import (
 )
 from .targets import TargetFunction, target_values_batch
 
-VARIANTS = ("ReLU", "Softplus", "QuadOnly", "NormOnly", "SOC")
+# variant: (activation, quadratic branches, conic branches)
+_VARIANT_TABLE = {
+    "ReLU": (RELU, 0, 0),
+    "Softplus": (SOFTPLUS, 0, 0),
+    "QuadOnly": (RELU, 1, 0),
+    "NormOnly": (RELU, 0, 1),
+    "SOC": (RELU, 1, 1),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # Anchor hidden widths for the budget-matched comparison, by input dimension.
 _ANCHOR_WIDTH_POINTS = ((5, 16), (10, 20), (20, 24), (50, 32))
@@ -42,15 +55,10 @@ class TrainConfig:
     epochs: int = 400
     batch_size: int = 128
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("Adam betas must lie in (0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
@@ -148,7 +156,7 @@ def train(
     lower = np.where(nonneg_mask(params), 0.0, -np.inf)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step = 0
     rng = spawn_rng(config.seed)
     n = train_ds.size
@@ -174,7 +182,7 @@ def train(
             lr_t = config.learning_rate * (np.sqrt(1.0 - b2**step) / (1.0 - b1**step))
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
-            flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + config.adam_eps), lower)
+            flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + ADAM_EPS), lower)
 
         train_loss = float(np.mean(epoch_losses))
         val_loss = float(np.mean((forward_total_batch(model, val_ds.xs) - val_ds.ys) ** 2))
@@ -220,34 +228,18 @@ def anchor_width(dim: int) -> int:
 def variant_param_count(
     d0: int, width: int, depth: int, variant: str, passthrough: bool = True
 ) -> int:
-    """Exact learnable-scalar count of a variant model.
-
-    Layer 1 holds width*d0 + width scalars; each deeper layer adds
-    width^2 + width plus width*d0 when passthrough is on; the readout adds
-    width + d0 + 1; each structural branch of size d0 adds d0*d0 + d0 + 1.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
-    count = width * d0 + width
-    for _ in range(depth - 1):
-        count += width * width + width
-        if passthrough:
-            count += width * d0
-    count += width + d0 + 1
-    branch = d0 * d0 + d0 + 1
-    if variant in ("QuadOnly", "SOC"):
-        count += branch
-    if variant in ("NormOnly", "SOC"):
-        count += branch
-    return count
+    """Learnable-scalar count of a variant model, read off the model's layout."""
+    return count_parameters(build_variant_model(variant, d0, width, depth, 0, passthrough))
 
 
-def match_parameter_budget(anchor_count: int, d0: int, width: int, variant: str) -> int:
+def match_parameter_budget(
+    anchor_count: int, d0: int, width: int, variant: str, passthrough: bool = True
+) -> int:
     """Smallest depth whose parameter count reaches the anchor budget."""
     if anchor_count < 1:
         raise ValueError("anchor_count must be >= 1")
     for depth in range(1, 65):
-        if variant_param_count(d0, width, depth, variant) >= anchor_count:
+        if variant_param_count(d0, width, depth, variant, passthrough) >= anchor_count:
             return depth
     raise ValueError("budget not reachable with depth <= 64")
 
@@ -255,11 +247,9 @@ def match_parameter_budget(anchor_count: int, d0: int, width: int, variant: str)
 def build_variant_model(
     variant: str, d0: int, width: int, depth: int, seed: int, passthrough: bool = True
 ) -> SocIcnnParams:
-    if variant not in VARIANTS:
+    if variant not in _VARIANT_TABLE:
         raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
-    num_quad = 1 if variant in ("QuadOnly", "SOC") else 0
-    num_conic = 1 if variant in ("NormOnly", "SOC") else 0
-    activation = SOFTPLUS if variant == "Softplus" else RELU
+    activation, num_quad, num_conic = _VARIANT_TABLE[variant]
     return init_model(
         d0,
         [width] * depth,
@@ -273,12 +263,13 @@ def build_variant_model(
     )
 
 
-def variant_depth(variant: str, d0: int, width: int) -> int:
-    """Anchor depth for SOC, budget-matched depth for every other variant."""
+def variant_depth(variant: str, d0: int, width: int, passthrough: bool = True) -> int:
+    """Anchor depth for SOC, budget-matched depth for every other variant;
+    the anchor and the variant share the passthrough setting."""
     if variant == "SOC":
         return 2
-    anchor = variant_param_count(d0, width, 2, "SOC")
-    return match_parameter_budget(anchor, d0, width, variant)
+    anchor = variant_param_count(d0, width, 2, "SOC", passthrough)
+    return match_parameter_budget(anchor, d0, width, variant, passthrough)
 
 
 def fit_variant_to_target(
@@ -290,22 +281,25 @@ def fit_variant_to_target(
     n_test: int = 2000,
     lo: float = -3.0,
     hi: float = 3.0,
-    config: Optional[TrainConfig] = None,
+    *,
+    config: TrainConfig,
     passthrough: bool = True,
 ) -> dict:
-    """One budget-matched training cell: sample the splits, fit, score."""
+    """One budget-matched training cell: sample the splits, fit, score.
+
+    ``config.seed`` must equal ``seed``, so that one seed fixes the whole cell.
+    """
+    if config.seed != seed:
+        raise ValueError(f"config.seed {config.seed} differs from the cell seed {seed}")
     d = target.dim
     width = anchor_width(d)
-    depth = variant_depth(variant, d, width)
+    depth = variant_depth(variant, d, width, passthrough)
     train_ds = sample_uniform_dataset(target, d, n_train, lo, hi, spawn_rng(seed, 1).integers(2**62))
     val_ds = sample_uniform_dataset(target, d, n_val, lo, hi, spawn_rng(seed, 2).integers(2**62))
     test_ds = sample_uniform_dataset(target, d, n_test, lo, hi, spawn_rng(seed, 3).integers(2**62))
 
     model = build_variant_model(variant, d, width, depth, seed, passthrough)
-    cfg = config if config is not None else TrainConfig(seed=seed)
-    if cfg.seed != seed:
-        cfg = replace(cfg, seed=seed)
-    trained, history = train(model, train_ds, val_ds, cfg)
+    trained, history = train(model, train_ds, val_ds, config)
     return {
         "target": target.name,
         "variant": variant,

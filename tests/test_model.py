@@ -341,6 +341,10 @@ def test_layout_round_trip_is_exact():
             assert np.shares_memory(scalar, flat)
     with pytest.raises(DimensionError):
         unflatten_params(m, np.append(flat, 0.0))
+    with pytest.raises(DimensionError):
+        unflatten_params(m, flat[:-1])
+    with pytest.raises(DimensionError):
+        unflatten_params(m, flat[:, None])
 
 
 def test_layout_mask_marks_exactly_the_sign_constrained_entries():

@@ -39,10 +39,6 @@ def test_dataset_sampling_determinism_and_range():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(adam_beta2=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
@@ -167,6 +163,8 @@ def test_train_aborts_on_divergence():
 def test_soc_fits_quadratic_iso_quickly():
     # an exact representer exists, so 200 epochs must bring RelErr under 0.1
     target = make_target("QuadraticIso", 5, 0)
+    with pytest.raises(ValueError, match="differs from the cell seed"):
+        fit_variant_to_target(target, "SOC", seed=1, config=TrainConfig(seed=2))
     result = fit_variant_to_target(
         target, "SOC", seed=1, n_train=1000, n_val=400, n_test=800,
         config=TrainConfig(epochs=200, seed=1),
@@ -193,11 +191,28 @@ def test_anchor_width_schedule():
     assert anchor_width(50) == 32
 
 
+def _closed_form_count(d0, width, depth, variant, passthrough):
+    """Layer 1 holds width*d0 + width scalars; each deeper layer adds
+    width^2 + width plus width*d0 when passthrough is on; the readout adds
+    width + d0 + 1; each structural branch of size d0 adds d0*d0 + d0 + 1."""
+    count = width * d0 + width
+    for _ in range(depth - 1):
+        count += width * width + width
+        if passthrough:
+            count += width * d0
+    count += width + d0 + 1
+    branches = {"QuadOnly": 1, "NormOnly": 1, "SOC": 2}.get(variant, 0)
+    return count + branches * (d0 * d0 + d0 + 1)
+
+
 def test_param_count_formula_matches_built_models():
-    for variant in VARIANTS:
-        for depth in (1, 2, 3):
-            model = build_variant_model(variant, 10, 20, depth, seed=0)
-            assert count_parameters(model) == variant_param_count(10, 20, depth, variant)
+    for passthrough in (True, False):
+        for variant in VARIANTS:
+            for depth in (1, 2, 3):
+                expected = _closed_form_count(10, 20, depth, variant, passthrough)
+                model = build_variant_model(variant, 10, 20, depth, 0, passthrough)
+                assert count_parameters(model) == expected
+                assert variant_param_count(10, 20, depth, variant, passthrough) == expected
 
 
 def test_budget_self_match():
@@ -218,12 +233,14 @@ def test_counts_strictly_increase_with_depth():
 
 
 def test_budget_fairness_across_variants():
-    for d in (5, 10, 20):
+    for d in (5, 10, 16, 20):
         width = anchor_width(d)
-        anchor = variant_param_count(d, width, 2, "SOC")
-        for variant in VARIANTS:
-            depth = variant_depth(variant, d, width)
-            assert variant_param_count(d, width, depth, variant) >= anchor
+        for passthrough in (True, False):
+            anchor = count_parameters(build_variant_model("SOC", d, width, 2, 0, passthrough))
+            for variant in VARIANTS:
+                depth = variant_depth(variant, d, width, passthrough)
+                model = build_variant_model(variant, d, width, depth, 0, passthrough)
+                assert count_parameters(model) >= anchor, (d, passthrough, variant)
 
 
 def test_budget_error_when_unreachable():
