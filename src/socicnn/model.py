@@ -290,7 +290,11 @@ def nonneg_mask(params: SocIcnnParams) -> np.ndarray:
 
 def unflatten_params(template: SocIcnnParams, flat: np.ndarray) -> SocIcnnParams:
     """Model shaped like ``template`` whose every entry is a view of ``flat``
-    (scalar entries as 0-d views), so writes to ``flat`` move the model."""
+    (scalar entries as 0-d views), so writes to ``flat`` move the model.
+    ``flat`` must be a float64 array: training writes through those views."""
+    if not isinstance(flat, np.ndarray) or flat.dtype != np.float64:
+        kind = getattr(flat, "dtype", type(flat).__name__)
+        raise TypeError(f"flat parameters must be a float64 numpy array, got {kind}")
     size = sum(np.size(value) for value, _ in _leaves(template))
     if flat.shape != (size,):
         raise DimensionError(f"layout holds {size} entries, got an array of shape {flat.shape}")

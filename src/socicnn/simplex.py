@@ -11,7 +11,11 @@ package: it is the oracle that the closed-form forward pass is checked
 against, so it shares no evaluation code with the model.
 
 Intended for desk-scale problems (a few hundred variables); everything is
-kept in one dense tableau.
+kept in one dense tableau.  A pivot updates only the rows whose pivot-column
+entry is nonzero and the columns whose pivot-row entry is nonzero.  Every
+other entry of the full rank-one update would subtract an exact zero product
+(the data are finite, so no inf * 0 arises), so the tableau equals the dense
+update's up to the sign of a zero, and every pivot decision is the same.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ _FEAS_TOL = 1e-7
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    pivot_row = tableau[row]
+    column = tableau[:, col]
+    rows = np.flatnonzero(column)
+    rows = rows[rows != row]
+    cols = np.flatnonzero(pivot_row)
+    tableau[rows[:, None], cols] -= np.multiply.outer(column[rows], pivot_row[cols])
 
 
 def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> None:
@@ -81,14 +88,17 @@ def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
 
     Returns (optimal value, optimal basic feasible y).  Raises
     InfeasibleProblem / UnboundedProblem accordingly, and SimplexError once a
-    phase runs past 200 * (m + n + 10) pivots.
+    phase runs past 200 * (m + n + 10) pivots.  Data of the wrong shape or
+    with a non-finite entry raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
+    if A.ndim != 2 or c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
+    m, n = A.shape
     max_iter = 200 * (m + n + 10)
 
     # Equality form A y - s = b with every right-hand side nonnegative: rows

@@ -345,6 +345,10 @@ def test_layout_round_trip_is_exact():
         unflatten_params(m, flat[:-1])
     with pytest.raises(DimensionError):
         unflatten_params(m, flat[:, None])
+    # the model's entries are views that training writes through: float64 arrays only
+    for wrong in (list(flat), flat.astype(np.float32), flat.astype(np.int64)):
+        with pytest.raises(TypeError):
+            unflatten_params(m, wrong)
 
 
 def test_layout_mask_marks_exactly_the_sign_constrained_entries():

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+from socicnn import RELU, build_lp_lift, init_model, simplex, spawn_rng
 from socicnn.simplex import (
     InfeasibleProblem,
     UnboundedProblem,
     solve_min_geq,
 )
+
+
+def _dense_pivot(tableau, row, col):
+    """Reference: the full rank-one update over every row and column."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
 
 
 def test_simple_bounded_lp():
@@ -73,3 +82,69 @@ def test_solution_is_feasible_and_optimal_against_scipy():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         solve_min_geq(np.zeros(2), np.zeros((1, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        solve_min_geq(np.zeros(2), np.zeros(2), np.zeros(1))
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        solve_min_geq(np.zeros(2), np.zeros((1, 1, 2)), np.zeros(1))
+
+
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected(where, bad):
+    data = {"c": np.array([1.0, 1.0]), "A": np.array([[1.0, 2.0], [3.0, -1.0]]),
+            "b": np.array([1.0, -1.0])}
+    data[where].flat[1] = bad
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        solve_min_geq(data["c"], data["A"], data["b"])
+
+
+def test_sparse_pivot_equals_the_dense_update():
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        rows, cols = int(rng.integers(2, 12)), int(rng.integers(2, 15))
+        tableau = rng.standard_normal((rows, cols))
+        tableau[rng.random((rows, cols)) < 0.3] = 0.0
+        row, col = int(rng.integers(rows)), int(rng.integers(cols))
+        # planted exact zeros in the pivot row and column, all of them on some trials
+        keep = 0.0 if trial % 4 == 0 else 0.5
+        tableau[rng.random(rows) >= keep, col] = 0.0
+        tableau[row, rng.random(cols) >= keep] = 0.0
+        tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        expected = tableau.copy()
+        _dense_pivot(expected, row, col)
+        simplex._pivot(tableau, row, col)
+        assert np.array_equal(tableau, expected)
+
+
+def _certify_lift(d0, width, depth, passthrough, seed):
+    """The lift of one certify trial: two quadratic and two conic branches of
+    size d0 and an input drawn on [-3, 3]^d0."""
+    model = init_model(d0, [width] * depth, 2, [d0] * 2, 2, [d0] * 2, passthrough, RELU, seed)
+    return build_lp_lift(model, spawn_rng(seed, 1).uniform(-3.0, 3.0, d0))
+
+
+def _solve_counting_pivots(monkeypatch, pivot, lift):
+    count = 0
+
+    def counted(tableau, row, col):
+        nonlocal count
+        count += 1
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    value, y = solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
+    return value, y, count
+
+
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", [(10, 16, 2), (20, 32, 3), (20, 64, 3)])
+def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
+        monkeypatch, d0, width, depth, passthrough):
+    sparse = simplex._pivot
+    for seed in (3, 4):
+        lift = _certify_lift(d0, width, depth, passthrough, seed)
+        value, y, pivots = _solve_counting_pivots(monkeypatch, sparse, lift)
+        ref_value, ref_y, ref_pivots = _solve_counting_pivots(monkeypatch, _dense_pivot, lift)
+        assert value == ref_value
+        assert np.array_equal(y, ref_y)
+        assert pivots == ref_pivots > 0
