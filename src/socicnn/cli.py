@@ -331,9 +331,26 @@ def _int_at_least(lower: int):
     return parse
 
 
+def _finite_float(positive: bool):
+    """An argparse type for finite floats, strictly positive if ``positive``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if positive and value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 _dimension = _int_at_least(2)  # targets and tasks need two coordinates
+_finite = _finite_float(positive=False)
+_learning_rate = _finite_float(positive=True)
 
 
 def _dims(text: str) -> str:
@@ -388,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-n", type=_positive_int, default=2000)
     p.add_argument("--val-n", type=_positive_int, default=1000)
     p.add_argument("--test-n", type=_positive_int, default=2000)
-    p.add_argument("--lo", type=float, default=-3.0)
-    p.add_argument("--hi", type=float, default=3.0)
+    p.add_argument("--lo", type=_finite, default=-3.0)
+    p.add_argument("--hi", type=_finite, default=3.0)
     p.add_argument("--epochs", type=_positive_int, default=400)
     p.add_argument("--batch-size", type=_positive_int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_learning_rate, default=1e-3)
     p.add_argument("--no-passthrough", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -420,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-n", type=_positive_int, default=2000)
     p.add_argument("--epochs", type=_positive_int, default=400)
     p.add_argument("--batch-size", type=_positive_int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_learning_rate, default=1e-3)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("decide", help="surrogate decision pipeline with regret")
@@ -437,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-steps", type=_positive_int, default=2000)
     p.add_argument("--surrogate-width", type=_positive_int, default=8)
     p.add_argument("--surrogate-epochs", type=_positive_int, default=300)
-    p.add_argument("--surrogate-lr", type=float, default=1e-2)
+    p.add_argument("--surrogate-lr", type=_learning_rate, default=1e-2)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("theory", help="tangent-net rates and the piece bound")
@@ -451,7 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # the sampling range needs lo < hi and a width that does not overflow
+    if args.subcommand == "train" and not 0 < args.hi - args.lo < np.inf:
+        parser.error(f"train: needs --lo below --hi with a finite width, "
+                     f"got --lo={args.lo!r} --hi={args.hi!r}")
     return args.func(args)
 
 

@@ -366,7 +366,7 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
             vals += weight * (mx[:, 0] + np.log(denom))
             grads += weight * ((expT / denom[:, None]) @ term.proj)
         elif term.kind == "logistic":
-            vals += np.logaddexp(0.0, T) @ weights
+            vals += softplus(T) @ weights
             grads += (sigmoid(T) * weights) @ term.proj
         else:
             hv, hg = huber(T, HUBER_DELTA)

@@ -48,18 +48,19 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def softplus(t):
-    """log(1 + exp(t)) evaluated without overflow for large |t|."""
-    return np.logaddexp(0.0, t)
+    """log(1 + exp(t)), as max(t, 0) + log1p(e) with e = exp(-|t|).
+
+    The exponent is never positive, so no input overflows; ``sigmoid`` is the
+    derivative from the same e.
+    """
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def sigmoid(t):
+    """1 / (1 + exp(-t)), as where(t >= 0, 1, e) / (1 + e) with e = exp(-|t|)."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def half_sqnorm_rows(Q: np.ndarray) -> np.ndarray:

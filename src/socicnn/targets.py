@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import half_sqnorm_rows, norm_rows, sigmoid, spawn_rng
+from .model import half_sqnorm_rows, norm_rows, sigmoid, softplus, spawn_rng
 
 TARGET_NAMES = (
     "QuadraticIso",
@@ -115,7 +115,7 @@ def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
         value = quad + 0.7 * root + np.max(pieces, axis=1)
         return value, 0.5 * w1 * X + active + 0.7 * _unit_rows(w2 * X, root)
     if name == "SoftplusSum":
-        return np.sum(np.logaddexp(0.0, X), axis=1), sigmoid(X)
+        return np.sum(softplus(X), axis=1), sigmoid(X)
     if name == "LogSumExpQuad":
         m = np.max(X, axis=1, keepdims=True)
         e = np.exp(X - m)

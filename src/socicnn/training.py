@@ -59,8 +59,8 @@ class TrainConfig:
     early_stop_patience: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -86,6 +86,8 @@ def sample_uniform_dataset(
 ) -> Dataset:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not np.isfinite(float(hi) - float(lo)):  # also catches a non-finite lo or hi
+        raise ValueError("lo, hi and hi - lo must be finite")
     if not lo < hi:
         raise ValueError("lo must be strictly below hi")
     xs = spawn_rng(seed).uniform(lo, hi, (n, dim))

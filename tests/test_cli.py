@@ -57,9 +57,10 @@ def test_verify_check_reports_every_breached_metric(tmp_path, capsys, monkeypatc
     ]
 
 
-def test_train_is_byte_identical_across_reruns(tmp_path):
+@pytest.mark.parametrize("variant", ["SOC", "Softplus"])
+def test_train_is_byte_identical_across_reruns(tmp_path, variant):
     args = [
-        "train", "--target", "QuadraticIso", "--d", "5", "--variant", "SOC",
+        "train", "--target", "QuadraticIso", "--d", "5", "--variant", variant,
         "--seed", "1", "--epochs", "4", "--train-n", "200", "--val-n", "100",
         "--test-n", "100",
     ]
@@ -69,7 +70,7 @@ def test_train_is_byte_identical_across_reruns(tmp_path):
     assert (out_a / "model.json").read_bytes() == (out_b / "model.json").read_bytes()
     assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
     result = json.loads((out_a / "result.json").read_text())
-    assert result["variant"] == "SOC" and result["d"] == 5
+    assert result["variant"] == variant and result["d"] == 5
 
 
 def test_train_rejects_unknown_target(tmp_path, capsys):
@@ -197,6 +198,16 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["decide", "--d", "1"],
     ["verify", "--quad", "-1"],
     ["verify", "--conic", "-1"],
+    ["train", "--lr", "0", "--target", "QuadraticIso"],
+    ["train", "--lr", "nan", "--target", "QuadraticIso"],
+    ["benchmark", "--lr", "inf"],
+    ["decide", "--surrogate-lr", "-1"],
+    ["decide", "--surrogate-lr", "nan"],
+    ["train", "--lo", "3", "--hi", "-3", "--target", "QuadraticIso"],
+    ["train", "--lo", "1", "--hi", "1", "--target", "QuadraticIso"],
+    ["train", "--hi", "inf", "--target", "QuadraticIso"],
+    ["train", "--lo", "nan", "--target", "QuadraticIso"],
+    ["train", "--lo=-1e+308", "--hi=1e+308", "--target", "QuadraticIso"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -31,6 +31,8 @@ from socicnn.model import (
     half_sqnorm_rows,
     nonneg_mask,
     norm_rows,
+    sigmoid,
+    softplus,
     unflatten_params,
 )
 
@@ -250,6 +252,51 @@ def test_softplus_activation_forward():
     for pre, act in zip(tr.preacts, tr.acts):
         assert np.all(act > 0.0)
         assert np.allclose(act, np.logaddexp(0.0, pre))
+
+
+def _masked_sigmoid(t):
+    """Reference sigmoid: one exponential per sign, through boolean masks."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+_ACTIVATION_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 710.0, -710.0,
+    745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+])
+
+
+def _activation_inputs():
+    rng = spawn_rng(2024)
+    signs = rng.choice([-1.0, 1.0], 50_000)
+    spread = signs * 10.0 ** rng.uniform(-8.0, 308.0, 50_000)
+    return np.concatenate([_ACTIVATION_EDGES, rng.normal(0.0, 5.0, 50_000), spread])
+
+
+def test_sigmoid_is_bitwise_the_masked_sigmoid():
+    t = _activation_inputs()
+    assert np.array_equal(sigmoid(t), _masked_sigmoid(t))
+    block = t[:1200].reshape(60, 20)
+    assert np.array_equal(sigmoid(block), _masked_sigmoid(block))
+
+
+def test_softplus_is_within_four_ulps_of_logaddexp():
+    t = _activation_inputs()
+    ref = np.logaddexp(0.0, t)
+    got = softplus(t)
+    finite = np.isfinite(ref)
+    assert np.array_equal(got[~finite], ref[~finite])
+    err = np.abs(got[finite] - ref[finite])
+    assert np.all(err <= 4.0 * np.spacing(np.abs(ref[finite])))
+    assert np.all(got[ref == 0.0] == 0.0)
+    assert np.all(got >= 0.0)
+    edge = softplus(_ACTIVATION_EDGES)
+    assert edge[-1] == 0.0 and edge[-2] == np.inf and edge[-3] == 0.0
 
 
 def test_midpoint_convexity_sampled():

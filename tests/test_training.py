@@ -40,6 +40,9 @@ def test_dataset_sampling_determinism_and_range():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for rate in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
@@ -52,6 +55,9 @@ def test_dataset_sampling_validation():
         sample_uniform_dataset(t, 3, 0, -1.0, 1.0, 0)
     with pytest.raises(ValueError):
         sample_uniform_dataset(t, 3, 5, 1.0, -1.0, 0)
+    for lo, hi in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            sample_uniform_dataset(t, 3, 5, lo, hi, 0)
 
 
 def test_dataset_csv_round_trip_exact(tmp_path):
