@@ -52,9 +52,9 @@ def _require_relu(params: SocIcnnParams) -> None:
 class LpLift:
     """min objective @ y + constant  s.t.  row_coeffs @ y >= row_rhs, y >= 0.
 
-    The variable vector stacks the hidden states layer by layer.  Rows come
-    in two blocks: one affine row per hidden unit, then one nonnegativity row
-    per hidden unit.
+    The variable vector stacks the hidden states layer by layer, with one
+    affine row per hidden unit.  The ReLU's z >= 0 is the solver's own
+    y >= 0, so it has no rows.
     """
 
     objective: np.ndarray
@@ -80,22 +80,16 @@ def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     n = sum(widths)
     offsets = np.concatenate([[0], np.cumsum(widths)])
 
-    rows = np.zeros((2 * n, n))
-    rhs = np.zeros(2 * n)
-    r = 0
+    rows = np.eye(n)
+    rhs = np.zeros(n)
     for idx, layer in enumerate(params.layers):
         lo, hi = offsets[idx], offsets[idx + 1]
-        w = layer.width
-        rows[r : r + w, lo:hi] = np.eye(w)
         if layer.w_z is not None:
-            plo, phi = offsets[idx - 1], offsets[idx]
-            rows[r : r + w, plo:phi] = -layer.w_z
+            rows[lo:hi, offsets[idx - 1] : lo] = -layer.w_z
         base = layer.b.copy()
         if layer.w_x is not None:
             base = base + layer.w_x @ x
-        rhs[r : r + w] = base
-        r += w
-    rows[n:, :] = np.eye(n)  # z >= 0 block
+        rhs[lo:hi] = base
 
     objective = np.zeros(n)
     objective[offsets[-2] :] = params.w_out

@@ -1,14 +1,25 @@
-"""Dense-tableau primal simplex for small linear programs.
+"""Dense-tableau dual simplex for small linear programs.
 
 Solves
 
     min  c @ y
     s.t. A @ y >= b,   y >= 0
 
-by the textbook two-phase method with Bland's anti-cycling rule.  The
-implementation is deliberately independent of every other code path in the
-package: it is the oracle that the closed-form forward pass is checked
+by Lemke's (1954) dual simplex method with the dual form of Bland's rule.
+The implementation is deliberately independent of every other code path in
+the package: it is the oracle that the closed-form forward pass is checked
 against, so it shares no evaluation code with the model.
+
+The tableau starts as ``[-A | I | -b]`` with every surplus variable basic.
+When c >= 0, as in the certificate lift, that basis is dual feasible, so no
+phase 1 and no artificial columns are needed.  Each iteration leaves on the
+infeasible row with the smallest basic index and enters the column that
+minimizes ``d_j / |a_rj|`` (d the reduced costs) over the row's negative
+entries, ties going to the smallest column.  A cost vector with a negative
+entry first gets the bounding row ``-sum(y) >= -M`` and one pivot on its most
+negative cost, which makes the start dual feasible (Koberstein 2005); a
+positive multiplier of that row at the optimum means the problem is
+unbounded.
 
 Intended for desk-scale problems (a few hundred variables); everything is
 kept in one dense tableau.  A pivot updates only the rows whose pivot-column
@@ -30,15 +41,23 @@ class SimplexError(RuntimeError):
 
 
 class InfeasibleProblem(SimplexError):
-    """Phase 1 ended with artificial variables at a positive level."""
+    """A primal-infeasible row had no negative entry to pivot on, so no
+    y >= 0 satisfies it."""
 
 
 class UnboundedProblem(SimplexError):
-    """An improving column had no blocking row."""
+    """The bounding row added for negative costs kept a positive multiplier
+    at the optimum, so the objective decreases without limit."""
 
 
+# share of its terms' magnitude that a structural pivot entry must keep
 _PIVOT_TOL = 1e-9
-_FEAS_TOL = 1e-7
+# relative to max|b|
+_FEAS_TOL = 1e-12
+# relative to max|c|
+_DUAL_TOL = 1e-9
+# the bounding row's right-hand side, relative to 1 + max|b|
+_BOUND = 1e6
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -51,33 +70,37 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows[:, None], cols] -= np.multiply.outer(column[rows], pivot_row[cols])
 
 
-def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> None:
-    """Run simplex iterations on the tableau in place until optimal.
+def _dual_iterate(
+    tableau: np.ndarray, basis: np.ndarray, abs_a: np.ndarray, feas_tol: float, max_iter: int
+) -> None:
+    """Run dual simplex iterations on the tableau in place until every basic
+    value is at least -feas_tol.  The last row holds the reduced costs.
 
-    The objective row is the last row (stored as reduced costs; the current
-    objective value is -tableau[-1, -1]).  Entering variable: the smallest
-    column index with a negative reduced cost.  Leaving variable: the minimum
-    ratio row, ties broken toward the smallest basic variable index.
+    The surplus block of a row is its row of the basis inverse, so the row's
+    entry in structural column j is the sum over k of surplus_k * -A_kj.  A
+    negative structural entry may enter only if it keeps _PIVOT_TOL of the
+    magnitude of those terms, sum_k |surplus_k| |A_kj|; below that it is
+    rounding left by cancellation.  The test is invariant under any scaling
+    of the rows and columns of A, which a network's lift needs: its hidden
+    states grow layer by layer with the weights, so one tableau row can span
+    more orders of magnitude than a tolerance relative to the row allows.
     """
-    m = tableau.shape[0] - 1
+    m, n = abs_a.shape
     for _ in range(max_iter):
-        reduced = tableau[-1, :ncols]
-        candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        if candidates.size == 0:
+        infeasible = np.flatnonzero(tableau[:m, -1] < -feas_tol)
+        if infeasible.size == 0:
             return
-        col = int(candidates[0])
-
-        column = tableau[:m, col]
-        rhs = tableau[:m, -1]
-        positive = column > _PIVOT_TOL
-        if not np.any(positive):
-            raise UnboundedProblem("no blocking row for an improving column")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / column[positive]
-        best = np.min(ratios)
-        tied = np.nonzero(ratios <= best + 1e-12)[0]
-        row = int(tied[np.argmin(basis[tied])])
-
+        row = int(infeasible[np.argmin(basis[infeasible])])
+        entries = tableau[row, :-1]
+        eligible = entries < 0.0
+        structural = np.flatnonzero(eligible[:n])
+        terms = np.abs(entries[n:]) @ abs_a[:, structural]
+        eligible[structural] = -entries[structural] > _PIVOT_TOL * terms
+        eligible = np.flatnonzero(eligible)
+        if eligible.size == 0:
+            raise InfeasibleProblem("an infeasible row has no negative entry to pivot on")
+        ratios = tableau[-1, eligible] / -entries[eligible]
+        col = int(eligible[np.argmin(ratios)])
         _pivot(tableau, row, col)
         basis[row] = col
     raise SimplexError("iteration limit exceeded")
@@ -87,9 +110,10 @@ def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
     """Minimize c @ y subject to A @ y >= b and y >= 0.
 
     Returns (optimal value, optimal basic feasible y).  Raises
-    InfeasibleProblem / UnboundedProblem accordingly, and SimplexError once a
-    phase runs past 200 * (m + n + 10) pivots.  Data of the wrong shape or
-    with a non-finite entry raises ValueError.
+    InfeasibleProblem / UnboundedProblem accordingly, and SimplexError after
+    200 * (m + n + 10) pivots.  Data of the wrong shape or with a non-finite
+    entry raises ValueError.  With a negative cost, a bounded problem whose
+    optimal y all have sum(y) above 1e6 * (1 + max|b|) is reported unbounded.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -100,63 +124,29 @@ def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
         raise ValueError("LP data must be finite")
     m, n = A.shape
     max_iter = 200 * (m + n + 10)
+    bounded = bool(np.any(c < 0.0))
+    if bounded:
+        A = np.vstack([A, -np.ones(n)])
+        b = np.append(b, -_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0))))
+    feas_tol = _FEAS_TOL * float(np.max(np.abs(b[:m]), initial=0.0))
+    rows = m + bounded
 
-    # Equality form A y - s = b with every right-hand side nonnegative: rows
-    # with b <= 0 are negated so their surplus column enters with coefficient
-    # +1 and can start in the basis; the remaining rows get one artificial
-    # variable each.
-    flip = b <= 0.0
-    signs = np.where(flip, -1.0, 1.0)
-    Aeq = A * signs[:, None]
-    beq = b * signs
-    surplus = np.diag(-signs)
-
-    art_rows = np.nonzero(~flip)[0]
-    n_art = art_rows.size
-    art_block = np.zeros((m, n_art))
-    for j, i in enumerate(art_rows):
-        art_block[i, j] = 1.0
-
-    ncols = n + m + n_art
-    tableau = np.zeros((m + 1, ncols + 1))
-    tableau[:m, :n] = Aeq
-    tableau[:m, n : n + m] = surplus
-    tableau[:m, n + m : ncols] = art_block
-    tableau[:m, -1] = beq
-
-    basis = np.empty(m, dtype=np.int64)
-    basis[flip] = n + np.nonzero(flip)[0]
-    basis[art_rows] = n + m + np.arange(n_art)
-
-    # Phase 1: drive the artificial variables to zero.
-    if n_art:
-        tableau[-1, n + m : ncols] = 1.0
-        tableau[-1] -= tableau[art_rows].sum(axis=0)
-        _bland_iterate(tableau, basis, ncols, max_iter)
-        scale = 1.0 + float(np.max(np.abs(beq), initial=0.0))
-        if -tableau[-1, -1] > _FEAS_TOL * scale:
-            raise InfeasibleProblem("phase-1 optimum is positive")
-        # Pivot lingering artificial basics onto structural columns; a row
-        # with no eligible pivot is redundant and can be neutralized.
-        for row in range(m):
-            if basis[row] >= n + m:
-                pivots = np.nonzero(np.abs(tableau[row, : n + m]) > _PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(tableau, row, int(pivots[0]))
-                    basis[row] = int(pivots[0])
-                else:
-                    tableau[row, :] = 0.0
-        tableau[:, n + m : ncols] = 0.0
-
-    # Phase 2: optimize the real objective from the feasible basis.
-    tableau[-1, :] = 0.0
+    tableau = np.zeros((rows + 1, n + rows + 1))
+    tableau[:rows, :n] = -A
+    tableau[:rows, n:-1] = np.eye(rows)
+    tableau[:rows, -1] = -b
     tableau[-1, :n] = c
-    for row in range(m):
-        if basis[row] < n + m and abs(tableau[-1, basis[row]]) > 0.0:
-            tableau[-1] -= tableau[-1, basis[row]] * tableau[row]
-    _bland_iterate(tableau, basis, ncols, max_iter)
+    basis = np.arange(n, n + rows)
+    if bounded:
+        col = int(np.argmin(c))
+        _pivot(tableau, m, col)
+        basis[m] = col
+
+    _dual_iterate(tableau, basis, np.abs(A), feas_tol, max_iter)
+    if bounded and tableau[-1, -2] > _DUAL_TOL * float(np.max(np.abs(c))):
+        raise UnboundedProblem("the bounding row has a positive multiplier at the optimum")
 
     y = np.zeros(n)
     structural = basis < n
-    y[basis[structural]] = tableau[:m, -1][structural]
+    y[basis[structural]] = tableau[:rows, -1][structural]
     return float(c @ y), y

@@ -104,15 +104,19 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Read a dataset written by save_dataset_csv: the header
+    x0,...,x{d-1},y with d >= 1, then one row of d + 1 numbers per point."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: the file is empty")
         dim = len(header) - 1
+        if dim < 1 or header != [f"x{i}" for i in range(dim)] + ["y"]:
+            raise ValueError(f"{path}: the header must be x0,...,x{{d-1}},y with d >= 1")
         xs, ys = [], []
         for row in reader:
-            if len(row) <= dim:
+            if len(row) != dim + 1:
                 raise ValueError(
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"the header has {dim + 1}"

@@ -21,6 +21,7 @@ from socicnn import (
     summarize_reports,
 )
 from socicnn.certificate import _METRIC_FIELDS
+from socicnn.cli import FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
 from socicnn.gradients import chain_multipliers
 from socicnn.model import LayerParams, SocIcnnParams
 
@@ -31,17 +32,17 @@ def test_lift_shape_for_scalar_relu():
     m = relu_scalar_model()
     lift = build_lp_lift(m, np.array([2.0]))
     assert lift.num_variables == 1
-    assert lift.num_rows == 2
+    assert lift.num_rows == 1
     assert np.array_equal(lift.objective, [1.0])
     assert lift.constant == 0.0
-    assert np.array_equal(lift.row_rhs, [2.0, 0.0])
+    assert np.array_equal(lift.row_rhs, [2.0])
 
 
 def test_lift_counts_depth2_width3():
     m = random_model(31, d0=4, widths=(3, 3), num_quad=0, num_conic=0)
     lift = build_lp_lift(m, np.zeros(4))
     assert lift.num_variables == 6
-    assert lift.num_rows == 12
+    assert lift.num_rows == 6
 
 
 def test_lift_rejects_softplus():
@@ -223,6 +224,20 @@ def test_diagnostics_mean_gap_small():
     summary = summarize_reports(reports)
     assert summary["primal_dual_gap"]["mean"] <= 1e-10
     assert summary["forward_vs_oracle_abs_err"]["max"] <= 1e-9
+
+
+@pytest.mark.parametrize("d0,width,depth,seed", [
+    (10, 16, 2, 2973684427430321761),
+    (20, 64, 3, 3565814781518276417),
+])
+def test_degenerate_passthrough_off_models_certify(d0, width, depth, seed):
+    # later layers have no input term, so most lift rows have a zero
+    # right-hand side
+    (report,) = run_verification_trials(1, d0, width, depth, 2, 2, False, seed)
+    assert report["primal_dual_gap"] <= GAP_THRESHOLD
+    assert report["forward_vs_oracle_abs_err"] <= ORACLE_THRESHOLD
+    for name in _METRIC_FIELDS[2:]:
+        assert report[name] <= FEASIBILITY_THRESHOLD
 
 
 def test_report_serialization_keys():

@@ -32,6 +32,15 @@ def test_verify_writes_report_and_passes_check(tmp_path):
     assert manifest["version"]
 
 
+def test_verify_check_passes_on_a_degenerate_passthrough_off_model(tmp_path):
+    code = main([
+        "verify", "--d0", "10", "--width", "16", "--depth", "2", "--quad", "2",
+        "--conic", "2", "--trials", "2", "--seed", "2973684427430321761",
+        "--out", str(tmp_path / "verify"), "--check",
+    ])
+    assert code == 0
+
+
 def test_verify_check_reports_every_breached_metric(tmp_path, capsys, monkeypatch):
     report = dict.fromkeys(_METRIC_FIELDS, 0.0)
     report.update(

@@ -22,6 +22,7 @@ from socicnn import (
     forward_total_batch,
     from_json_dict,
     init_model,
+    socp_oracle_value,
     spawn_rng,
     to_json_dict,
 )
@@ -119,6 +120,20 @@ def test_norm_dual_rows_are_ulp_bounded_away_from_kinks(data):
     rep = diagnostics_report(m, x)
     assert rep.norm_dual_ball_violation <= ball
     assert rep.norm_dual_alignment_violation <= align
+
+
+@PROPERTY
+@given(st.data())
+def test_oracle_matches_forward_at_every_weight_scale(data):
+    # hidden states grow like the scale to the power of the depth, so one lift
+    # row spans many orders of magnitude at the ends of the range
+    m = data.draw(models(activations=(RELU,)))
+    (x,) = data.draw(points(m.input_dim, 1))
+    scale = 10.0 ** data.draw(st.integers(-6, 8))
+    scaled = unflatten_params(m, scale * flatten_params(m))
+    value = forward(scaled, x).total
+    eps = np.finfo(np.float64).eps
+    assert abs(socp_oracle_value(scaled, x) - value) <= 16 * eps * max(1.0, abs(value))
 
 
 @st.composite

@@ -36,6 +36,14 @@ def test_unbounded_problem():
         solve_min_geq(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0))
 
 
+def test_negative_cost_with_a_zero_cost_ray_is_bounded():
+    # min -x1  s.t.  x1 <= 1: x2 costs nothing and may end up holding the
+    # bounding row tight, but that row's multiplier is zero
+    value, x = solve_min_geq(np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]]), np.array([-1.0]))
+    assert value == pytest.approx(-1.0, abs=1e-12)
+    assert x[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_infeasible_problem():
     # x >= 1 and -x >= 0 cannot both hold with x >= 0
     with pytest.raises(InfeasibleProblem):
@@ -77,6 +85,38 @@ def test_solution_is_feasible_and_optimal_against_scipy():
         ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert value == pytest.approx(ref.fun, abs=1e-7)
+
+
+def test_negative_costs_agree_with_scipy():
+    # a negative cost makes the slack basis dual infeasible, so these LPs go
+    # through the bounding row; on even trials a row sum(y) <= n + 1 keeps
+    # them bounded, on odd trials scipy decides.  The bounding row's
+    # right-hand side, 1e6 * (1 + max|b|), costs about that times eps of
+    # accuracy, hence 1e-7 for feasibility as for the value.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(43)
+    statuses = set()
+    for trial in range(200):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 9))
+        c, A, b = _random_feasible_bounded_lp(rng, m, n)
+        c[rng.random(n) < 0.5] *= -1.0
+        c[int(rng.integers(n))] = -rng.uniform(0.1, 1.0)
+        if trial % 2 == 0:
+            A = np.vstack([A, -np.ones(n)])
+            b = np.append(b, -(n + 1.0))
+        ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, None)] * n, method="highs")
+        statuses.add(ref.status)
+        if ref.status == 3:
+            with pytest.raises(UnboundedProblem):
+                solve_min_geq(c, A, b)
+            continue
+        assert ref.status == 0
+        value, x = solve_min_geq(c, A, b)
+        assert np.all(A @ x >= b - 1e-7)
+        assert np.all(x >= -1e-10)
+        assert value == pytest.approx(ref.fun, abs=1e-7)
+    assert statuses == {0, 3}
 
 
 def test_dimension_validation():

@@ -79,6 +79,21 @@ def test_short_csv_row_is_a_named_error(tmp_path):
         load_dataset_csv(path)
 
 
+def test_long_csv_row_is_a_named_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("x0,y\n1.0,2.0\n3.0,4.0,5.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("header", ["x0,x1", "a,b", "y", "x1,x0,y", "x0,y,z"])
+def test_csv_header_other_than_x0_to_y_is_a_named_error(tmp_path, header):
+    path = tmp_path / "header.csv"
+    path.write_text(f"{header}\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="header"):
+        load_dataset_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "x0,y\n"])
 def test_empty_csv_is_a_named_error(tmp_path, text):
     path = tmp_path / "empty.csv"
