@@ -243,7 +243,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
     out = _prepare_out(args)
     families = args.families.split(",")
     rows = []
-    worst_regret = 0.0
     for family in families:
         fam_key = hash_key(family)
         task = make_task(family, args.d, args.seed)
@@ -262,7 +261,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
                 surrogate_epochs=args.surrogate_epochs,
                 surrogate_lr=args.surrogate_lr,
             )
-            worst_regret = min(worst_regret, report.regret)
             rows.append(
                 {
                     "task": f"{family}:{index}",
@@ -272,6 +270,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
                     "model": args.model,
                     "regret": report.regret,
                     "oracle_gap": report.oracle_gap,
+                    "oracle_evals": report.oracle_evals,
                     "decision_error": report.decision_error,
                     "surrogate_value": report.surrogate_value_at_decision,
                     "true_value": report.true_value_at_decision,
@@ -283,10 +282,17 @@ def cmd_decide(args: argparse.Namespace) -> int:
             f"mean_regret={np.mean(regrets):.4g} min_regret={np.min(regrets):.3e}"
         )
     _write_csv(out / "decisions.csv", rows)
-    if args.check and worst_regret < REGRET_FLOOR:
-        print(f"check failed: regret {worst_regret:.3e} below {REGRET_FLOOR}", file=sys.stderr)
-        return 1
-    return 0
+    if not args.check:
+        return 0
+    failures = []
+    for row in rows:
+        if not row["oracle_gap"] <= CERTIFIED_GAP:
+            failures.append(f"{row['task']}: oracle gap {row['oracle_gap']:.3e} above {CERTIFIED_GAP}")
+        if not row["regret"] >= REGRET_FLOOR:
+            failures.append(f"{row['task']}: regret {row['regret']:.3e} below {REGRET_FLOOR}")
+    for line in failures:
+        print(f"check failed: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--oracle-restarts", type=_positive_int, default=20)
-    p.add_argument("--oracle-steps", type=_positive_int, default=2000)
+    p.add_argument("--oracle-steps", type=_positive_int, default=2000,
+                   help="cap on the oracle's objective evaluations: at most this "
+                   "many plus one, each over every restart; it stops sooner once certified")
     p.add_argument("--surrogate-width", type=_positive_int, default=8)
     p.add_argument("--surrogate-epochs", type=_positive_int, default=300)
     p.add_argument("--surrogate-lr", type=_learning_rate, default=1e-2)

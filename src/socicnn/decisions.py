@@ -10,6 +10,12 @@ set, backbone scale and terms.  Decision quality is scored against a
 projected gradient oracle on the true objective whose optimum is certified
 by its Frank-Wolfe gap; ``decide_instance`` runs the whole surrogate
 pipeline for one instance.
+
+Two searches share the starts and the certified stop.  The surrogate's,
+``pgd_minimize``, takes fixed steps that decay geometrically.  The oracle's,
+``backtracking_minimize``, gives each restart its own step: halved when a
+sufficient-decrease test fails, doubled when it passes with a decrease above
+rounding level, so the step follows the objective's curvature.
 """
 
 from __future__ import annotations
@@ -232,6 +238,93 @@ def pgd_minimize(
     return best_X[idx].copy(), float(best_vals[idx]), gap
 
 
+# Factors applied to a restart's step by ``backtracking_minimize``, and the
+# rounding allowance of its decrease test, relative to max(|f(x)|, |f(x+)|).
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.5
+DECREASE_ALLOWANCE = 16.0 * np.finfo(np.float64).eps
+
+
+def backtracking_minimize(
+    objective: Callable,
+    feasible: FeasibleSet,
+    restarts: int,
+    steps: int,
+    seed: int,
+) -> Tuple[np.ndarray, float, float]:
+    """Projected gradient descent with a sufficient-decrease step per
+    restart (Armijo 1966; Beck & Teboulle 2009): the certified oracle.
+
+    The starts, the abandoning of non-finite restarts, the best value over
+    every evaluated point, the Frank-Wolfe-gap stop at ``CERTIFIED_GAP`` and
+    the ``(x, value, gap)`` result are those of ``pgd_minimize``, and so is
+    the budget: at most ``steps + 1`` objective calls.  Each step evaluates
+    x+ = project(x - t * g) for every restart in one call, and x+ replaces x
+    when
+
+        f(x+) <= f(x) + g . (x+ - x) + ||x+ - x||^2 / (2 t) + slack,
+
+    with slack = ``DECREASE_ALLOWANCE`` * max(|f(x)|, |f(x+)|).  Each t starts
+    at ``SEARCH_STEP``.  A failed test shrinks it by ``STEP_SHRINK``.  It grows
+    by ``STEP_GROWTH`` only when the test passes without the slack and
+    f(x) - f(x+) exceeds the slack, and stays put otherwise.  Without the
+    slack, rounding in f near a large |f| fails the test forever and t
+    underflows; growing on every pass overflows t wherever x+ = x.
+    """
+    if restarts < 1 or steps < 1:
+        raise ValueError("restarts and steps must be >= 1")
+    rng = spawn_rng(seed)
+    X = sample_feasible(feasible, restarts, rng)
+
+    best_vals = np.full(restarts, np.inf)
+    best_X = X.copy()
+    alive = np.ones(restarts, dtype=bool)
+    gap = np.inf
+
+    def record(points, vals, grads):
+        """Keeps the best values and the smallest gap; True once certified."""
+        nonlocal alive, gap
+        finite = np.isfinite(vals)
+        alive &= finite
+        improved = finite & (vals < best_vals)
+        best_vals[improved] = vals[improved]
+        best_X[improved] = points[improved]
+        if np.any(alive):
+            gap = min(gap, float(np.min(fw_gap(feasible, points[alive], grads[alive]))))
+        return gap <= CERTIFIED_GAP
+
+    vals, grads = objective(X)
+    certified = record(X, vals, grads)
+    t = np.full(restarts, SEARCH_STEP)
+    for _ in range(steps):
+        if certified:
+            break
+        move = X - t[:, None] * grads
+        move[~alive] = X[~alive]
+        Y = project_onto_batch(feasible, move)
+        new_vals, new_grads = objective(Y)
+        certified = record(Y, new_vals, new_grads)
+
+        live = np.flatnonzero(alive)
+        f, f_new, tl = vals[live], new_vals[live], t[live]
+        D = Y[live] - X[live]
+        bound = f + np.sum(grads[live] * D, axis=1) + np.sum(D * D, axis=1) / (2.0 * tl)
+        slack = DECREASE_ALLOWANCE * np.maximum(np.abs(f), np.abs(f_new))
+        passed = f_new <= bound + slack
+        grow = (f_new <= bound) & (f - f_new > slack)
+        t[live] = np.where(grow, tl * STEP_GROWTH, np.where(passed, tl, tl * STEP_SHRINK))
+        take = np.zeros(restarts, dtype=bool)
+        take[live] = passed
+        X = np.where(take[:, None], Y, X)
+        vals = np.where(take, new_vals, vals)
+        grads = np.where(take[:, None], new_grads, grads)
+
+    if not np.any(np.isfinite(best_vals)):
+        raise RuntimeError("every restart produced non-finite objective values")
+    idx = int(np.argmin(best_vals))
+    return best_X[idx].copy(), float(best_vals[idx]), gap
+
+
 # ---------------------------------------------------------------------------
 # parametric tasks
 
@@ -384,16 +477,32 @@ class DecisionReport:
     true minimum lies in [regret, regret + oracle_gap].  Only ``regret`` is
     certified: ``decision_error`` is measured against the oracle's point,
     known only to within sqrt(2 * oracle_gap / mu) of the true minimiser, with
-    mu = alpha * min(backbone_weights) the strong-convexity modulus."""
+    mu = alpha * min(backbone_weights) the strong-convexity modulus.
+    ``oracle_evals`` is the number of objective calls the oracle made."""
 
     regret: float
     decision_error: float
     surrogate_value_at_decision: float
     true_value_at_decision: float
     oracle_gap: float = math.inf
+    oracle_evals: int = 0
 
 
 DEFAULT_ORACLE_CONFIG = (20, 2000)
+
+
+def _oracle(task: ParametricTask, theta, restarts: int, steps: int, seed: int):
+    """``backtracking_minimize`` on the true objective: the best point, its
+    value, its gap and the number of objective calls."""
+    calls = 0
+
+    def objective(X):
+        nonlocal calls
+        calls += 1
+        return task_objective(task, theta, X)
+
+    x, value, gap = backtracking_minimize(objective, task.feasible_set, restarts, steps, seed)
+    return x, value, gap, calls
 
 
 def minimize_task(
@@ -403,10 +512,12 @@ def minimize_task(
     steps: int,
     seed: int = 0,
 ) -> Tuple[np.ndarray, float]:
-    """Projected gradient descent on the true objective: the best point and
-    its value.  ``pgd_minimize`` also returns the certified gap."""
-    objective = lambda X: task_objective(task, theta, X)
-    x, value, _ = pgd_minimize(objective, task.feasible_set, restarts, steps, SEARCH_STEP, seed)
+    """The certified oracle on the true objective: the best point and its
+    value.  It is ``backtracking_minimize`` from ``restarts`` starts, with at
+    most steps + 1 objective calls, stopped once its Frank-Wolfe gap is at
+    most ``CERTIFIED_GAP``; ``evaluate_decision_quality`` runs the same
+    search."""
+    x, value, _, _ = _oracle(task, theta, restarts, steps, seed)
     return x, value
 
 
@@ -421,22 +532,18 @@ def evaluate_decision_quality(
     """Regret and decision error of x_hat against the certified oracle.
 
     x_hat must already be feasible (project first).  The oracle is the
-    ``minimize_task`` search (restarts x steps of projected gradient descent
-    on the true objective), which stops once its Frank-Wolfe gap is at most
+    ``minimize_task`` search: (restarts, steps) = ``oracle_config`` of
+    projected gradient descent on the true objective, each restart with its
+    own backtracking step (``backtracking_minimize``), using at most
+    steps + 1 objective calls and stopping once its Frank-Wolfe gap is at most
     ``CERTIFIED_GAP``.  Its value is then within the gap of the minimum, so
     regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
-    steps first reports its larger gap.
+    steps first reports its larger gap.  The report also counts the
+    oracle's objective calls.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     restarts, steps = oracle_config
-    x_star, f_star, gap = pgd_minimize(
-        lambda X: task_objective(task, theta, X),
-        task.feasible_set,
-        restarts,
-        steps,
-        SEARCH_STEP,
-        oracle_seed,
-    )
+    x_star, f_star, gap, calls = _oracle(task, theta, restarts, steps, oracle_seed)
     f_hat, _ = task_objective(task, theta, x_hat)
     return DecisionReport(
         regret=float(f_hat - f_star),
@@ -444,6 +551,7 @@ def evaluate_decision_quality(
         surrogate_value_at_decision=float(surrogate_value),
         true_value_at_decision=float(f_hat),
         oracle_gap=gap,
+        oracle_evals=calls,
     )
 
 

@@ -540,34 +540,106 @@ def to_json_dict(params: SocIcnnParams) -> dict:
     }
 
 
+_DOC_KEYS = ("version", "d0", "passthrough", "activation", "layers", "c", "v", "b0", "quad", "conic")
+
+
+def _entry(value, where: str, required, optional=()) -> None:
+    """Checks that ``value`` is a JSON object with every required key and no
+    key that is neither required nor optional."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{where} lacks the key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where} has the unknown key {key!r}")
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float; a JSON bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of the float range") from None
+
+
+def _array(value, where: str) -> np.ndarray:
+    """A number or a rectangular nested list of numbers as a float array."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _number(item, where)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{where} is not a rectangular array") from None
+
+
 def from_json_dict(doc: dict) -> SocIcnnParams:
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported model document version: {doc.get('version')!r}")
+    """The model of a ``to_json_dict`` document.
+
+    Every key and type is checked first: a missing or unknown key, a JSON
+    bool where a number belongs, a non-integer size, a non-bool flag or a
+    ragged array is a ``ValueError`` naming where it is.  Shapes that
+    disagree with the sizes raise ``DimensionError``, and a negative
+    sign-constrained entry raises ``ConstraintError``.
+    """
+    _entry(doc, "model document", _DOC_KEYS)
+    version = doc["version"]
+    if isinstance(version, bool) or version != 1:
+        raise ValueError(f"unsupported model document version: {version!r}")
+    d0 = doc["d0"]
+    if isinstance(d0, bool) or not isinstance(d0, int):
+        raise ValueError(f"d0 must be an integer, got {d0!r}")
+    if not isinstance(doc["passthrough"], bool):
+        raise ValueError(f"passthrough must be true or false, got {doc['passthrough']!r}")
+    if not isinstance(doc["activation"], str):
+        raise ValueError(f"activation must be a string, got {doc['activation']!r}")
+
     layers = []
-    for entry in doc["layers"]:
-        w_x = np.asarray(entry["W"], dtype=np.float64) if "W" in entry else None
-        w_z = np.asarray(entry["U"], dtype=np.float64) if "U" in entry else None
-        layers.append(LayerParams(w_x=w_x, w_z=w_z, b=np.asarray(entry["b"], dtype=np.float64)))
+    for k, entry in enumerate(_list(doc["layers"], "layers")):
+        where = f"layers[{k}]"
+        _entry(entry, where, ("b",), ("W", "U"))
+        w_x = _array(entry["W"], f"{where}.W") if "W" in entry else None
+        w_z = _array(entry["U"], f"{where}.U") if "U" in entry else None
+        layers.append(LayerParams(w_x=w_x, w_z=w_z, b=_array(entry["b"], f"{where}.b")))
 
-    def branch(entry: dict, weight: str, proj: str, offset: str) -> BranchParams:
-        return BranchParams(
-            weight=float(entry[weight]),
-            proj=np.asarray(entry[proj], dtype=np.float64),
-            offset=np.asarray(entry[offset], dtype=np.float64),
-        )
+    def branches(name: str, weight: str, proj: str, offset: str) -> tuple:
+        found = []
+        for k, entry in enumerate(_list(doc[name], name)):
+            where = f"{name}[{k}]"
+            _entry(entry, where, (weight, proj, offset))
+            found.append(
+                BranchParams(
+                    weight=_number(entry[weight], f"{where}.{weight}"),
+                    proj=_array(entry[proj], f"{where}.{proj}"),
+                    offset=_array(entry[offset], f"{where}.{offset}"),
+                )
+            )
+        return tuple(found)
 
-    quad = tuple(branch(e, "alpha", "B", "e") for e in doc["quad"])
-    conic = tuple(branch(e, "lambda", "A", "d") for e in doc["conic"])
     params = SocIcnnParams(
-        input_dim=int(doc["d0"]),
+        input_dim=d0,
         layers=tuple(layers),
-        w_out=np.asarray(doc["c"], dtype=np.float64),
-        w_skip=np.asarray(doc["v"], dtype=np.float64),
-        b_out=float(doc["b0"]),
-        quad=quad,
-        conic=conic,
-        passthrough=bool(doc["passthrough"]),
-        activation=str(doc["activation"]),
+        w_out=_array(doc["c"], "c"),
+        w_skip=_array(doc["v"], "v"),
+        b_out=_number(doc["b0"], "b0"),
+        quad=branches("quad", "alpha", "B", "e"),
+        conic=branches("conic", "lambda", "A", "d"),
+        passthrough=doc["passthrough"],
+        activation=doc["activation"],
     )
     _check_loaded(params)
     return params
@@ -579,6 +651,8 @@ def _check_loaded(params: SocIcnnParams) -> None:
     The shapes are compared with those of a model drawn from the document's
     own sizes, which also checks the activation and the sizes themselves.
     """
+    if params.layers and np.shape(params.layers[0].w_x)[1:] != (params.input_dim,):
+        raise DimensionError("d0 differs from the column count of layers[0].W")
     reference = init_model(
         params.input_dim,
         [np.size(layer.b) for layer in params.layers],

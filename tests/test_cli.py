@@ -138,9 +138,23 @@ def test_decide_small_run(tmp_path):
     rows = read_csv(out / "decisions.csv")
     assert len(rows) == 2
     assert set(rows[0]) == {"task", "family", "d", "seed", "model", "regret", "oracle_gap",
-                            "decision_error", "surrogate_value", "true_value"}
+                            "oracle_evals", "decision_error", "surrogate_value", "true_value"}
     for row in rows:
         assert float(row["regret"]) >= -1e-9
+        assert float(row["oracle_gap"]) <= 1e-9
+        assert 1 <= int(row["oracle_evals"]) <= 2001
+
+
+def test_decide_check_names_an_uncertified_oracle_row(tmp_path, capsys):
+    out = tmp_path / "decide"
+    code = main(SMALL_DECIDE + ["--oracle-steps", "1", "--out", str(out), "--check"])
+    assert code == 1
+    rows = read_csv(out / "decisions.csv")
+    err = capsys.readouterr().err
+    for row in rows:
+        assert int(row["oracle_evals"]) == 2
+        assert float(row["oracle_gap"]) > 1e-9
+        assert f"check failed: {row['task']}: oracle gap" in err
 
 
 def test_decide_is_byte_identical_across_reruns(tmp_path):

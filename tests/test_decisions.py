@@ -6,6 +6,7 @@ import pytest
 from socicnn import (
     FAMILIES,
     FeasibleSet,
+    backtracking_minimize,
     capped_simplex,
     decisions,
     evaluate_decision_quality,
@@ -21,6 +22,7 @@ from socicnn.decisions import (
     CERTIFIED_GAP,
     DEFAULT_ORACLE_CONFIG,
     HUBER_DELTA,
+    SEARCH_STEP,
     THETA_DIM,
     fw_gap,
     project_onto_batch,
@@ -270,6 +272,127 @@ def test_pgd_validation():
         pgd_minimize(obj, FeasibleSet("Box", 2), 1, 0, 0.1, seed=0)
 
 
+def test_backtracking_validation():
+    obj = lambda X: (np.zeros(X.shape[0]), np.zeros_like(X))
+    with pytest.raises(ValueError):
+        backtracking_minimize(obj, FeasibleSet("Box", 2), 0, 10, seed=0)
+    with pytest.raises(ValueError):
+        backtracking_minimize(obj, FeasibleSet("Box", 2), 1, 0, seed=0)
+
+
+def test_backtracking_abandons_nonfinite_restarts():
+    def obj(X):
+        vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
+        return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
+
+    x, value, gap = backtracking_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    assert x[0] <= 0.6
+    assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
+
+    always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
+    with pytest.raises(RuntimeError):
+        backtracking_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, seed=5)
+
+
+def test_backtracking_returns_best_value_seen_within_its_budget():
+    seen = []
+
+    def obj(X):
+        values = np.sum((X - 0.3) ** 2, axis=1) + 0.1 * np.sin(8 * X[:, 0])
+        seen.append(values)
+        grads = 2 * (X - 0.3)
+        grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
+        return values, grads
+
+    _, value, gap = backtracking_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
+    assert len(seen) == 5  # every step and the start, no certificate yet
+    assert value == np.min(seen)
+    assert CERTIFIED_GAP < gap < np.inf
+
+
+def test_backtracking_starts_where_pgd_starts():
+    starts = []
+
+    def obj(X):
+        starts.append(X.copy())
+        return X @ np.ones(3), np.ones_like(X)
+
+    box = FeasibleSet("Box", 3)
+    pgd_minimize(obj, box, 4, 1, SEARCH_STEP, seed=11)
+    first_pgd = starts[0]
+    starts.clear()
+    backtracking_minimize(obj, box, 4, 1, seed=11)
+    assert np.array_equal(starts[0], first_pgd)
+
+
+def _oracle_pair(task, theta, seed):
+    """Both searches on the true objective: (value, gap, calls) each."""
+    out = []
+    for search in (
+        lambda obj, r, s: pgd_minimize(obj, task.feasible_set, r, s, SEARCH_STEP, seed),
+        lambda obj, r, s: backtracking_minimize(obj, task.feasible_set, r, s, seed),
+    ):
+        calls = []
+
+        def obj(X):
+            calls.append(1)
+            return task_objective(task, theta, X)
+
+        _, value, gap = search(obj, *DEFAULT_ORACLE_CONFIG)
+        out.append((value, gap, len(calls)))
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_backtracking_oracle_agrees_with_pgd(family):
+    contexts = [(10, index) for index in range(20)] + [(50, 0)]
+    for dim, index in contexts:
+        task = make_task(family, dim, 5)
+        theta = sample_context(5, index)
+        (fixed, fixed_gap, _), (value, gap, calls) = _oracle_pair(task, theta, index)
+        assert abs(value - fixed) <= fixed_gap + gap, (dim, index)
+        assert gap <= CERTIFIED_GAP, (dim, index)
+        assert calls < 100, (dim, index)
+
+
+def test_backtracking_certifies_at_a_rounding_level_decrease():
+    # A constant of 100 puts the last decreases at the rounding level of f;
+    # a test without its allowance fails there, and halving t until it
+    # underflows freezes the search at a gap of about 1e-8.
+    rng = spawn_rng(17)
+    simplex = FeasibleSet("Simplex", 5)
+    for trial in range(20):
+        center = rng.uniform(-0.5, 1.5, 5)
+        H = rng.standard_normal((5, 5))
+        Q = H.T @ H + 0.5 * np.eye(5)
+
+        def obj(X):
+            diff = X - center
+            return 100.0 + 0.5 * np.einsum("ij,jk,ik->i", diff, Q, diff), diff @ Q
+
+        _, _, gap = backtracking_minimize(obj, simplex, 1, 2000, seed=trial)
+        assert gap <= CERTIFIED_GAP, trial
+
+
+def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatch):
+    # Once the search sits on the vertex, project(x - t g) = x on every step;
+    # a step that doubled on every passed test would overflow there.
+    c = np.array([1.0, 2.0, 3.0])
+    points = []
+
+    def obj(X):
+        points.append(X)
+        return X @ c, np.tile(c, (X.shape[0], 1))
+
+    monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)  # never stop early
+    x, value, gap = backtracking_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
+    assert len(points) == 3001
+    assert np.array_equal(x, [1.0, 0.0, 0.0]) and value == 1.0
+    assert gap <= CERTIFIED_GAP
+    assert np.all(np.isfinite(np.array(points)))
+    assert np.array_equal(points[-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # parametric tasks
 
@@ -403,6 +526,7 @@ def test_oracle_certifies_before_its_last_step(family, monkeypatch):
     report = evaluate_decision_quality(task, theta, x_star)  # the same search
     assert report.oracle_gap <= CERTIFIED_GAP
     assert report.decision_error == 0.0
+    assert report.oracle_evals == (len(calls) - 1) // 2  # less the call at x_hat
 
 
 def test_regret_is_nonnegative_for_feasible_points():

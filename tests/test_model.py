@@ -531,3 +531,62 @@ def test_load_rejects_non_finite_entries():
         doc["layers"][0]["W"][0][0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             from_json_dict(doc)
+
+
+def _set(path, value):
+    """Writes value at path in a fresh document; value None deletes the key."""
+
+    def mutate(doc):
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if value is None:
+            del parent[last]
+        else:
+            parent[last] = value
+        return doc
+
+    return mutate
+
+
+def _short(value):
+    big = isinstance(value, int) and abs(value) >= 10**6
+    return f"1e{len(str(abs(value))) - 1}" if big else repr(value)
+
+
+_MALFORMED = [
+    (("version",), True, "version"),
+    (("b0",), True, "b0"),
+    (("quad", 0, "alpha"), True, r"quad\[0\]\.alpha"),
+    (("passthrough",), "x", "passthrough"),
+    (("passthrough",), 2, "passthrough"),
+    (("passthrough",), 1.5, "passthrough"),
+    (("d0",), 3.7, "d0"),
+    (("d0",), float("inf"), "d0"),  # how json reads 1e400
+    (("d0",), 10**9, "d0"),
+    (("extra",), 1, "extra"),
+    (("b0",), [], "b0"),
+    (("quad", 0, "alpha"), None, "alpha"),
+    (("layers",), None, "layers"),
+    (("layers", 0, "b", 0), True, r"layers\[0\]\.b"),
+    (("layers", 0, "W", 0), [1.0], r"layers\[0\]\.W"),
+    (("layers", 1, "U", 0, 0), 10**400, r"layers\[1\]\.U"),
+    (("layers", 1, "U", 0, 0), "1", r"layers\[1\]\.U"),
+    (("layers", 0, "Z"), [1.0], "Z"),
+    (("conic", 0), [], r"conic\[0\]"),
+    (("quad",), {}, "quad"),
+    (("activation",), 1, "activation"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    _MALFORMED,
+    ids=[".".join(map(str, p)) + ("-deleted" if v is None else "=" + _short(v))
+         for p, v, _ in _MALFORMED],
+)
+def test_load_rejects_a_malformed_document_by_name(path, value, named):
+    doc = _set(path, value)(_doc())
+    with pytest.raises((ValueError, DimensionError, ConstraintError), match=named):
+        from_json_dict(doc)
