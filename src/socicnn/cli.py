@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificate import run_verification_trials, summarize_reports
+from .certificate import MAX_LIFT_VARIABLES, run_verification_trials, summarize_reports
 from .decisions import (
     CERTIFIED_GAP,
     FAMILIES,
@@ -482,6 +482,10 @@ def main(argv=None) -> int:
     if args.subcommand == "train" and not 0 < args.hi - args.lo < np.inf:
         parser.error(f"train: needs --lo below --hi with a finite width, "
                      f"got --lo={args.lo!r} --hi={args.hi!r}")
+    # the lift has one variable per hidden unit
+    if args.subcommand == "verify" and args.width * args.depth > MAX_LIFT_VARIABLES:
+        parser.error(f"verify: --width times --depth is the lift's variable count, at most "
+                     f"{MAX_LIFT_VARIABLES}, got --width={args.width} --depth={args.depth}")
     return args.func(args)
 
 

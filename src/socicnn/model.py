@@ -318,9 +318,14 @@ def project_feasible(params: SocIcnnParams) -> SocIcnnParams:
 
 
 def max_infeasibility(params: SocIcnnParams) -> float:
-    """Largest violation of the sign constraints (0.0 when feasible)."""
-    worst = np.max(-flatten_params(params)[nonneg_mask(params)], initial=0.0)
-    return max(0.0, float(worst))
+    """Largest violation of the sign constraints (0.0 when feasible).  A NaN
+    sign-constrained entry satisfies no constraint and counts as inf."""
+    worst = 0.0
+    for value, nonneg in _leaves(params):
+        if nonneg:
+            low = float(np.min(value, initial=np.inf))
+            worst = max(worst, -low if low == low else np.inf)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,16 @@ positive multiplier of that row at the optimum means the problem is
 unbounded.
 
 Intended for desk-scale problems (a few hundred variables); everything is
-kept in one dense tableau.  A pivot updates only the rows whose pivot-column
-entry is nonzero and the columns whose pivot-row entry is nonzero.  Every
-other entry of the full rank-one update would subtract an exact zero product
-(the data are finite, so no inf * 0 arises), so the tableau equals the dense
-update's up to the sign of a zero, and every pivot decision is the same.
+kept in one dense C-contiguous tableau.  A pivot updates only the rows whose
+pivot-column entry is nonzero and the columns whose pivot-row entry is
+nonzero, through the flat indices row * width + col of a view that shares
+the tableau's memory.  Every other entry of the full rank-one update would
+subtract an exact zero product (the data are finite, so no inf * 0 arises),
+so the tableau equals the dense update's up to the sign of a zero, and every
+pivot decision is the same.  On a network's lift (W_z >= 0) the rows are
+reached in layer order, and each infeasible one then has a single negative
+entry, the -1 on its own unit, so the solve takes one pivot per hidden unit
+with a positive preactivation: the fewest that reach the optimal basis.
 """
 
 from __future__ import annotations
@@ -64,10 +69,13 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     pivot_row = tableau[row]
     column = tableau[:, col]
-    rows = np.flatnonzero(column)
+    rows = column.nonzero()[0]
     rows = rows[rows != row]
-    cols = np.flatnonzero(pivot_row)
-    tableau[rows[:, None], cols] -= np.multiply.outer(column[rows], pivot_row[cols])
+    cols = pivot_row.nonzero()[0]
+    width = tableau.shape[1]
+    flat = tableau.view()
+    flat.shape = -1  # raises unless flat shares the tableau's memory
+    flat[(rows * width)[:, None] + cols] -= np.multiply.outer(column[rows], pivot_row[cols])
 
 
 def _dual_iterate(
@@ -86,21 +94,22 @@ def _dual_iterate(
     more orders of magnitude than a tolerance relative to the row allows.
     """
     m, n = abs_a.shape
+    values, costs = tableau[:m, -1], tableau[-1]
     for _ in range(max_iter):
-        infeasible = np.flatnonzero(tableau[:m, -1] < -feas_tol)
+        infeasible = (values < -feas_tol).nonzero()[0]
         if infeasible.size == 0:
             return
-        row = int(infeasible[np.argmin(basis[infeasible])])
+        row = int(infeasible[basis[infeasible].argmin()])
         entries = tableau[row, :-1]
         eligible = entries < 0.0
-        structural = np.flatnonzero(eligible[:n])
+        structural = eligible[:n].nonzero()[0]
         terms = np.abs(entries[n:]) @ abs_a[:, structural]
         eligible[structural] = -entries[structural] > _PIVOT_TOL * terms
-        eligible = np.flatnonzero(eligible)
+        eligible = eligible.nonzero()[0]
         if eligible.size == 0:
             raise InfeasibleProblem("an infeasible row has no negative entry to pivot on")
-        ratios = tableau[-1, eligible] / -entries[eligible]
-        col = int(eligible[np.argmin(ratios)])
+        ratios = costs[eligible] / -entries[eligible]
+        col = int(eligible[ratios.argmin()])
         _pivot(tableau, row, col)
         basis[row] = col
     raise SimplexError("iteration limit exceeded")

@@ -231,6 +231,7 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["train", "--hi", "inf", "--target", "QuadraticIso"],
     ["train", "--lo", "nan", "--target", "QuadraticIso"],
     ["train", "--lo=-1e+308", "--hi=1e+308", "--target", "QuadraticIso"],
+    ["verify", "--width", "200", "--depth", "3"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -145,6 +145,30 @@ def test_project_is_idempotent():
     assert np.array_equal(same.w_out, m.w_out)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("where", ["w_z", "w_out", "quad weight", "conic weight"])
+def test_max_infeasibility_counts_a_nan_or_minus_inf_constrained_entry_as_inf(where, bad):
+    base = random_model(3)
+    m = unflatten_params(base, flatten_params(base))  # every entry a writable view
+    entry = {
+        "w_z": lambda: m.layers[1].w_z[0, 1:2],
+        "w_out": lambda: m.w_out[2:3],
+        "quad weight": lambda: m.quad[0].weight,
+        "conic weight": lambda: m.conic[0].weight,
+    }[where]()
+    entry[...] = bad
+    assert max_infeasibility(m) == np.inf
+
+
+def test_max_infeasibility_ignores_unconstrained_entries():
+    base = random_model(3)
+    m = unflatten_params(base, flatten_params(base))
+    m.layers[0].w_x[0, 0] = np.nan
+    m.w_skip[0] = -np.inf
+    m.layers[1].w_z[1, 1] = -0.25
+    assert max_infeasibility(m) == 0.25
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 

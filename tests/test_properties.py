@@ -5,6 +5,7 @@ Every example is derived from a fixed seed (``derandomize``) and nothing is
 stored between runs, so the suite is deterministic.
 """
 
+import copy
 import json
 import tempfile
 from dataclasses import asdict, replace
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from socicnn import (
     ACTIVATIONS,
     RELU,
+    ConstraintError,
+    DimensionError,
     diagnostics_report,
     forward,
     forward_total_batch,
@@ -68,6 +71,34 @@ def test_json_round_trip_is_value_exact(m):
     back = from_json_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(flatten_params(back), flatten_params(m))
     assert to_json_dict(back) == doc
+
+
+# what a mutation writes in place of one key's or list entry's value
+MUTATIONS = ("x", None, [], {}, 1e400, -1, True, [[1]], "nan")
+
+
+@PROPERTY
+@given(st.data())
+def test_loader_names_a_single_mutation_or_loads_it_exactly(data):
+    doc = to_json_dict(data.draw(models()))
+    # walk down from the root, stopping at each level with probability 1/2,
+    # so that top-level keys are hit as often as array entries
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or data.draw(st.booleans())):
+        parent = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    mutation = data.draw(st.sampled_from(("delete",) + MUTATIONS))
+    if mutation == "delete":
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(mutation)
+    try:
+        loaded = from_json_dict(doc)
+    except (ValueError, DimensionError, ConstraintError):
+        return
+    assert to_json_dict(loaded) == doc
 
 
 @PROPERTY

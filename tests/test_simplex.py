@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from socicnn import RELU, build_lp_lift, init_model, simplex, spawn_rng
+from socicnn import RELU, build_lp_lift, forward, init_model, simplex, spawn_rng
+from socicnn.model import flatten_params, unflatten_params
 from socicnn.simplex import (
     InfeasibleProblem,
     UnboundedProblem,
@@ -156,11 +157,25 @@ def test_sparse_pivot_equals_the_dense_update():
         assert np.array_equal(tableau, expected)
 
 
-def _certify_lift(d0, width, depth, passthrough, seed):
-    """The lift of one certify trial: two quadratic and two conic branches of
-    size d0 and an input drawn on [-3, 3]^d0."""
+def test_pivot_refuses_a_tableau_it_cannot_update_in_place():
+    # the rank-one block is scattered through a flat view, which a tableau
+    # that is not C-contiguous cannot give without a copy
+    tableau = np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4))
+    with pytest.raises(AttributeError):
+        simplex._pivot(tableau, 0, 0)
+
+
+# (d0, width, depth) of the certify benchmark's three lift sizes, n = 32, 96, 192
+CERTIFY_SIZES = [(10, 16, 2), (20, 32, 3), (20, 64, 3)]
+
+
+def _certify_model(d0, width, depth, passthrough, seed, scale=1.0):
+    """The model and input of one certify trial: two quadratic and two conic
+    branches of size d0, every parameter times ``scale``, and an input drawn
+    on [-3, 3]^d0."""
     model = init_model(d0, [width] * depth, 2, [d0] * 2, 2, [d0] * 2, passthrough, RELU, seed)
-    return build_lp_lift(model, spawn_rng(seed, 1).uniform(-3.0, 3.0, d0))
+    model = unflatten_params(model, flatten_params(model) * scale)
+    return model, spawn_rng(seed, 1).uniform(-3.0, 3.0, d0)
 
 
 def _solve_counting_pivots(monkeypatch, pivot, lift):
@@ -177,14 +192,30 @@ def _solve_counting_pivots(monkeypatch, pivot, lift):
 
 
 @pytest.mark.parametrize("passthrough", [True, False])
-@pytest.mark.parametrize("d0,width,depth", [(10, 16, 2), (20, 32, 3), (20, 64, 3)])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
 def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
         monkeypatch, d0, width, depth, passthrough):
+    # at 1e-6 and 1e8 the hidden states span many orders of magnitude, so
+    # the pivot tolerance decides which entries may enter
     sparse = simplex._pivot
     for seed in (3, 4):
-        lift = _certify_lift(d0, width, depth, passthrough, seed)
-        value, y, pivots = _solve_counting_pivots(monkeypatch, sparse, lift)
-        ref_value, ref_y, ref_pivots = _solve_counting_pivots(monkeypatch, _dense_pivot, lift)
-        assert value == ref_value
-        assert np.array_equal(y, ref_y)
-        assert pivots == ref_pivots > 0
+        for scale in (1.0, 1e-6, 1e8):
+            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
+            value, y, pivots = _solve_counting_pivots(monkeypatch, sparse, lift)
+            ref_value, ref_y, ref_pivots = _solve_counting_pivots(monkeypatch, _dense_pivot, lift)
+            assert value == ref_value
+            assert np.array_equal(y, ref_y)
+            assert pivots == ref_pivots > 0
+
+
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
+def test_certify_solve_takes_one_pivot_per_active_unit(monkeypatch, d0, width, depth, passthrough):
+    # the dual Bland rule reaches the rows in layer order, and with W_z >= 0
+    # each infeasible row then has one negative entry, the -1 on its own unit
+    pivot = simplex._pivot
+    for seed in range(10):
+        model, x = _certify_model(d0, width, depth, passthrough, seed)
+        active = sum(int((pre > 0.0).sum()) for pre in forward(model, x).preacts)
+        _, _, pivots = _solve_counting_pivots(monkeypatch, pivot, build_lp_lift(model, x))
+        assert pivots == active > 0
