@@ -77,7 +77,6 @@ from .decisions import (
     DecisionReport,
     FeasibleSet,
     ParametricTask,
-    backtracking_minimize,
     capped_simplex,
     evaluate_decision_quality,
     make_task,

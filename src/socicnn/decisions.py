@@ -6,16 +6,12 @@ a strongly convex quadratic-linear backbone with one or two ``AffineTerm``s
 of one kind (cone norm, logistic sum, log-sum-exp block or Huber sum), all
 parameterized by an 8-dimensional context vector through frozen random
 affine maps.  One table, ``_FAMILY_TABLE``, gives each family its feasible
-set, backbone scale and terms.  Decision quality is scored against a
-projected gradient oracle on the true objective whose optimum is certified
-by its Frank-Wolfe gap; ``decide_instance`` runs the whole surrogate
-pipeline for one instance.
-
-Two searches share the starts and the certified stop.  The surrogate's,
-``pgd_minimize``, takes fixed steps that decay geometrically.  The oracle's,
-``backtracking_minimize``, gives each restart its own step: halved when a
-sufficient-decrease test fails, doubled when it passes with a decrease above
-rounding level, so the step follows the objective's curvature.
+set, backbone scale and terms.  One search, ``pgd_minimize`` (projected
+gradient descent with a backtracking step per restart, stopped once its
+Frank-Wolfe gap certifies its best value), minimises both a surrogate and
+the true objective; on the latter it is the oracle that decision quality is
+scored against.  ``decide_instance`` runs the whole surrogate pipeline for
+one instance.
 """
 
 from __future__ import annotations
@@ -166,9 +162,13 @@ def sample_feasible(feasible: FeasibleSet, n: int, rng: np.random.Generator) -> 
 # value is then within this of the minimum.
 CERTIFIED_GAP = 1e-9
 
-# First step of every task and surrogate search, and its per-step decay.
+# First step of every restart of ``pgd_minimize``, the factors applied to
+# it, and the rounding allowance of its decrease test, relative to
+# max(|f(x)|, |f(x+)|).
 SEARCH_STEP = 0.05
-STEP_DECAY = 0.999
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.5
+DECREASE_ALLOWANCE = 16.0 * np.finfo(np.float64).eps
 
 
 def pgd_minimize(
@@ -176,91 +176,15 @@ def pgd_minimize(
     feasible: FeasibleSet,
     restarts: int,
     steps: int,
-    step_size: float,
     seed: int,
 ) -> Tuple[np.ndarray, float, float]:
-    """Best iterate of projected (sub)gradient descent over random restarts,
-    with the certified bound on its suboptimality.
+    """Best point of projected gradient descent over random restarts, each
+    with its own backtracking step (Armijo 1966; Beck & Teboulle 2009), and
+    the certified bound on its suboptimality.
 
-    Each restart starts from the projection of a uniform box sample and
-    iterates x <- project(x - step_k * grad) with steps decaying
-    geometrically by ``STEP_DECAY``.  The best objective value seen at any
-    iterate of any restart wins; ties go to the lowest restart index.  A
-    restart that produces a non-finite value is abandoned; if every restart
-    dies, this is an error.
-
-    Every evaluated iterate of a live restart also yields its Frank-Wolfe
-    gap (``fw_gap``).  For a convex objective the smallest gap seen bounds
-    best value - min f, and the search stops as soon as it is at most
-    ``CERTIFIED_GAP``; otherwise it runs all its steps.  Returns the best
-    point, its value and that gap (inf if no live iterate was evaluated).
-
-    ``objective`` maps an (n, d) batch of points to their values and
-    gradients, shaped ((n,), (n, d)).
-    """
-    if restarts < 1 or steps < 1:
-        raise ValueError("restarts and steps must be >= 1")
-    rng = spawn_rng(seed)
-    X = sample_feasible(feasible, restarts, rng)
-
-    best_vals = np.full(restarts, np.inf)
-    best_X = X.copy()
-    alive = np.ones(restarts, dtype=bool)
-    gap = np.inf
-
-    def record(points, vals, grads):
-        """Keeps the best values and the smallest gap; True once certified."""
-        nonlocal alive, gap
-        finite = np.isfinite(vals)
-        alive &= finite
-        improved = finite & (vals < best_vals)
-        best_vals[improved] = vals[improved]
-        best_X[improved] = points[improved]
-        if np.any(alive):
-            gap = min(gap, float(np.min(fw_gap(feasible, points[alive], grads[alive]))))
-        return gap <= CERTIFIED_GAP
-
-    step = step_size
-    for _ in range(steps):
-        vals, grads = objective(X)
-        if record(X, vals, grads):
-            break
-        move = X - step * grads
-        move[~alive] = X[~alive]
-        X = project_onto_batch(feasible, move)
-        step *= STEP_DECAY
-    else:
-        record(X, *objective(X))
-
-    if not np.any(np.isfinite(best_vals)):
-        raise RuntimeError("every restart produced non-finite objective values")
-    idx = int(np.argmin(best_vals))
-    return best_X[idx].copy(), float(best_vals[idx]), gap
-
-
-# Factors applied to a restart's step by ``backtracking_minimize``, and the
-# rounding allowance of its decrease test, relative to max(|f(x)|, |f(x+)|).
-STEP_GROWTH = 2.0
-STEP_SHRINK = 0.5
-DECREASE_ALLOWANCE = 16.0 * np.finfo(np.float64).eps
-
-
-def backtracking_minimize(
-    objective: Callable,
-    feasible: FeasibleSet,
-    restarts: int,
-    steps: int,
-    seed: int,
-) -> Tuple[np.ndarray, float, float]:
-    """Projected gradient descent with a sufficient-decrease step per
-    restart (Armijo 1966; Beck & Teboulle 2009): the certified oracle.
-
-    The starts, the abandoning of non-finite restarts, the best value over
-    every evaluated point, the Frank-Wolfe-gap stop at ``CERTIFIED_GAP`` and
-    the ``(x, value, gap)`` result are those of ``pgd_minimize``, and so is
-    the budget: at most ``steps + 1`` objective calls.  Each step evaluates
-    x+ = project(x - t * g) for every restart in one call, and x+ replaces x
-    when
+    Each restart starts from the projection of a uniform box sample.  Each
+    step evaluates x+ = project(x - t * g) for every restart in one call,
+    and x+ replaces x when
 
         f(x+) <= f(x) + g . (x+ - x) + ||x+ - x||^2 / (2 t) + slack,
 
@@ -270,6 +194,14 @@ def backtracking_minimize(
     f(x) - f(x+) exceeds the slack, and stays put otherwise.  Without the
     slack, rounding in f near a large |f| fails the test forever and t
     underflows; growing on every pass overflows t wherever x+ = x.
+
+    The best value at any evaluated point wins, ties to the lowest restart;
+    a restart with a non-finite value is abandoned, and it is an error if
+    every restart is.  The smallest Frank-Wolfe gap (``fw_gap``) of a live
+    point bounds best value - min f for a convex objective; the search stops
+    once it is at most ``CERTIFIED_GAP``, else after ``steps + 1`` objective
+    calls.  Returns the best point, its value and that gap.  ``objective``
+    maps an (n, d) batch to values and gradients, shaped ((n,), (n, d)).
     """
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be >= 1")
@@ -492,8 +424,8 @@ DEFAULT_ORACLE_CONFIG = (20, 2000)
 
 
 def _oracle(task: ParametricTask, theta, restarts: int, steps: int, seed: int):
-    """``backtracking_minimize`` on the true objective: the best point, its
-    value, its gap and the number of objective calls."""
+    """``pgd_minimize`` on the true objective: the best point, its value, its
+    gap and the number of objective calls."""
     calls = 0
 
     def objective(X):
@@ -501,7 +433,7 @@ def _oracle(task: ParametricTask, theta, restarts: int, steps: int, seed: int):
         calls += 1
         return task_objective(task, theta, X)
 
-    x, value, gap = backtracking_minimize(objective, task.feasible_set, restarts, steps, seed)
+    x, value, gap = pgd_minimize(objective, task.feasible_set, restarts, steps, seed)
     return x, value, gap, calls
 
 
@@ -513,10 +445,10 @@ def minimize_task(
     seed: int = 0,
 ) -> Tuple[np.ndarray, float]:
     """The certified oracle on the true objective: the best point and its
-    value.  It is ``backtracking_minimize`` from ``restarts`` starts, with at
-    most steps + 1 objective calls, stopped once its Frank-Wolfe gap is at
-    most ``CERTIFIED_GAP``; ``evaluate_decision_quality`` runs the same
-    search."""
+    value.  It is ``pgd_minimize`` from ``restarts`` starts, with at most
+    steps + 1 objective calls, stopped once its Frank-Wolfe gap is at most
+    ``CERTIFIED_GAP``.  ``evaluate_decision_quality`` runs the same search,
+    and reports the gap as well."""
     x, value, _, _ = _oracle(task, theta, restarts, steps, seed)
     return x, value
 
@@ -532,10 +464,9 @@ def evaluate_decision_quality(
     """Regret and decision error of x_hat against the certified oracle.
 
     x_hat must already be feasible (project first).  The oracle is the
-    ``minimize_task`` search: (restarts, steps) = ``oracle_config`` of
-    projected gradient descent on the true objective, each restart with its
-    own backtracking step (``backtracking_minimize``), using at most
-    steps + 1 objective calls and stopping once its Frank-Wolfe gap is at most
+    ``minimize_task`` search: ``pgd_minimize`` on the true objective with
+    (restarts, steps) = ``oracle_config``, using at most steps + 1 objective
+    calls and stopping once its Frank-Wolfe gap is at most
     ``CERTIFIED_GAP``.  Its value is then within the gap of the minimum, so
     regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
     steps first reports its larger gap.  The report also counts the
@@ -606,7 +537,6 @@ def decide_instance(
         task.feasible_set,
         restarts,
         steps,
-        SEARCH_STEP,
         int(instance_rng.integers(2**62)),
     )
     report = evaluate_decision_quality(

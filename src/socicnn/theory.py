@@ -85,6 +85,12 @@ def build_tangent_max_affine(
     return MaxAffine(slopes=slopes, intercepts=intercepts)
 
 
+# Largest tangent net the ``theory`` command builds, in points.
+MAX_NET_POINTS = 1 << 16
+# Affine values (samples times pieces) per block of ``sup_error_estimate``.
+SAMPLE_BLOCK_ENTRIES = 1 << 20
+
+
 def midpoint_grid(dim: int, cells_per_axis: int) -> np.ndarray:
     """Cell-center grid on [-1, 1]^dim with cells_per_axis^dim points."""
     centers = -1.0 + (2.0 * np.arange(cells_per_axis) + 1.0) / cells_per_axis
@@ -102,9 +108,11 @@ def sup_error_estimate(
     num_samples: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim."""
+    """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim, in blocks."""
     X = spawn_rng(seed, dim, approx.num_pieces).uniform(-1.0, 1.0, (num_samples, dim))
-    return float(np.max(np.abs(value_fn(X) - eval_max_affine_batch(approx, X))))
+    rows = max(1, SAMPLE_BLOCK_ENTRIES // approx.num_pieces)
+    blocks = (X[i : i + rows] for i in range(0, num_samples, rows))
+    return max(float(np.max(np.abs(value_fn(B) - eval_max_affine_batch(approx, B)))) for B in blocks)
 
 
 def absorption_rate_rows(

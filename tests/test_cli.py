@@ -232,6 +232,10 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["train", "--lo", "nan", "--target", "QuadraticIso"],
     ["train", "--lo=-1e+308", "--hi=1e+308", "--target", "QuadraticIso"],
     ["verify", "--width", "200", "--depth", "3"],
+    ["theory", "--dims", "10"],
+    ["theory", "--dims", "1,17", "--cells", "1,2"],
+    ["theory", "--cells", "2,65537"],
+    ["theory", "--dims", "1000000000"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"

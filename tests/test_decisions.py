@@ -6,7 +6,6 @@ import pytest
 from socicnn import (
     FAMILIES,
     FeasibleSet,
-    backtracking_minimize,
     capped_simplex,
     decisions,
     evaluate_decision_quality,
@@ -22,7 +21,6 @@ from socicnn.decisions import (
     CERTIFIED_GAP,
     DEFAULT_ORACLE_CONFIG,
     HUBER_DELTA,
-    SEARCH_STEP,
     THETA_DIM,
     fw_gap,
     project_onto_batch,
@@ -181,7 +179,7 @@ def test_feasible_set_validation():
 def test_pgd_interior_minimum_on_box():
     center = np.array([0.5, 0.5])
     obj = lambda X: (0.5 * np.sum((X - center) ** 2, axis=1), X - center)
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, 0.1, seed=0)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, seed=0)
     assert np.allclose(x, center, atol=1e-6)
     assert value <= 1e-10
 
@@ -189,7 +187,7 @@ def test_pgd_interior_minimum_on_box():
 def test_pgd_linear_on_simplex_hits_vertex():
     c = np.array([1.0, 2.0])
     obj = lambda X: (X @ c, np.tile(c, (X.shape[0], 1)))
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, 0.1, seed=1)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, seed=1)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -204,7 +202,7 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
         return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b, X @ Q + b
 
     cap = capped_simplex(3, 0.9)
-    x, value, _ = pgd_minimize(obj, cap, 5, 800, 0.05, seed=2)
+    x, value, _ = pgd_minimize(obj, cap, 5, 800, seed=2)
 
     # grid-search oracle with pitch 0.01 over the two free coordinates
     best = np.inf
@@ -222,17 +220,19 @@ def test_pgd_abandons_nonfinite_restarts():
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, 0.1, seed=4)
+    x, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert np.isfinite(value)
     assert x[0] <= 0.6
+    assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
 
     always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
     with pytest.raises(RuntimeError):
-        pgd_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, 0.1, seed=5)
+        pgd_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, seed=5)
 
 
 def test_pgd_returns_best_value_seen():
-    # the reported optimum is the min over every evaluated iterate
+    # the reported optimum is the min over every evaluated point, rejected
+    # trial points included
     seen = []
 
     def obj(X):
@@ -242,8 +242,14 @@ def test_pgd_returns_best_value_seen():
         grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
         return values, grads
 
-    _, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, 0.2, seed=6)
+    _, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, seed=6)
     assert value == min(seen)
+
+    seen.clear()
+    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
+    assert len(seen) == 5 * 3  # every step and the start, no certificate yet
+    assert value == min(seen)
+    assert CERTIFIED_GAP < gap < np.inf
 
 
 def test_pgd_without_certificate_runs_every_step():
@@ -254,12 +260,12 @@ def test_pgd_without_certificate_runs_every_step():
         calls.append(X.shape[0])
         return 0.5 * np.sum((X - center) ** 2, axis=1), X - center
 
-    _, _, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 5, 0.01, seed=0)
-    assert len(calls) == 6  # every step and the last iterate
+    _, _, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 5, seed=0)
+    assert len(calls) == 6  # every step and the start
     assert CERTIFIED_GAP < gap < np.inf
 
     calls.clear()
-    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 400, 0.5, seed=0)
+    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 400, seed=0)
     assert len(calls) < 400
     assert gap <= CERTIFIED_GAP and value <= gap
 
@@ -267,92 +273,50 @@ def test_pgd_without_certificate_runs_every_step():
 def test_pgd_validation():
     obj = lambda X: (np.zeros(X.shape[0]), np.zeros_like(X))
     with pytest.raises(ValueError):
-        pgd_minimize(obj, FeasibleSet("Box", 2), 0, 10, 0.1, seed=0)
+        pgd_minimize(obj, FeasibleSet("Box", 2), 0, 10, seed=0)
     with pytest.raises(ValueError):
-        pgd_minimize(obj, FeasibleSet("Box", 2), 1, 0, 0.1, seed=0)
+        pgd_minimize(obj, FeasibleSet("Box", 2), 1, 0, seed=0)
 
 
-def test_backtracking_validation():
-    obj = lambda X: (np.zeros(X.shape[0]), np.zeros_like(X))
-    with pytest.raises(ValueError):
-        backtracking_minimize(obj, FeasibleSet("Box", 2), 0, 10, seed=0)
-    with pytest.raises(ValueError):
-        backtracking_minimize(obj, FeasibleSet("Box", 2), 1, 0, seed=0)
+def _slsqp_value(task, theta):
+    """The true objective at SLSQP's minimiser over the task's set, after
+    projecting that point onto the set."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    feasible = task.feasible_set
+    total = {"Simplex": 1.0, "CappedSimplex": feasible.budget}.get(feasible.kind)
+    constraints = []
+    if total is not None:
+        constraints.append({"type": "eq", "fun": lambda x: np.sum(x) - total,
+                            "jac": lambda x: np.ones_like(x)})
+    result = minimize(
+        lambda x: task_objective(task, theta, x),
+        project_onto(feasible, np.full(task.dim, 0.5)),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * task.dim,
+        constraints=constraints,
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    return task_objective(task, theta, project_onto(feasible, result.x))[0]
 
 
-def test_backtracking_abandons_nonfinite_restarts():
-    def obj(X):
-        vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
-        return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
-
-    x, value, gap = backtracking_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
-    assert x[0] <= 0.6
-    assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
-
-    always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
-    with pytest.raises(RuntimeError):
-        backtracking_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, seed=5)
-
-
-def test_backtracking_returns_best_value_seen_within_its_budget():
-    seen = []
-
-    def obj(X):
-        values = np.sum((X - 0.3) ** 2, axis=1) + 0.1 * np.sin(8 * X[:, 0])
-        seen.append(values)
-        grads = 2 * (X - 0.3)
-        grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
-        return values, grads
-
-    _, value, gap = backtracking_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
-    assert len(seen) == 5  # every step and the start, no certificate yet
-    assert value == np.min(seen)
-    assert CERTIFIED_GAP < gap < np.inf
-
-
-def test_backtracking_starts_where_pgd_starts():
-    starts = []
-
-    def obj(X):
-        starts.append(X.copy())
-        return X @ np.ones(3), np.ones_like(X)
-
-    box = FeasibleSet("Box", 3)
-    pgd_minimize(obj, box, 4, 1, SEARCH_STEP, seed=11)
-    first_pgd = starts[0]
-    starts.clear()
-    backtracking_minimize(obj, box, 4, 1, seed=11)
-    assert np.array_equal(starts[0], first_pgd)
-
-
-def _oracle_pair(task, theta, seed):
-    """Both searches on the true objective: (value, gap, calls) each."""
-    out = []
-    for search in (
-        lambda obj, r, s: pgd_minimize(obj, task.feasible_set, r, s, SEARCH_STEP, seed),
-        lambda obj, r, s: backtracking_minimize(obj, task.feasible_set, r, s, seed),
-    ):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_backtracking_oracle_agrees_with_pgd(family):
+    # the oracle against an independent reference, scipy's SLSQP
+    contexts = [(10, index) for index in range(20)] + [(50, 0)]
+    for dim, index in contexts:
+        task = make_task(family, dim, 5)
+        theta = sample_context(5, index)
         calls = []
 
         def obj(X):
             calls.append(1)
             return task_objective(task, theta, X)
 
-        _, value, gap = search(obj, *DEFAULT_ORACLE_CONFIG)
-        out.append((value, gap, len(calls)))
-    return out
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_backtracking_oracle_agrees_with_pgd(family):
-    contexts = [(10, index) for index in range(20)] + [(50, 0)]
-    for dim, index in contexts:
-        task = make_task(family, dim, 5)
-        theta = sample_context(5, index)
-        (fixed, fixed_gap, _), (value, gap, calls) = _oracle_pair(task, theta, index)
-        assert abs(value - fixed) <= fixed_gap + gap, (dim, index)
+        _, value, gap = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=index)
+        assert value <= _slsqp_value(task, theta) + CERTIFIED_GAP, (dim, index)
         assert gap <= CERTIFIED_GAP, (dim, index)
-        assert calls < 100, (dim, index)
+        assert len(calls) < 100, (dim, index)
 
 
 def test_backtracking_certifies_at_a_rounding_level_decrease():
@@ -370,7 +334,7 @@ def test_backtracking_certifies_at_a_rounding_level_decrease():
             diff = X - center
             return 100.0 + 0.5 * np.einsum("ij,jk,ik->i", diff, Q, diff), diff @ Q
 
-        _, _, gap = backtracking_minimize(obj, simplex, 1, 2000, seed=trial)
+        _, _, gap = pgd_minimize(obj, simplex, 1, 2000, seed=trial)
         assert gap <= CERTIFIED_GAP, trial
 
 
@@ -385,7 +349,7 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
         return X @ c, np.tile(c, (X.shape[0], 1))
 
     monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)  # never stop early
-    x, value, gap = backtracking_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
+    x, value, gap = pgd_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
     assert len(points) == 3001
     assert np.array_equal(x, [1.0, 0.0, 0.0]) and value == 1.0
     assert gap <= CERTIFIED_GAP
