@@ -220,8 +220,22 @@ def test_pgd_abandons_nonfinite_restarts():
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
-    x, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert np.isfinite(value)
+    assert x[0] <= 0.6
+
+    always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
+    with pytest.raises(RuntimeError):
+        pgd_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, seed=5)
+
+
+def test_backtracking_abandons_nonfinite_restarts():
+    # the surviving restarts still reach, and certify, the true minimum
+    def obj(X):
+        vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
+        return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
+
+    x, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert x[0] <= 0.6
     assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
 
@@ -245,10 +259,20 @@ def test_pgd_returns_best_value_seen():
     _, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, seed=6)
     assert value == min(seen)
 
-    seen.clear()
+
+def test_backtracking_returns_best_value_seen_within_its_budget():
+    seen = []
+
+    def obj(X):
+        values = np.sum((X - 0.3) ** 2, axis=1) + 0.1 * np.sin(8 * X[:, 0])
+        seen.append(values)
+        grads = 2 * (X - 0.3)
+        grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
+        return values, grads
+
     _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
-    assert len(seen) == 5 * 3  # every step and the start, no certificate yet
-    assert value == min(seen)
+    assert len(seen) == 5  # every step and the start, no certificate yet
+    assert value == np.min(seen)
     assert CERTIFIED_GAP < gap < np.inf
 
 
@@ -276,6 +300,14 @@ def test_pgd_validation():
         pgd_minimize(obj, FeasibleSet("Box", 2), 0, 10, seed=0)
     with pytest.raises(ValueError):
         pgd_minimize(obj, FeasibleSet("Box", 2), 1, 0, seed=0)
+
+
+def test_backtracking_validation():
+    obj = lambda X: (np.zeros(X.shape[0]), np.zeros_like(X))
+    with pytest.raises(ValueError):
+        pgd_minimize(obj, FeasibleSet("Box", 2), -1, 10, seed=0)
+    with pytest.raises(ValueError):
+        pgd_minimize(obj, FeasibleSet("Box", 2), 1, -1, seed=0)
 
 
 def _slsqp_value(task, theta):
