@@ -10,8 +10,18 @@ Subcommands:
 
 Every run writes a manifest (all flags plus the library version) and its
 artifacts under --out; nothing outside that directory is touched.  All
-randomness derives from --seed, so reruns are byte-identical.  With --check
-a subcommand exits nonzero when its quality thresholds are breached.
+randomness derives from --seed, so reruns are byte-identical.  Each
+subcommand returns its failure lines; with --check, ``main`` prints them as
+``check failed:`` lines and exits 1.  A subcommand fails when:
+
+* ``train``      its relative test error is not finite
+* ``verify``     the primal-dual gap or the oracle error is above 1e-9, or
+  any other diagnostics row is above 1e-10
+* ``benchmark``  a variant's parameter count is below the SOC anchor's
+* ``decide``     a row's ``oracle_gap`` is above ``CERTIFIED_GAP`` or its
+  regret below -``CERTIFIED_GAP``
+* ``theory``     a dimension's log-log slope is not within +-0.25 of -2/d,
+  or a net has fewer pieces than the lower bound
 """
 
 from __future__ import annotations
@@ -20,7 +30,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import List
 
 import numpy as np
 
@@ -59,24 +71,25 @@ _VERIFY_LIMITS = {
 }
 
 
-def _write_manifest(out: Path, args: argparse.Namespace) -> None:
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
-    flags["out"] = str(flags["out"])
-    doc = {
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "version": __version__,
-        "flags": flags,
-    }
-    with open(out / "manifest.json", "w") as fh:
+def _write_json(path: Path, doc) -> None:
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _prepare_out(args: argparse.Namespace) -> Path:
+    """Create --out and write its manifest: every flag, the seed and the
+    library version."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, args)
+    flags = {k: v for k, v in vars(args).items() if k != "func"}
+    flags["out"] = str(flags["out"])
+    _write_json(out / "manifest.json", {
+        "subcommand": args.subcommand,
+        "seed": args.seed,
+        "version": __version__,
+        "flags": flags,
+    })
     return out
 
 
@@ -104,8 +117,7 @@ def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
 # train
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+def cmd_train(args: argparse.Namespace, out: Path) -> List[str]:
     target = make_target(args.target, args.d, args.target_seed)
     result = fit_variant_to_target(
         target,
@@ -121,24 +133,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     save_model(result["model"], out / "model.json")
     save_history_csv(result["history"], out / "history.csv")
-    summary = {k: result[k] for k in ("target", "variant", "d", "seed", "width", "depth", "params")}
-    summary["rel_err"] = result["rel_err"]
-    with open(out / "result.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    keys = ("target", "variant", "d", "seed", "width", "depth", "params", "rel_err")
+    _write_json(out / "result.json", {k: result[k] for k in keys})
     print(f"train: {args.variant} on {args.target} d={args.d} rel_err={result['rel_err']:.4g}")
-    if args.check and not np.isfinite(result["rel_err"]):
-        print("check failed: non-finite relative error", file=sys.stderr)
-        return 1
-    return 0
+    return [] if np.isfinite(result["rel_err"]) else ["non-finite relative error"]
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+def cmd_verify(args: argparse.Namespace, out: Path) -> List[str]:
     trials_per_setting = args.trials // 2 + args.trials % 2
     doc = {"config": {"d0": args.d0, "width": args.width, "depth": args.depth,
                       "quad": args.quad, "conic": args.conic, "seed": args.seed}}
@@ -168,34 +173,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"max_gap={summary['primal_dual_gap']['max']:.3e} "
             f"max_oracle_err={summary['forward_vs_oracle_abs_err']['max']:.3e}"
         )
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if args.check and failures:
-        for line in failures:
-            print(f"check failed: {line}", file=sys.stderr)
-        return 1
-    return 0
+    _write_json(out / "diagnostics.json", doc)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # benchmark
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
-    targets = args.targets.split(",")
-    variants = args.variants.split(",")
+def cmd_benchmark(args: argparse.Namespace, out: Path) -> List[str]:
     width = anchor_width(args.d)
     anchor_count = variant_param_count(args.d, width, 2, "SOC")
     rows = []
     fairness_ok = True
-    for target_name in targets:
+    for target_name in args.targets.split(","):
         target = make_target(target_name, args.d, args.target_seed)
-        for variant in variants:
+        for variant in args.variants.split(","):
             errs = []
-            params_count = None
-            depth = None
             for seed_index in range(args.seeds):
                 # repetition seeds are shared across variants so every model
                 # sees identical train/val/test draws
@@ -210,9 +204,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     config=_train_config(args, seed),
                 )
                 errs.append(result["rel_err"])
-                params_count = result["params"]
-                depth = result["depth"]
-            fairness_ok &= params_count >= anchor_count
+            fairness_ok &= result["params"] >= anchor_count
             rows.append(
                 {
                     "target": target_name,
@@ -220,32 +212,29 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     "d": args.d,
                     "rel_err_mean": float(np.mean(errs)),
                     "rel_err_std": float(np.std(errs)),
-                    "params": params_count,
-                    "depth": depth,
+                    "params": result["params"],
+                    "depth": result["depth"],
                 }
             )
             print(
                 f"benchmark: {target_name} {variant} d={args.d} "
-                f"rel_err={np.mean(errs):.4g}±{np.std(errs):.2g} params={params_count}"
+                f"rel_err={np.mean(errs):.4g}±{np.std(errs):.2g} params={result['params']}"
             )
     _write_csv(out / "results.csv", rows)
-    if args.check and not fairness_ok:
-        print("check failed: a baseline parameter count fell below the anchor", file=sys.stderr)
-        return 1
-    return 0
+    return [] if fairness_ok else ["a baseline parameter count fell below the anchor"]
 
 
 # ---------------------------------------------------------------------------
 # decide
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
-    families = args.families.split(",")
+def cmd_decide(args: argparse.Namespace, out: Path) -> List[str]:
     rows = []
-    for family in families:
+    failures = []
+    for family in args.families.split(","):
         fam_key = hash_key(family)
         task = make_task(family, args.d, args.seed)
+        regrets = []
         for index in range(args.instances):
             theta = sample_context(args.seed, fam_key, index)
             report, _ = decide_instance(
@@ -261,46 +250,27 @@ def cmd_decide(args: argparse.Namespace) -> int:
                 surrogate_epochs=args.surrogate_epochs,
                 surrogate_lr=args.surrogate_lr,
             )
-            rows.append(
-                {
-                    "task": f"{family}:{index}",
-                    "family": family,
-                    "d": args.d,
-                    "seed": args.seed,
-                    "model": args.model,
-                    "regret": report.regret,
-                    "oracle_gap": report.oracle_gap,
-                    "oracle_evals": report.oracle_evals,
-                    "decision_error": report.decision_error,
-                    "surrogate_value": report.surrogate_value_at_decision,
-                    "true_value": report.true_value_at_decision,
-                }
-            )
-        regrets = [r["regret"] for r in rows if r["family"] == family]
+            name = f"{family}:{index}"
+            rows.append({"task": name, "family": family, "d": args.d, "seed": args.seed,
+                         "model": args.model, **asdict(report)})
+            regrets.append(report.regret)
+            if not report.oracle_gap <= CERTIFIED_GAP:
+                failures.append(f"{name}: oracle gap {report.oracle_gap:.3e} above {CERTIFIED_GAP}")
+            if not report.regret >= REGRET_FLOOR:
+                failures.append(f"{name}: regret {report.regret:.3e} below {REGRET_FLOOR}")
         print(
             f"decide: {family} d={args.d} n={args.instances} "
             f"mean_regret={np.mean(regrets):.4g} min_regret={np.min(regrets):.3e}"
         )
     _write_csv(out / "decisions.csv", rows)
-    if not args.check:
-        return 0
-    failures = []
-    for row in rows:
-        if not row["oracle_gap"] <= CERTIFIED_GAP:
-            failures.append(f"{row['task']}: oracle gap {row['oracle_gap']:.3e} above {CERTIFIED_GAP}")
-        if not row["regret"] >= REGRET_FLOOR:
-            failures.append(f"{row['task']}: regret {row['regret']:.3e} below {REGRET_FLOOR}")
-    for line in failures:
-        print(f"check failed: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # theory
 
 
-def cmd_theory(args: argparse.Namespace) -> int:
-    out = _prepare_out(args)
+def cmd_theory(args: argparse.Namespace, out: Path) -> List[str]:
     dims = [int(v) for v in args.dims.split(",")]
     cells = [int(v) for v in args.cells.split(",")]
     rows = absorption_rate_rows(dims, cells, num_samples=args.samples, seed=args.seed)
@@ -314,10 +284,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         ok &= within
         ok &= all(r["N"] >= r["bound"] for r in sub)
         print(f"theory: d={dim} slope={slope:.3f} (target {expected:.3f}) within=+-0.25: {within}")
-    if args.check and not ok:
-        print("check failed: rate slope or piece bound violated", file=sys.stderr)
-        return 1
-    return 0
+    return [] if ok else ["rate slope or piece bound violated"]
 
 
 # ---------------------------------------------------------------------------
@@ -397,57 +364,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socicnn", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_out):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=default_out)
+        p.add_argument("--out", default=f"runs/{name}")
         p.add_argument("--check", action="store_true", help="exit nonzero on threshold breach")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="fit one variant to a named target")
-    common(p, "runs/train")
+    def training(p):
+        """The data and optimiser flags that train and benchmark share."""
+        p.add_argument("--target-seed", type=int, default=0)
+        p.add_argument("--train-n", type=_positive_int, default=2000)
+        p.add_argument("--val-n", type=_positive_int, default=1000)
+        p.add_argument("--test-n", type=_positive_int, default=2000)
+        p.add_argument("--epochs", type=_positive_int, default=400)
+        p.add_argument("--batch-size", type=_positive_int, default=128)
+        p.add_argument("--lr", type=_learning_rate, default=1e-3)
+
+    p = command("train", cmd_train, "fit one variant to a named target")
     p.add_argument("--target", required=True, choices=TARGET_NAMES)
     p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--variant", default="SOC", choices=VARIANTS)
-    p.add_argument("--target-seed", type=int, default=0)
-    p.add_argument("--train-n", type=_positive_int, default=2000)
-    p.add_argument("--val-n", type=_positive_int, default=1000)
-    p.add_argument("--test-n", type=_positive_int, default=2000)
+    training(p)
     p.add_argument("--lo", type=_finite, default=-3.0)
     p.add_argument("--hi", type=_finite, default=3.0)
-    p.add_argument("--epochs", type=_positive_int, default=400)
-    p.add_argument("--batch-size", type=_positive_int, default=128)
-    p.add_argument("--lr", type=_learning_rate, default=1e-3)
     p.add_argument("--no-passthrough", action="store_true")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("verify", help="random-model optimality diagnostics")
-    common(p, "runs/verify")
+    p = command("verify", cmd_verify, "random-model optimality diagnostics")
     p.add_argument("--trials", type=_positive_int, default=150)
     p.add_argument("--d0", type=_positive_int, default=20)
     p.add_argument("--width", type=_positive_int, default=32)
     p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--quad", type=_nonnegative_int, default=2)
     p.add_argument("--conic", type=_nonnegative_int, default=2)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("benchmark", help="budget-matched variant comparison")
-    common(p, "runs/benchmark")
+    p = command("benchmark", cmd_benchmark, "budget-matched variant comparison")
     p.add_argument("--targets", "--target", type=_names("target", TARGET_NAMES),
                    default="NormEuclid,QuadraticIso", help="comma-separated target names")
     p.add_argument("--d", type=_dimension, default=10)
     p.add_argument("--variants", type=_names("variant", VARIANTS),
                    default="ReLU,Softplus,QuadOnly,NormOnly,SOC")
     p.add_argument("--seeds", type=_positive_int, default=3)
-    p.add_argument("--target-seed", type=int, default=0)
-    p.add_argument("--train-n", type=_positive_int, default=2000)
-    p.add_argument("--val-n", type=_positive_int, default=1000)
-    p.add_argument("--test-n", type=_positive_int, default=2000)
-    p.add_argument("--epochs", type=_positive_int, default=400)
-    p.add_argument("--batch-size", type=_positive_int, default=128)
-    p.add_argument("--lr", type=_learning_rate, default=1e-3)
-    p.set_defaults(func=cmd_benchmark)
+    training(p)
 
-    p = sub.add_parser("decide", help="surrogate decision pipeline with regret")
-    common(p, "runs/decide")
+    p = command("decide", cmd_decide, "surrogate decision pipeline with regret")
     p.add_argument("--families", type=_names("family", FAMILIES),
                    default="SimplexSocp,BudgetHuber")
     p.add_argument("--d", type=_dimension, default=10)
@@ -463,14 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate-width", type=_positive_int, default=8)
     p.add_argument("--surrogate-epochs", type=_positive_int, default=300)
     p.add_argument("--surrogate-lr", type=_learning_rate, default=1e-2)
-    p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("theory", help="tangent-net rates and the piece bound")
-    common(p, "runs/theory")
+    p = command("theory", cmd_theory, "tangent-net rates and the piece bound")
     p.add_argument("--dims", type=_dims, default="1,2")
     p.add_argument("--cells", type=_cell_counts, default="2,4,8,16")
     p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.set_defaults(func=cmd_theory)
 
     return parser
 
@@ -493,7 +451,12 @@ def main(argv=None) -> int:
         if dims * np.log2(cells) > np.log2(MAX_NET_POINTS):
             parser.error(f"theory: a net has --cells to the power --dims points, at most "
                          f"{MAX_NET_POINTS}, got --cells={cells} --dims={dims}")
-    return args.func(args)
+    failures = args.func(args, _prepare_out(args))
+    if not (args.check and failures):
+        return 0
+    for line in failures:
+        print(f"check failed: {line}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

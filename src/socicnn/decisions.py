@@ -57,6 +57,8 @@ class FeasibleSet:
     def __post_init__(self):
         if self.kind not in SET_KINDS:
             raise ValueError(f"unknown set kind {self.kind!r}; valid: {', '.join(SET_KINDS)}")
+        if self.dim < 1:
+            raise ValueError(f"a feasible set needs dimension >= 1, got {self.dim}")
         if self.kind == "CappedSimplex" and not (0.0 < self.budget < self.dim):
             raise ValueError("capped-simplex budget must lie strictly between 0 and dim")
 
@@ -405,19 +407,24 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class DecisionReport:
-    """``oracle_gap`` is the oracle's certified gap: the regret against the
+    """One ``decisions.csv`` row's results, fields in column order.
+
+    ``oracle_gap`` is the oracle's certified gap: the regret against the
     true minimum lies in [regret, regret + oracle_gap].  Only ``regret`` is
     certified: ``decision_error`` is measured against the oracle's point,
     known only to within sqrt(2 * oracle_gap / mu) of the true minimiser, with
     mu = alpha * min(backbone_weights) the strong-convexity modulus.
-    ``oracle_evals`` is the number of objective calls the oracle made."""
+    ``oracle_evals`` is the number of objective calls the oracle made.
+    ``surrogate_value`` and ``true_value`` are the surrogate's and the true
+    objective's values at the decision; they default to NaN so that a report
+    built from the first four values alone (as ``bench/tests`` does) works."""
 
     regret: float
+    oracle_gap: float
+    oracle_evals: int
     decision_error: float
-    surrogate_value_at_decision: float
-    true_value_at_decision: float
-    oracle_gap: float = math.inf
-    oracle_evals: int = 0
+    surrogate_value: float = math.nan
+    true_value: float = math.nan
 
 
 DEFAULT_ORACLE_CONFIG = (20, 2000)
@@ -478,11 +485,11 @@ def evaluate_decision_quality(
     f_hat, _ = task_objective(task, theta, x_hat)
     return DecisionReport(
         regret=float(f_hat - f_star),
-        decision_error=float(np.sqrt(np.sum((x_hat - x_star) ** 2))),
-        surrogate_value_at_decision=float(surrogate_value),
-        true_value_at_decision=float(f_hat),
         oracle_gap=gap,
         oracle_evals=calls,
+        decision_error=float(np.sqrt(np.sum((x_hat - x_star) ** 2))),
+        surrogate_value=float(surrogate_value),
+        true_value=float(f_hat),
     )
 
 

@@ -165,6 +165,10 @@ def smallest_net_reaching(eps: float, dim: int = 1) -> int:
     the half-squared-norm target on [-1, 1]^dim; exact error evaluation for
     this target is spacing^2 * dim / 8 at cell centers; nets are searched up
     to 4096 cells per axis."""
+    if not (0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     for k in range(1, 4097):
         # exact sup error of the tangent net on the midpoint grid
         err = dim * (1.0 / k) ** 2 / 2.0

@@ -73,6 +73,8 @@ class Dataset:
     def __post_init__(self):
         if self.xs.ndim != 2 or self.ys.shape != (self.xs.shape[0],):
             raise DimensionError("xs must be (n, d) with ys of length n")
+        if self.xs.shape[0] < 1:
+            raise DimensionError("a dataset needs at least one row")
         if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
             raise ValueError("dataset contains non-finite values")
 
@@ -211,8 +213,6 @@ def train(
 
 def relative_l2_error(params: SocIcnnParams, test: Dataset) -> float:
     """||predictions - ys|| / ||ys|| on the test split."""
-    if test.size == 0:
-        raise ValueError("test set must be non-empty")
     denom = float(np.sqrt(np.dot(test.ys, test.ys)))
     if denom == 0.0:
         raise ValueError("relative error is undefined for all-zero targets")

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 
 import pytest
 
+from socicnn import cli
 from socicnn.certificate import _METRIC_FIELDS
 from socicnn.cli import main
 
@@ -175,6 +177,64 @@ def test_theory_run_and_check(tmp_path):
     assert set(rows[0]) == {"d", "N", "sup_error", "bound"}
     for row in rows:
         assert float(row["N"]) >= float(row["bound"])
+
+
+def _patch_nan_rel_err(monkeypatch):
+    fit = cli.fit_variant_to_target
+    monkeypatch.setattr(cli, "fit_variant_to_target",
+                        lambda *a, **k: dict(fit(*a, **k), rel_err=math.nan))
+
+
+def _patch_anchor_above_every_count(monkeypatch):
+    monkeypatch.setattr(cli, "variant_param_count", lambda *args: 10**9)
+
+
+def _patch_off_rate_slope(monkeypatch):
+    # a flat error curve: slope 0 where -2/d is expected; every N >= bound
+    monkeypatch.setattr(cli, "absorption_rate_rows", lambda dims, cells, **kw: [
+        {"d": d, "N": c**d, "sup_error": 0.5, "bound": 1.0} for d in dims for c in cells
+    ])
+
+
+@pytest.mark.parametrize("argv, patch, line", [
+    (["train", "--target", "QuadraticIso", "--d", "2", "--epochs", "1",
+      "--train-n", "8", "--val-n", "4", "--test-n", "4"],
+     _patch_nan_rel_err, "non-finite relative error"),
+    (["benchmark", "--targets", "NormEuclid", "--d", "2", "--variants", "ReLU",
+      "--seeds", "1", "--epochs", "1", "--train-n", "8", "--val-n", "4", "--test-n", "4"],
+     _patch_anchor_above_every_count, "a baseline parameter count fell below the anchor"),
+    (["theory", "--dims", "1,2", "--cells", "2,4", "--samples", "100"],
+     _patch_off_rate_slope, "rate slope or piece bound violated"),
+], ids=["train", "benchmark", "theory"])
+def test_check_fails_by_name_and_only_with_check(tmp_path, capsys, monkeypatch, argv, patch, line):
+    patch(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "a"), "--check"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"check failed: {line}"]
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "3", "--d0", "3", "--width", "4", "--depth", "2", "--seed", "1"],
+    ["benchmark", "--targets", "NormEuclid", "--d", "2", "--variants", "ReLU,SOC",
+     "--seeds", "2", "--epochs", "2", "--train-n", "16", "--val-n", "8", "--test-n", "8"],
+    ["theory", "--dims", "1,2", "--cells", "2,4", "--samples", "500", "--seed", "4"],
+], ids=["verify", "benchmark", "theory"])
+def test_run_is_byte_identical_across_reruns(tmp_path, argv):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(out_a)]) == 0
+    assert main(argv + ["--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert len(names) == 2 and "manifest.json" in names
+    for name in names:
+        a, b = (out / name for out in (out_a, out_b))
+        if name == "manifest.json":  # equal apart from --out
+            a, b = json.loads(a.read_text()), json.loads(b.read_text())
+            assert a["flags"].pop("out") != b["flags"].pop("out")
+            assert a == b
+        else:
+            assert a.read_bytes() == b.read_bytes()
 
 
 def test_outputs_stay_under_out_dir(tmp_path):

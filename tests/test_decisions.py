@@ -170,6 +170,10 @@ def test_feasible_set_validation():
         FeasibleSet("Diamond", 3)
     with pytest.raises(ValueError):
         FeasibleSet("CappedSimplex", 3, budget=5.0)
+    for kind in ("Box", "Simplex", "CappedSimplex"):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match=f"dimension >= 1, got {dim}"):
+                FeasibleSet(kind, dim, budget=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +537,7 @@ def test_regret_is_nonnegative_for_feasible_points():
         x_hat = sample_feasible(task.feasible_set, 1, rng)[0]
         report = evaluate_decision_quality(task, theta, x_hat, oracle_seed=trial)
         assert report.regret >= -1e-9
-        assert report.true_value_at_decision == pytest.approx(
+        assert report.true_value == pytest.approx(
             task_objective(task, theta, x_hat)[0]
         )
 

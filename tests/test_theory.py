@@ -134,6 +134,12 @@ def test_smallest_net_respects_piece_lower_bound():
     for eps in (0.1, 0.01):
         n_needed = smallest_net_reaching(eps, dim=1)
         assert n_needed >= cpwl_piece_lower_bound(2.0, 1, 1.0, eps)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            smallest_net_reaching(eps, dim=1)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            smallest_net_reaching(0.1, dim=dim)
 
 
 def test_loglog_slope_recovers_exact_power_law():

@@ -3,6 +3,7 @@ import pytest
 
 from socicnn import (
     Dataset,
+    DimensionError,
     TrainConfig,
     anchor_width,
     build_variant_model,
@@ -58,6 +59,11 @@ def test_dataset_sampling_validation():
     for lo, hi in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             sample_uniform_dataset(t, 3, 5, lo, hi, 0)
+
+
+def test_empty_dataset_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="at least one row"):
+        Dataset(xs=np.zeros((0, 3)), ys=np.zeros(0))
 
 
 def test_dataset_csv_round_trip_exact(tmp_path):
