@@ -185,7 +185,7 @@ def cmd_benchmark(args: argparse.Namespace, out: Path) -> List[str]:
     width = anchor_width(args.d)
     anchor_count = variant_param_count(args.d, width, 2, "SOC")
     rows = []
-    fairness_ok = True
+    failures = []
     for target_name in args.targets.split(","):
         target = make_target(target_name, args.d, args.target_seed)
         for variant in args.variants.split(","):
@@ -204,7 +204,9 @@ def cmd_benchmark(args: argparse.Namespace, out: Path) -> List[str]:
                     config=_train_config(args, seed),
                 )
                 errs.append(result["rel_err"])
-            fairness_ok &= result["params"] >= anchor_count
+            if result["params"] < anchor_count:
+                failures.append(f"{target_name} {variant}: {result['params']} parameters, "
+                                f"below the SOC anchor's {anchor_count}")
             rows.append(
                 {
                     "target": target_name,
@@ -221,7 +223,7 @@ def cmd_benchmark(args: argparse.Namespace, out: Path) -> List[str]:
                 f"rel_err={np.mean(errs):.4g}±{np.std(errs):.2g} params={result['params']}"
             )
     _write_csv(out / "results.csv", rows)
-    return [] if fairness_ok else ["a baseline parameter count fell below the anchor"]
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +277,20 @@ def cmd_theory(args: argparse.Namespace, out: Path) -> List[str]:
     cells = [int(v) for v in args.cells.split(",")]
     rows = absorption_rate_rows(dims, cells, num_samples=args.samples, seed=args.seed)
     _write_csv(out / "theory.csv", rows)
-    ok = True
+    failures = []
     for dim in dims:
         sub = [r for r in rows if r["d"] == dim]
         slope = loglog_slope([r["N"] for r in sub], [r["sup_error"] for r in sub])
         expected = -2.0 / dim
         within = abs(slope - expected) <= 0.25
-        ok &= within
-        ok &= all(r["N"] >= r["bound"] for r in sub)
         print(f"theory: d={dim} slope={slope:.3f} (target {expected:.3f}) within=+-0.25: {within}")
-    return [] if ok else ["rate slope or piece bound violated"]
+        failed = [] if within else [f"slope {slope:.3f} not within 0.25 of the target {expected:.3f}"]
+        short = [str(r["N"]) for r in sub if r["N"] < r["bound"]]
+        if short:
+            failed.append(f"fewer pieces than the lower bound at N={','.join(short)}")
+        if failed:
+            failures.append(f"d={dim}: " + "; ".join(failed))
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -189,27 +189,32 @@ def _patch_anchor_above_every_count(monkeypatch):
     monkeypatch.setattr(cli, "variant_param_count", lambda *args: 10**9)
 
 
-def _patch_off_rate_slope(monkeypatch):
-    # a flat error curve: slope 0 where -2/d is expected; every N >= bound
+def _patch_off_rate_and_bound(monkeypatch):
+    # an error of 1/N: slope -1, off the -2 expected at d=1 and on target at
+    # d=2, where a bound of 10 pieces lies above the net of N=4
     monkeypatch.setattr(cli, "absorption_rate_rows", lambda dims, cells, **kw: [
-        {"d": d, "N": c**d, "sup_error": 0.5, "bound": 1.0} for d in dims for c in cells
+        {"d": d, "N": c**d, "sup_error": 1.0 / c**d, "bound": 10.0 if d == 2 else 1.0}
+        for d in dims for c in cells
     ])
 
 
-@pytest.mark.parametrize("argv, patch, line", [
+@pytest.mark.parametrize("argv, patch, lines", [
     (["train", "--target", "QuadraticIso", "--d", "2", "--epochs", "1",
       "--train-n", "8", "--val-n", "4", "--test-n", "4"],
-     _patch_nan_rel_err, "non-finite relative error"),
+     _patch_nan_rel_err, ["non-finite relative error"]),
     (["benchmark", "--targets", "NormEuclid", "--d", "2", "--variants", "ReLU",
       "--seeds", "1", "--epochs", "1", "--train-n", "8", "--val-n", "4", "--test-n", "4"],
-     _patch_anchor_above_every_count, "a baseline parameter count fell below the anchor"),
+     _patch_anchor_above_every_count,
+     ["NormEuclid ReLU: 675 parameters, below the SOC anchor's 1000000000"]),
     (["theory", "--dims", "1,2", "--cells", "2,4", "--samples", "100"],
-     _patch_off_rate_slope, "rate slope or piece bound violated"),
+     _patch_off_rate_and_bound,
+     ["d=1: slope -1.000 not within 0.25 of the target -2.000",
+      "d=2: fewer pieces than the lower bound at N=4"]),
 ], ids=["train", "benchmark", "theory"])
-def test_check_fails_by_name_and_only_with_check(tmp_path, capsys, monkeypatch, argv, patch, line):
+def test_check_fails_by_name_and_only_with_check(tmp_path, capsys, monkeypatch, argv, patch, lines):
     patch(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "a"), "--check"]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"check failed: {line}"]
+    assert capsys.readouterr().err.splitlines() == [f"check failed: {line}" for line in lines]
     assert main(argv + ["--out", str(tmp_path / "b")]) == 0
     assert capsys.readouterr().err == ""
 

@@ -248,6 +248,17 @@ def test_backtracking_abandons_nonfinite_restarts():
         pgd_minimize(always_bad, FeasibleSet("Box", 2), 3, 10, seed=5)
 
 
+def test_pgd_abandons_restarts_with_infinite_gradients():
+    # an abandoned restart's gradient never reaches the step rule, where
+    # inf - inf would be an invalid-value warning
+    def obj(X):
+        vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
+        return vals, np.where(X[:, :1] > 0.6, np.inf, 2 * X)
+
+    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
+
+
 def test_pgd_returns_best_value_seen():
     # the reported optimum is the min over every evaluated point, rejected
     # trial points included
@@ -357,8 +368,9 @@ def test_backtracking_oracle_agrees_with_pgd(family):
 
 def test_backtracking_certifies_at_a_rounding_level_decrease():
     # A constant of 100 puts the last decreases at the rounding level of f;
-    # a test without its allowance fails there, and halving t until it
-    # underflows freezes the search at a gap of about 1e-8.
+    # a step chosen by comparing values of f sees only rounding noise there,
+    # and one that shrinks on that noise freezes the search at a gap of
+    # about 1e-8.
     rng = spawn_rng(17)
     simplex = FeasibleSet("Simplex", 5)
     for trial in range(20):
@@ -375,8 +387,8 @@ def test_backtracking_certifies_at_a_rounding_level_decrease():
 
 
 def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatch):
-    # Once the search sits on the vertex, project(x - t g) = x on every step;
-    # a step that doubled on every passed test would overflow there.
+    # Once the search sits on the vertex, project(x - t g) = x and g stays
+    # put on every step; a step that grew there without a cap would overflow.
     c = np.array([1.0, 2.0, 3.0])
     points = []
 
@@ -391,6 +403,44 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
     assert gap <= CERTIFIED_GAP
     assert np.all(np.isfinite(np.array(points)))
     assert np.array_equal(points[-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+
+@pytest.mark.parametrize("constant", [1e2, 1e6, 1e10])
+def test_search_certifies_where_f_dwarfs_its_variation(constant):
+    # With |f| far above the objective's variation over the set, values of f
+    # differ only by rounding near the minimum; a step rule that compares
+    # them can 2-cycle between two points one ulp apart in f there (1 of
+    # these 50 draws at 1e10).
+    rng = np.random.default_rng(0)
+    simplex = FeasibleSet("Simplex", 5)
+    for draw in range(50):
+        center = rng.uniform(-0.5, 1.5, 5)
+        H = rng.standard_normal((5, 5))
+        Q = H.T @ H + 0.5 * np.eye(5)
+
+        def obj(X):
+            diff = X - center
+            return constant + 0.5 * np.einsum("ij,jk,ik->i", diff, Q, diff), diff @ Q
+
+        _, _, gap = pgd_minimize(obj, simplex, 1, 2000, seed=20)
+        assert gap <= CERTIFIED_GAP, draw
+
+
+def test_oracle_certifies_a_slow_budget_huber_context_quickly():
+    # A context whose decreases in f fall to rounding level well before the
+    # gap certifies; a step rule that compares values of f crawls there
+    # (96-107 calls).
+    task = make_task("BudgetHuber", 10, 1)
+    theta = sample_context(3, 55)
+    for seed in range(5):
+        calls = []
+
+        def obj(X):
+            calls.append(1)
+            return task_objective(task, theta, X)
+
+        _, _, gap = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=seed)
+        assert gap <= CERTIFIED_GAP and len(calls) < 100, (seed, len(calls))
 
 
 # ---------------------------------------------------------------------------
