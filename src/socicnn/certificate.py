@@ -311,9 +311,7 @@ def run_verification_trials(
         model = init_model(
             input_dim,
             [width] * depth,
-            num_quad,
             [input_dim] * num_quad,
-            num_conic,
             [input_dim] * num_conic,
             passthrough,
             RELU,

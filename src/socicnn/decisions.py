@@ -61,6 +61,8 @@ class FeasibleSet:
             raise ValueError(f"a feasible set needs dimension >= 1, got {self.dim}")
         if self.kind == "CappedSimplex" and not (0.0 < self.budget < self.dim):
             raise ValueError("capped-simplex budget must lie strictly between 0 and dim")
+        if self.kind != "CappedSimplex" and self.budget != 0.0:
+            raise ValueError(f"a {self.kind} set takes no budget, got {self.budget}")
 
 
 def capped_simplex(dim: int, budget: Optional[float] = None) -> FeasibleSet:
@@ -459,16 +461,25 @@ def evaluate_decision_quality(
 ) -> DecisionReport:
     """Regret and decision error of x_hat against the certified oracle.
 
-    x_hat must already be feasible (project first).  The oracle is the
-    ``minimize_task`` search: ``pgd_minimize`` on the true objective with
-    (restarts, steps) = ``oracle_config``, using at most steps + 1 objective
-    calls and stopping once its Frank-Wolfe gap is at most
-    ``CERTIFIED_GAP``.  Its value is then within the gap of the minimum, so
-    regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
+    x_hat must already be feasible (project first): a shape other than
+    (task.dim,), a non-finite entry or a point more than 1e-9 in max-norm
+    from its projection raises ``ValueError`` before the oracle runs.  The
+    oracle is the ``minimize_task`` search: ``pgd_minimize`` on the true
+    objective with (restarts, steps) = ``oracle_config``, using at most
+    steps + 1 objective calls and stopping once its Frank-Wolfe gap is at
+    most ``CERTIFIED_GAP``.  Its value is then within the gap of the minimum,
+    so regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
     steps first reports its larger gap.  The report also counts the
     oracle's objective calls.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x_hat.shape != (task.dim,):
+        raise ValueError(f"x_hat must have shape ({task.dim},), got {x_hat.shape}")
+    if not np.all(np.isfinite(x_hat)):
+        raise ValueError("x_hat contains non-finite values")
+    off = float(np.max(np.abs(project_onto(task.feasible_set, x_hat) - x_hat)))
+    if off > 1e-9:
+        raise ValueError(f"x_hat lies {off:.3g} from the feasible set (max-norm)")
     restarts, steps = oracle_config
     x_star, f_star, gap, calls = _oracle(task, theta, restarts, steps, oracle_seed)
     f_hat, _ = task_objective(task, theta, x_hat)

@@ -171,9 +171,7 @@ def _matrix(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.
 def init_model(
     input_dim: int,
     widths: Sequence[int],
-    num_quad: int,
     quad_ranks: Sequence[int],
-    num_conic: int,
     conic_dims: Sequence[int],
     passthrough: bool,
     activation: str,
@@ -181,22 +179,22 @@ def init_model(
 ) -> SocIcnnParams:
     """Draw a feasible model deterministically from ``seed``.
 
+    There is one quadratic branch per entry of ``quad_ranks`` and one conic
+    branch per entry of ``conic_dims``, each with that many rows.
     Unconstrained matrices use zero-mean entries scaled by 1/sqrt(fan-in);
     nonnegative weights use the absolute value of the same draw scaled by
     1/fan-in; branch weights start at 0.1 and biases at zero.  This keeps
     initial outputs O(1) and needs no projection to be feasible.
     """
     widths = [int(w) for w in widths]
+    quad_ranks = [int(r) for r in quad_ranks]
+    conic_dims = [int(k) for k in conic_dims]
     if input_dim < 1:
         raise DimensionError("input_dim must be >= 1")
     if not widths:
         raise DimensionError("widths must be non-empty")
     if any(w < 1 for w in widths):
         raise DimensionError("all layer widths must be >= 1")
-    if len(quad_ranks) != num_quad:
-        raise DimensionError("quad_ranks must have length num_quad")
-    if len(conic_dims) != num_conic:
-        raise DimensionError("conic_dims must have length num_conic")
     if any(r < 1 for r in quad_ranks) or any(k < 1 for k in conic_dims):
         raise DimensionError("branch ranks and dims must be >= 1")
     if activation not in ACTIVATIONS:
@@ -221,8 +219,8 @@ def init_model(
         proj = _matrix(rng, size, input_dim, 1.0 / np.sqrt(input_dim))
         return BranchParams(weight=0.1, proj=proj, offset=np.zeros(size))
 
-    quad = tuple(branch(int(r)) for r in quad_ranks)
-    conic = tuple(branch(int(k)) for k in conic_dims)
+    quad = tuple(branch(r) for r in quad_ranks)
+    conic = tuple(branch(k) for k in conic_dims)
     return SocIcnnParams(
         input_dim=input_dim,
         layers=tuple(layers),
@@ -432,7 +430,11 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
     The backbone is reduced to the affine readout (a single zero-weight
     hidden unit with zero readout), so the branches carry all curvature.
     ``quad_matrix`` may be None or have zero rows; ``norm_terms`` is a
-    sequence of (weight, proj, offset) triples with weight >= 0.
+    sequence of (weight, proj, offset) triples with weight >= 0.  The model
+    gets the loader's check: a matrix that is not (k, len(linear)) with
+    k >= 1, or an offset that is not (k,), raises ``DimensionError``, a
+    negative weight ``ConstraintError``, and a NaN or infinite entry
+    anywhere ``ValueError``.
     """
     a = np.asarray(linear, dtype=np.float64)
     if a.ndim != 1 or a.size < 1:
@@ -443,33 +445,24 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
     if quad_matrix is not None:
         B = np.asarray(quad_matrix, dtype=np.float64)
         if B.size:
-            if B.ndim != 2 or B.shape[1] != d0:
-                raise DimensionError(f"quad_matrix must have {d0} columns")
-            quad = (BranchParams(weight=1.0, proj=B, offset=np.zeros(B.shape[0])),)
-
-    conic = []
-    for weight, proj, offset in norm_terms:
-        weight = float(weight)
-        if weight < 0:
-            raise ConstraintError("norm-term weights must be nonnegative")
-        proj = np.asarray(proj, dtype=np.float64)
-        offset = np.asarray(offset, dtype=np.float64)
-        if proj.ndim != 2 or proj.shape[1] != d0 or offset.shape != (proj.shape[0],):
-            raise DimensionError("norm term shapes must be (k, d0) and (k,)")
-        conic.append(BranchParams(weight=weight, proj=proj, offset=offset))
-
-    layers = (LayerParams(w_x=np.zeros((1, d0)), w_z=None, b=np.zeros(1)),)
-    return SocIcnnParams(
+            quad = (BranchParams(weight=1.0, proj=B, offset=np.zeros(B.shape[:1])),)
+    conic = tuple(
+        BranchParams(float(w), np.asarray(A, dtype=np.float64), np.asarray(e, dtype=np.float64))
+        for w, A, e in norm_terms
+    )
+    params = SocIcnnParams(
         input_dim=d0,
-        layers=layers,
+        layers=(LayerParams(w_x=np.zeros((1, d0)), w_z=None, b=np.zeros(1)),),
         w_out=np.zeros(1),
         w_skip=a,
         b_out=float(constant),
         quad=quad,
-        conic=tuple(conic),
+        conic=conic,
         passthrough=True,
         activation=RELU,
     )
+    _check_loaded(params)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +646,7 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
 def _check_loaded(params: SocIcnnParams) -> None:
     """Reject a model that is malformed, non-finite or not convex.
 
-    The shapes are compared with those of a model drawn from the document's
+    The shapes are compared with those of a model drawn from the model's
     own sizes, which also checks the activation and the sizes themselves.
     """
     if params.layers and np.shape(params.layers[0].w_x)[1:] != (params.input_dim,):
@@ -661,9 +654,7 @@ def _check_loaded(params: SocIcnnParams) -> None:
     reference = init_model(
         params.input_dim,
         [np.size(layer.b) for layer in params.layers],
-        len(params.quad),
         [np.size(br.offset) for br in params.quad],
-        len(params.conic),
         [np.size(br.offset) for br in params.conic],
         params.passthrough,
         params.activation,

@@ -104,11 +104,12 @@ def _half_sq(x: np.ndarray) -> Tuple[float, np.ndarray]:
 def sup_error_estimate(
     value_fn: Callable[[np.ndarray], np.ndarray],
     approx: MaxAffine,
-    dim: int,
     num_samples: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim, in blocks."""
+    """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim, in blocks,
+    where dim is the column count of ``approx.slopes``."""
+    dim = approx.slopes.shape[1]
     X = spawn_rng(seed, dim, approx.num_pieces).uniform(-1.0, 1.0, (num_samples, dim))
     rows = max(1, SAMPLE_BLOCK_ENTRIES // approx.num_pieces)
     blocks = (X[i : i + rows] for i in range(0, num_samples, rows))
@@ -136,7 +137,6 @@ def absorption_rate_rows(
             err = sup_error_estimate(
                 lambda X: 0.5 * np.sum(X * X, axis=1),
                 approx,
-                dim,
                 num_samples=num_samples,
                 seed=seed,
             )

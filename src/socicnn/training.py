@@ -84,15 +84,16 @@ class Dataset:
 
 
 def sample_uniform_dataset(
-    target: TargetFunction, dim: int, n: int, lo: float, hi: float, seed: int
+    target: TargetFunction, n: int, lo: float, hi: float, seed: int
 ) -> Dataset:
+    """n points uniform on [lo, hi]^target.dim and the target's values there."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not np.isfinite(float(hi) - float(lo)):  # also catches a non-finite lo or hi
         raise ValueError("lo, hi and hi - lo must be finite")
     if not lo < hi:
         raise ValueError("lo must be strictly below hi")
-    xs = spawn_rng(seed).uniform(lo, hi, (n, dim))
+    xs = spawn_rng(seed).uniform(lo, hi, (n, target.dim))
     return Dataset(xs=xs, ys=target_values_batch(target, xs))
 
 
@@ -257,15 +258,7 @@ def build_variant_model(
         raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
     activation, num_quad, num_conic = _VARIANT_TABLE[variant]
     return init_model(
-        d0,
-        [width] * depth,
-        num_quad,
-        [d0] * num_quad,
-        num_conic,
-        [d0] * num_conic,
-        passthrough,
-        activation,
-        seed,
+        d0, [width] * depth, [d0] * num_quad, [d0] * num_conic, passthrough, activation, seed
     )
 
 
@@ -300,9 +293,9 @@ def fit_variant_to_target(
     d = target.dim
     width = anchor_width(d)
     depth = variant_depth(variant, d, width, passthrough)
-    train_ds = sample_uniform_dataset(target, d, n_train, lo, hi, spawn_rng(seed, 1).integers(2**62))
-    val_ds = sample_uniform_dataset(target, d, n_val, lo, hi, spawn_rng(seed, 2).integers(2**62))
-    test_ds = sample_uniform_dataset(target, d, n_test, lo, hi, spawn_rng(seed, 3).integers(2**62))
+    train_ds = sample_uniform_dataset(target, n_train, lo, hi, spawn_rng(seed, 1).integers(2**62))
+    val_ds = sample_uniform_dataset(target, n_val, lo, hi, spawn_rng(seed, 2).integers(2**62))
+    test_ds = sample_uniform_dataset(target, n_test, lo, hi, spawn_rng(seed, 3).integers(2**62))
 
     model = build_variant_model(variant, d, width, depth, seed, passthrough)
     trained, history = train(model, train_ds, val_ds, config)

@@ -92,9 +92,7 @@ def test_c2_independent_oracle_agreement():
         model = init_model(
             d0,
             [width] * depth,
-            num_quad,
             [d0] * num_quad,
-            num_conic,
             [d0] * num_conic,
             bool(trial % 2),
             RELU,
@@ -155,9 +153,7 @@ def test_c4_convexity_and_gradient_suites():
         model = init_model(
             d0,
             widths,
-            num_quad,
             [d0] * num_quad,
-            num_conic,
             [d0] * num_conic,
             bool(trial % 2),
             RELU,
@@ -176,7 +172,7 @@ def test_c4_convexity_and_gradient_suites():
     # parameter gradients vs central differences, away from kinks
     worst_param = 0.0
     for seed in (23, 24):
-        model = init_model(4, [5, 4], 1, [4], 1, [4], True, RELU, seed)
+        model = init_model(4, [5, 4], [4], [4], True, RELU, seed)
         data_rng = spawn_rng(seed, 7)
         X = data_rng.uniform(-2.0, 2.0, (8, 4))
         y = data_rng.standard_normal(8)
@@ -199,7 +195,7 @@ def test_c4_convexity_and_gradient_suites():
     # input subgradient finite differences away from kinks
     worst_input = 0.0
     for seed in (31, 32, 33):
-        model = init_model(5, [6, 5], 1, [5], 1, [5], bool(seed % 2), RELU, seed)
+        model = init_model(5, [6, 5], [5], [5], bool(seed % 2), RELU, seed)
         x = spawn_rng(seed, 11).uniform(-2.0, 2.0, 5)
         worst_input = max(worst_input, finite_difference_check(model, x, 1e-5))
 
@@ -304,8 +300,8 @@ def test_c6_absorption_rate_and_piece_bound():
 def test_c7_forward_complexity_ratio():
     ratios = {}
     for width in (16, 32, 64, 128):
-        soc = init_model(20, [width] * 3, 1, [width], 1, [width], True, RELU, 0)
-        relu = init_model(20, [width] * 3, 0, [], 0, [], True, RELU, 0)
+        soc = init_model(20, [width] * 3, [width], [width], True, RELU, 0)
+        relu = init_model(20, [width] * 3, [], [], True, RELU, 0)
         ratios[width] = count_forward_flops(soc) / count_forward_flops(relu)
     worst = max(ratios.values())
     ok = worst <= 1.5

@@ -174,6 +174,9 @@ def test_feasible_set_validation():
         for dim in (0, -1):
             with pytest.raises(ValueError, match=f"dimension >= 1, got {dim}"):
                 FeasibleSet(kind, dim, budget=0.5)
+    for kind in ("Box", "Simplex"):
+        with pytest.raises(ValueError, match="takes no budget"):
+            FeasibleSet(kind, 3, budget=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +580,20 @@ def test_oracle_certifies_before_its_last_step(family, monkeypatch):
     assert report.oracle_gap <= CERTIFIED_GAP
     assert report.decision_error == 0.0
     assert report.oracle_evals == (len(calls) - 1) // 2  # less the call at x_hat
+
+
+@pytest.mark.parametrize("x_hat, message", [
+    ([2.0, -1.0, 0.0, 0.0], "from the feasible set"),
+    ([np.nan, 1.0, 0.0, 0.0], "non-finite"),
+    ([0.5, 0.5, 0.0], "shape"),
+    ([[0.25, 0.25, 0.25, 0.25]], "shape"),
+])
+def test_decision_quality_rejects_a_bad_point_before_the_oracle(x_hat, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(decisions, "task_objective", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match=message):
+        evaluate_decision_quality(make_task("SimplexSocp", 4, 0), sample_context(0, 0), x_hat)
+    assert calls == []
 
 
 def test_regret_is_nonnegative_for_feasible_points():

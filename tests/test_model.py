@@ -56,8 +56,7 @@ def random_model(seed, d0=6, widths=(8, 8), num_quad=1, num_conic=1, passthrough
                  activation=RELU):
     ranks = [max(2, d0 // 2)] * num_quad
     dims = [max(2, d0 // 2)] * num_conic
-    return init_model(d0, list(widths), num_quad, ranks, num_conic, dims, passthrough,
-                      activation, seed)
+    return init_model(d0, list(widths), ranks, dims, passthrough, activation, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +64,8 @@ def random_model(seed, d0=6, widths=(8, 8), num_quad=1, num_conic=1, passthrough
 
 
 def test_init_deterministic_for_fixed_seed():
-    a = init_model(2, [4], 0, [], 0, [], True, RELU, 7)
-    b = init_model(2, [4], 0, [], 0, [], True, RELU, 7)
+    a = init_model(2, [4], [], [], True, RELU, 7)
+    b = init_model(2, [4], [], [], True, RELU, 7)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.w_x, lb.w_x)
         assert np.array_equal(la.b, lb.b)
@@ -75,28 +74,33 @@ def test_init_deterministic_for_fixed_seed():
 
 
 def test_init_feasible_by_construction():
-    m = init_model(2, [4], 1, [2], 1, [2], True, RELU, 7)
+    m = init_model(2, [4], [2], [2], True, RELU, 7)
     assert max_infeasibility(m) == 0.0
     assert all(br.weight >= 0 for br in m.quad + m.conic)
 
 
 def test_init_seeds_differ():
-    a = init_model(3, [4, 4], 1, [2], 1, [2], True, RELU, 7)
-    b = init_model(3, [4, 4], 1, [2], 1, [2], True, RELU, 8)
+    a = init_model(3, [4, 4], [2], [2], True, RELU, 7)
+    b = init_model(3, [4, 4], [2], [2], True, RELU, 8)
     assert not np.array_equal(a.layers[0].w_x, b.layers[0].w_x)
 
 
 def test_init_validation_errors():
     with pytest.raises(DimensionError):
-        init_model(0, [4], 0, [], 0, [], True, RELU, 0)
+        init_model(0, [4], [], [], True, RELU, 0)
     with pytest.raises(DimensionError):
-        init_model(2, [], 0, [], 0, [], True, RELU, 0)
+        init_model(2, [], [], [], True, RELU, 0)
     with pytest.raises(DimensionError):
-        init_model(2, [4, 0], 0, [], 0, [], True, RELU, 0)
-    with pytest.raises(DimensionError):
-        init_model(2, [4], 2, [2], 0, [], True, RELU, 0)
+        init_model(2, [4, 0], [], [], True, RELU, 0)
     with pytest.raises(ValueError):
-        init_model(2, [4], 0, [], 0, [], True, "Gelu", 0)
+        init_model(2, [4], [], [], True, "Gelu", 0)
+
+
+def test_init_builds_one_branch_per_entry_of_any_iterable():
+    # the branch counts are the lengths of the size lists, read once
+    m = init_model(3, [4], (r for r in (1, 2)), iter([3]), True, RELU, 0)
+    assert [br.proj.shape for br in m.quad] == [(1, 3), (2, 3)]
+    assert [br.proj.shape for br in m.conic] == [(3, 3)]
 
 
 def test_passthrough_disabled_drops_deep_input_weights():
@@ -353,6 +357,32 @@ def test_structured_class_rejects_negative_weight():
         from_structured_class(np.zeros(2), 0.0, None, [(-1.0, np.eye(2), np.zeros(2))])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("slot", ["linear", "constant", "quad_matrix", "weight", "offset"])
+def test_structured_class_rejects_non_finite_entries(slot, bad):
+    parts = {"linear": np.zeros(2), "constant": 0.0, "quad_matrix": np.eye(2),
+             "weight": 1.0, "offset": np.zeros(2)}
+    value = np.array(parts[slot], dtype=np.float64)
+    value.flat[-1] = bad
+    parts[slot] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        from_structured_class(parts["linear"], parts["constant"], parts["quad_matrix"],
+                              [(parts["weight"], np.eye(2), parts["offset"])])
+
+
+def test_structured_class_rejects_shapes_that_do_not_fit_the_linear_term():
+    for quad_matrix, terms in [
+        (np.ones((2, 3)), []),
+        (np.ones(2), []),
+        (None, [(1.0, np.eye(3), np.zeros(3))]),
+        (None, [(1.0, np.eye(2), np.zeros(3))]),
+        (None, [(1.0, np.eye(2), np.zeros((2, 1)))]),
+        (None, [(1.0, np.zeros((0, 2)), np.zeros(0))]),
+    ]:
+        with pytest.raises(DimensionError):
+            from_structured_class(np.zeros(2), 0.0, quad_matrix, terms)
+
+
 def test_structured_class_empty_quadratic_block():
     # a zero-row curvature matrix degenerates to the affine-plus-norm form
     m = from_structured_class(np.array([2.0, -1.0]), 0.5, np.zeros((0, 2)), [])
@@ -452,14 +482,14 @@ def test_layout_mask_marks_exactly_the_sign_constrained_entries():
 
 
 def test_count_parameters_formula():
-    m = init_model(10, [20, 20], 1, [10], 1, [10], True, RELU, 0)
+    m = init_model(10, [20, 20], [10], [10], True, RELU, 0)
     expected = (20 * 10 + 20) + (20 * 20 + 20 + 20 * 10) + (20 + 10 + 1) + 2 * (10 * 10 + 10 + 1)
     assert count_parameters(m) == expected
 
 
 def test_flop_count_grows_with_width():
     flops = [
-        count_forward_flops(init_model(20, [w, w, w], 1, [w], 1, [w], True, RELU, 0))
+        count_forward_flops(init_model(20, [w, w, w], [w], [w], True, RELU, 0))
         for w in (16, 32, 64)
     ]
     assert flops[0] < flops[1] < flops[2]
@@ -468,11 +498,11 @@ def test_flop_count_grows_with_width():
 def test_flop_count_hand_values():
     # width-3 layer on 2 inputs: matvec 3*(2*2-1)=9, bias 3, activation 3;
     # readout: (2*3-1) + (2*2-1) + 2 = 10
-    plain = init_model(2, [3], 0, [], 0, [], True, RELU, 0)
+    plain = init_model(2, [3], [], [], True, RELU, 0)
     assert count_forward_flops(plain) == 25
     # rank-2 quadratic branch adds matvec 2*3=6, offset 2, dot 3, halving 1,
     # weight and accumulation 2
-    quad = init_model(2, [3], 1, [2], 0, [], True, RELU, 0)
+    quad = init_model(2, [3], [2], [], True, RELU, 0)
     assert count_forward_flops(quad) == 25 + 14
 
 

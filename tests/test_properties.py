@@ -48,10 +48,7 @@ def models(draw, activations=ACTIVATIONS, min_conic=0):
     passthrough = draw(st.booleans())
     activation = draw(st.sampled_from(activations))
     seed = draw(st.integers(0, 2**32 - 1))
-    template = init_model(
-        d0, widths, len(quad_ranks), quad_ranks, len(conic_dims), conic_dims,
-        passthrough, activation, seed,
-    )
+    template = init_model(d0, widths, quad_ranks, conic_dims, passthrough, activation, seed)
     flat = spawn_rng(seed, 1).standard_normal(flatten_params(template).size)
     return unflatten_params(template, np.where(nonneg_mask(template), np.abs(flat), flat))
 

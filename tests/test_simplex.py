@@ -173,7 +173,7 @@ def _certify_model(d0, width, depth, passthrough, seed, scale=1.0):
     """The model and input of one certify trial: two quadratic and two conic
     branches of size d0, every parameter times ``scale``, and an input drawn
     on [-3, 3]^d0."""
-    model = init_model(d0, [width] * depth, 2, [d0] * 2, 2, [d0] * 2, passthrough, RELU, seed)
+    model = init_model(d0, [width] * depth, [d0] * 2, [d0] * 2, passthrough, RELU, seed)
     model = unflatten_params(model, flatten_params(model) * scale)
     return model, spawn_rng(seed, 1).uniform(-3.0, 3.0, d0)
 

@@ -123,7 +123,7 @@ def test_sampled_error_matches_exact_formula_for_half_sq():
     for k in (4, 8):
         net = midpoint_grid(1, k)
         g = build_tangent_max_affine(_half_sq, net)
-        sampled = sup_error_estimate(lambda X: 0.5 * np.sum(X * X, axis=1), g, 1,
+        sampled = sup_error_estimate(lambda X: 0.5 * np.sum(X * X, axis=1), g,
                                      num_samples=200_000, seed=1)
         exact = 1.0 / (2.0 * k**2)
         assert sampled <= exact + 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from socicnn import (
+    TARGET_NAMES,
     Dataset,
     DimensionError,
     TrainConfig,
@@ -16,6 +17,7 @@ from socicnn import (
     relative_l2_error,
     sample_uniform_dataset,
     spawn_rng,
+    target_values_batch,
     train,
     variant_param_count,
 )
@@ -29,10 +31,18 @@ from socicnn.training import (
 )
 
 
+@pytest.mark.parametrize("name", TARGET_NAMES)
+def test_dataset_has_the_target_width(name):
+    t = make_target(name, 3, 0)
+    ds = sample_uniform_dataset(t, 5, -1.0, 1.0, 0)
+    assert ds.xs.shape == (5, 3)
+    assert np.array_equal(ds.ys, target_values_batch(t, ds.xs))
+
+
 def test_dataset_sampling_determinism_and_range():
     t = make_target("QuadraticIso", 3, 0)
-    a = sample_uniform_dataset(t, 3, 1000, -3.0, 3.0, 5)
-    b = sample_uniform_dataset(t, 3, 1000, -3.0, 3.0, 5)
+    a = sample_uniform_dataset(t, 1000, -3.0, 3.0, 5)
+    b = sample_uniform_dataset(t, 1000, -3.0, 3.0, 5)
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
     assert np.min(a.xs) >= -3.0 and np.max(a.xs) <= 3.0
     assert np.allclose(a.ys, 0.5 * np.sum(a.xs * a.xs, axis=1), rtol=1e-15, atol=0)
@@ -53,12 +63,12 @@ def test_train_config_validation():
 def test_dataset_sampling_validation():
     t = make_target("QuadraticIso", 3, 0)
     with pytest.raises(ValueError):
-        sample_uniform_dataset(t, 3, 0, -1.0, 1.0, 0)
+        sample_uniform_dataset(t, 0, -1.0, 1.0, 0)
     with pytest.raises(ValueError):
-        sample_uniform_dataset(t, 3, 5, 1.0, -1.0, 0)
+        sample_uniform_dataset(t, 5, 1.0, -1.0, 0)
     for lo, hi in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
-            sample_uniform_dataset(t, 3, 5, lo, hi, 0)
+            sample_uniform_dataset(t, 5, lo, hi, 0)
 
 
 def test_empty_dataset_is_a_dimension_error():
@@ -68,7 +78,7 @@ def test_empty_dataset_is_a_dimension_error():
 
 def test_dataset_csv_round_trip_exact(tmp_path):
     t = make_target("Mixed", 4, 2)
-    ds = sample_uniform_dataset(t, 4, 50, -3.0, 3.0, 9)
+    ds = sample_uniform_dataset(t, 50, -3.0, 3.0, 9)
     path = tmp_path / "data.csv"
     save_dataset_csv(ds, path)
     back = load_dataset_csv(path)
@@ -110,7 +120,7 @@ def test_empty_csv_is_a_named_error(tmp_path, text):
 
 def test_relative_error_reference_points():
     t = make_target("QuadraticIso", 2, 0)
-    ds = sample_uniform_dataset(t, 2, 200, -3.0, 3.0, 1)
+    ds = sample_uniform_dataset(t, 200, -3.0, 3.0, 1)
     exact = from_structured_class(np.zeros(2), 0.0, np.eye(2), [])
     assert relative_l2_error(exact, ds) == 0.0
 
@@ -127,8 +137,8 @@ def test_relative_error_reference_points():
 
 def _tiny_splits(seed=0, name="QuadraticIso", d=3, n=200):
     t = make_target(name, d, 0)
-    tr = sample_uniform_dataset(t, d, n, -3.0, 3.0, spawn_rng(seed, 1).integers(2**62))
-    va = sample_uniform_dataset(t, d, n // 2, -3.0, 3.0, spawn_rng(seed, 2).integers(2**62))
+    tr = sample_uniform_dataset(t, n, -3.0, 3.0, spawn_rng(seed, 1).integers(2**62))
+    va = sample_uniform_dataset(t, n // 2, -3.0, 3.0, spawn_rng(seed, 2).integers(2**62))
     return tr, va
 
 
