@@ -57,6 +57,7 @@ from .targets import (
     TargetFunction,
     make_target,
     target_value_and_subgradient,
+    target_values_and_subgradients,
     target_values_batch,
 )
 from .training import (

@@ -24,12 +24,14 @@ from .gradients import chain_multipliers
 from .model import (
     RELU,
     ForwardTrace,
+    LayerParams,
     SocIcnnParams,
     forward,
     half_sqnorm_rows,
     init_model,
     max_infeasibility,
     norm_rows,
+    over_norm,
     spawn_rng,
 )
 
@@ -71,6 +73,11 @@ class LpLift:
         return self.row_rhs.shape[0]
 
 
+def _affine(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    """The part of a layer's preactivation that does not read z: b + w_x @ x."""
+    return layer.b if layer.w_x is None else layer.b + layer.w_x @ x
+
+
 def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     """Lift whose optimal value is the backbone value at x (plus branches,
     handled separately by the cone blocks)."""
@@ -86,10 +93,7 @@ def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
         lo, hi = offsets[idx], offsets[idx + 1]
         if layer.w_z is not None:
             rows[lo:hi, offsets[idx - 1] : lo] = -layer.w_z
-        base = layer.b.copy()
-        if layer.w_x is not None:
-            base = base + layer.w_x @ x
-        rhs[lo:hi] = base
+        rhs[lo:hi] = _affine(layer, x)
 
     objective = np.zeros(n)
     objective[offsets[-2] :] = params.w_out
@@ -161,17 +165,11 @@ def extract_dual_certificate(
 
     dual = float(params.w_skip @ x) + params.b_out
     for layer, nu in zip(params.layers, nus):
-        affine = layer.b.copy()
-        if layer.w_x is not None:
-            affine = affine + layer.w_x @ x
-        dual += float(nu @ affine)
+        dual += float(nu @ _affine(layer, x))
 
     mus = []
     for br, u, t in zip(params.conic, trace.conic_u, trace.conic_t):
-        if t > 0.0:
-            mu = (br.weight / t) * u
-        else:
-            mu = np.zeros_like(u)
+        mu = over_norm(br.weight, t) * u
         mus.append(mu)
         dual += float(mu @ u)
     for br, s in zip(params.quad, trace.quad_s):

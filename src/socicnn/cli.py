@@ -54,7 +54,6 @@ from .training import (
     TrainConfig,
     anchor_width,
     fit_variant_to_target,
-    save_history_csv,
     variant_param_count,
 )
 
@@ -132,7 +131,8 @@ def cmd_train(args: argparse.Namespace, out: Path) -> List[str]:
         passthrough=not args.no_passthrough,
     )
     save_model(result["model"], out / "model.json")
-    save_history_csv(result["history"], out / "history.csv")
+    columns = ("epoch", "train_loss", "val_loss")
+    _write_csv(out / "history.csv", [dict(zip(columns, row)) for row in result["history"]])
     keys = ("target", "variant", "d", "seed", "width", "depth", "params", "rel_err")
     _write_json(out / "result.json", {k: result[k] for k in keys})
     print(f"train: {args.variant} on {args.target} d={args.d} rel_err={result['rel_err']:.4g}")

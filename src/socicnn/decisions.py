@@ -23,8 +23,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .gradients import value_and_input_gradient_batch
-from .model import forward, norm_rows, sigmoid, softplus, spawn_rng
-from .targets import huber
+from .model import forward, norm_rows, over_norm, sigmoid, softplus, spawn_rng
+from .targets import huber, logsumexp_rows
 from .training import Dataset, TrainConfig, build_variant_model, train
 
 SET_KINDS = ("Simplex", "Box", "CappedSimplex")
@@ -373,16 +373,12 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
             weight = float(weights)
             norms = norm_rows(T)
             vals += weight * norms
-            safe = norms > 0.0
-            scale = np.where(safe, weight / np.where(safe, norms, 1.0), 0.0)
-            grads += (scale[:, None] * T) @ term.proj
+            grads += (over_norm(weight, norms)[:, None] * T) @ term.proj
         elif term.kind == "lse":
             weight = float(weights)
-            mx = np.max(T, axis=1, keepdims=True)
-            expT = np.exp(T - mx)
-            denom = np.sum(expT, axis=1)
-            vals += weight * (mx[:, 0] + np.log(denom))
-            grads += weight * ((expT / denom[:, None]) @ term.proj)
+            lse, soft = logsumexp_rows(T)
+            vals += weight * lse
+            grads += weight * (soft @ term.proj)
         elif term.kind == "logistic":
             vals += softplus(T) @ weights
             grads += (sigmoid(T) * weights) @ term.proj
@@ -421,9 +417,17 @@ class DecisionReport:
 DEFAULT_ORACLE_CONFIG = (20, 2000)
 
 
-def _oracle(task: ParametricTask, theta, restarts: int, steps: int, seed: int):
-    """``pgd_minimize`` on the true objective: the best point, its value, its
-    gap and the number of objective calls."""
+def minimize_task(
+    task: ParametricTask,
+    theta,
+    restarts: int,
+    steps: int,
+    seed: int = 0,
+) -> Tuple[np.ndarray, float, float, int]:
+    """The certified oracle on the true objective: ``pgd_minimize`` from
+    ``restarts`` starts, with at most steps + 1 objective calls, stopped once
+    its Frank-Wolfe gap is at most ``CERTIFIED_GAP``.  Returns the best point,
+    its value, that gap and the number of objective calls."""
     calls = 0
 
     def objective(X):
@@ -433,22 +437,6 @@ def _oracle(task: ParametricTask, theta, restarts: int, steps: int, seed: int):
 
     x, value, gap = pgd_minimize(objective, task.feasible_set, restarts, steps, seed)
     return x, value, gap, calls
-
-
-def minimize_task(
-    task: ParametricTask,
-    theta,
-    restarts: int,
-    steps: int,
-    seed: int = 0,
-) -> Tuple[np.ndarray, float]:
-    """The certified oracle on the true objective: the best point and its
-    value.  It is ``pgd_minimize`` from ``restarts`` starts, with at most
-    steps + 1 objective calls, stopped once its Frank-Wolfe gap is at most
-    ``CERTIFIED_GAP``.  ``evaluate_decision_quality`` runs the same search,
-    and reports the gap as well."""
-    x, value, _, _ = _oracle(task, theta, restarts, steps, seed)
-    return x, value
 
 
 def evaluate_decision_quality(
@@ -464,13 +452,11 @@ def evaluate_decision_quality(
     x_hat must already be feasible (project first): a shape other than
     (task.dim,), a non-finite entry or a point more than 1e-9 in max-norm
     from its projection raises ``ValueError`` before the oracle runs.  The
-    oracle is the ``minimize_task`` search: ``pgd_minimize`` on the true
-    objective with (restarts, steps) = ``oracle_config``, using at most
-    steps + 1 objective calls and stopping once its Frank-Wolfe gap is at
-    most ``CERTIFIED_GAP``.  Its value is then within the gap of the minimum,
-    so regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
-    steps first reports its larger gap.  The report also counts the
-    oracle's objective calls.
+    oracle is a call to ``minimize_task`` with (restarts, steps) =
+    ``oracle_config``, and the report takes its gap and its count of
+    objective calls.  Its value is within the gap of the minimum, so
+    regret >= -oracle_gap >= -CERTIFIED_GAP; an oracle that runs out of
+    steps first reports its larger gap.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x_hat.shape != (task.dim,):
@@ -481,7 +467,7 @@ def evaluate_decision_quality(
     if off > 1e-9:
         raise ValueError(f"x_hat lies {off:.3g} from the feasible set (max-norm)")
     restarts, steps = oracle_config
-    x_star, f_star, gap, calls = _oracle(task, theta, restarts, steps, oracle_seed)
+    x_star, f_star, gap, calls = minimize_task(task, theta, restarts, steps, oracle_seed)
     f_hat, _ = task_objective(task, theta, x_hat)
     return DecisionReport(
         regret=float(f_hat - f_star),

@@ -20,6 +20,7 @@ from .model import (
     SocIcnnParams,
     batch_forward,
     forward,
+    over_norm,
     sigmoid,
 )
 
@@ -51,14 +52,6 @@ def _backbone_deltas(params: SocIcnnParams, preacts, seed: np.ndarray) -> List[n
     return deltas
 
 
-def _norm_scales(params: SocIcnnParams, conic_t, seed: np.ndarray) -> List[np.ndarray]:
-    """seed * weight / ||u|| per conic branch and row; 0 where the norm vanishes."""
-    return [
-        np.where(t > 0.0, (seed * br.weight) / np.where(t > 0.0, t, 1.0), 0.0)
-        for br, t in zip(params.conic, conic_t)
-    ]
-
-
 def chain_multipliers(params: SocIcnnParams, preacts) -> List[np.ndarray]:
     """Backward factors through the backbone at one point (see _backbone_deltas)."""
     deltas = _backbone_deltas(params, [pre[None] for pre in preacts], np.ones(1))
@@ -80,8 +73,7 @@ def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = 
     for br, q in zip(params.quad, trace.quad_q):
         g += br.weight * (br.proj.T @ q)
     for br, u, t in zip(params.conic, trace.conic_u, trace.conic_t):
-        if t > 0.0:
-            g += (br.weight / t) * (br.proj.T @ u)
+        g += over_norm(br.weight, t) * (br.proj.T @ u)
     return g
 
 
@@ -99,9 +91,8 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
             G += delta @ layer.w_x
     for br, Q in zip(params.quad, cache["quad_q"]):
         G += br.weight * (Q @ br.proj)
-    scales = _norm_scales(params, cache["conic_t"], seed)
-    for br, U, scale in zip(params.conic, cache["conic_u"], scales):
-        G += (scale[:, None] * U) @ br.proj
+    for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"]):
+        G += (over_norm(br.weight, t)[:, None] * U) @ br.proj
     return totals, G
 
 
@@ -137,9 +128,8 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
     # per branch: d loss / d residual rows, and the norm values the weight scales
     quad = [((dtotal * br.weight)[:, None] * Q, s)
             for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"])]
-    scales = _norm_scales(params, cache["conic_t"], dtotal)
-    conic = [(scale[:, None] * U, t)
-             for U, t, scale in zip(cache["conic_u"], cache["conic_t"], scales)]
+    conic = [(over_norm(dtotal * br.weight, t)[:, None] * U, t)
+             for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"])]
     for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
         grad.weight[...] = np.dot(dtotal, norms)
         grad.proj[...] = dR.T @ X

@@ -78,6 +78,12 @@ def norm_rows(U: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", U, U))
 
 
+def over_norm(c, t):
+    """c / t, and 0 where the norm t vanishes: the zero-vector subgradient at
+    a norm kink.  c and t broadcast against each other."""
+    return np.where(t > 0.0, c / np.where(t > 0.0, t, 1.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 

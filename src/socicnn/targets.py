@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import half_sqnorm_rows, norm_rows, sigmoid, softplus, spawn_rng
+from .model import half_sqnorm_rows, norm_rows, over_norm, sigmoid, softplus, spawn_rng
 
 TARGET_NAMES = (
     "QuadraticIso",
@@ -81,18 +81,26 @@ def huber(t: np.ndarray, delta: float) -> Tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-def _unit_rows(V: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of V divided by r, and 0 where r vanishes."""
-    return np.where(r[:, None] > 0.0, V / np.where(r > 0.0, r, 1.0)[:, None], 0.0)
+def logsumexp_rows(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """log(sum_k exp(T[i, k])) of each row, shifted by the row max so that no
+    exp overflows, and its gradient, the row's softmax."""
+    m = np.max(T, axis=1, keepdims=True)
+    e = np.exp(T - m)
+    total = np.sum(e, axis=1)
+    return m[:, 0] + np.log(total), e / total[:, None]
 
 
-def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
-    """Values (n,) and subgradients (n, d) on the rows of X.
+def target_values_and_subgradients(target: TargetFunction, X) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (n,) and subgradients (n, d) on the rows of X, which must be an
+    (n, target.dim) matrix; any other shape raises ``ValueError``.
 
     The squared-norm and norm reductions are the model's own, so a model that
     represents a target exactly produces bitwise-zero residuals (and hence
     exactly zero gradients) on sampled datasets.
     """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != target.dim:
+        raise ValueError(f"expected an (n, {target.dim}) matrix, got shape {X.shape}")
     name = target.name
     if name == "QuadraticIso":
         return half_sqnorm_rows(X), X.copy()
@@ -101,11 +109,11 @@ def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
         return 0.5 * (X * X) @ w, w * X
     if name == "NormEuclid":
         r = norm_rows(X)
-        return r, _unit_rows(X, r)
+        return r, over_norm(X, r[:, None])
     if name == "NormAniso":
         w = target.weights
         r = np.sqrt((X * X) @ w)
-        return r, _unit_rows(w * X, r)
+        return r, over_norm(w * X, r[:, None])
     if name == "Mixed":
         w1, w2 = target.weights, target.weights2
         quad = 0.25 * (X * X) @ w1
@@ -113,15 +121,12 @@ def _value_and_subgradient_rows(target: TargetFunction, X: np.ndarray):
         pieces = X @ target.piece_slopes.T + target.piece_intercepts
         active = target.piece_slopes[np.argmax(pieces, axis=1)]
         value = quad + 0.7 * root + np.max(pieces, axis=1)
-        return value, 0.5 * w1 * X + active + 0.7 * _unit_rows(w2 * X, root)
+        return value, 0.5 * w1 * X + active + 0.7 * over_norm(w2 * X, root[:, None])
     if name == "SoftplusSum":
         return np.sum(softplus(X), axis=1), sigmoid(X)
     if name == "LogSumExpQuad":
-        m = np.max(X, axis=1, keepdims=True)
-        e = np.exp(X - m)
-        total = np.sum(e, axis=1)
-        value = m[:, 0] + np.log(total) + 0.1 * np.sum(X * X, axis=1)
-        return value, e / total[:, None] + 0.2 * X
+        lse, soft = logsumexp_rows(X)
+        return lse + 0.1 * np.sum(X * X, axis=1), soft + 0.2 * X
     if name == "Huber":
         value, grad = huber(X, 1.0)
         return np.sum(value, axis=1), grad
@@ -138,10 +143,10 @@ def target_value_and_subgradient(target: TargetFunction, x) -> Tuple[float, np.n
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (target.dim,):
         raise ValueError(f"expected input of shape ({target.dim},), got {x.shape}")
-    values, grads = _value_and_subgradient_rows(target, x[None])
+    values, grads = target_values_and_subgradients(target, x[None])
     return float(values[0]), grads[0]
 
 
 def target_values_batch(target: TargetFunction, X) -> np.ndarray:
     """Values on the rows of X; used for dataset generation and sampling tests."""
-    return _value_and_subgradient_rows(target, np.asarray(X, dtype=np.float64))[0]
+    return target_values_and_subgradients(target, X)[0]

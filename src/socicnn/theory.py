@@ -17,7 +17,10 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import spawn_rng
+from .model import half_sqnorm_rows, spawn_rng
+
+# Maps an (M, d) batch of rows to values (M,) and gradients (M, d).
+RowOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +45,7 @@ def eval_max_affine(g: MaxAffine, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.slopes.shape[1],):
         raise ValueError(f"expected input of dimension {g.slopes.shape[1]}")
-    return float(np.max(g.slopes @ x + g.intercepts))
+    return float(eval_max_affine_batch(g, x[None])[0])
 
 
 def eval_max_affine_batch(g: MaxAffine, X) -> np.ndarray:
@@ -64,25 +67,25 @@ def cpwl_piece_lower_bound(volume: float, dim: int, mu: float, eps: float) -> fl
     return volume / (unit_ball_volume(dim) * 2.0**dim) * (mu / eps) ** (dim / 2.0)
 
 
-def build_tangent_max_affine(
-    value_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-    net_points,
-) -> MaxAffine:
+def build_tangent_max_affine(oracle: RowOracle, net_points) -> MaxAffine:
     """Tangent planes of a convex function at the net points.
 
-    Piece i is h(x_i) + grad_i @ (x - x_i); convexity makes every piece a
-    global lower support, so the max-affine under-approximates h everywhere.
+    ``oracle`` maps an (M, d) batch of rows to their values and gradients,
+    shaped ((M,), (M, d)); it is called once, on the whole net.  Piece i is
+    h(x_i) + grad_i @ (x - x_i); convexity makes every piece a global lower
+    support, so the max-affine under-approximates h everywhere.  Gradients of
+    any other shape raise ``ValueError``.
     """
     net = np.asarray(net_points, dtype=np.float64)
     if net.ndim != 2 or net.shape[0] < 1:
         raise ValueError("net_points must be a non-empty (M, d) matrix")
-    slopes = np.empty_like(net)
-    intercepts = np.empty(net.shape[0])
-    for i, point in enumerate(net):
-        value, grad = value_and_grad(point)
-        slopes[i] = grad
-        intercepts[i] = value - float(np.dot(grad, point))
-    return MaxAffine(slopes=slopes, intercepts=intercepts)
+    values, grads = oracle(net)
+    slopes = np.array(grads, dtype=np.float64)
+    if slopes.shape != net.shape:
+        raise ValueError(
+            f"the oracle's gradients must be shaped like the net {net.shape}, got {slopes.shape}"
+        )
+    return MaxAffine(slopes=slopes, intercepts=values - np.einsum("ij,ij->i", slopes, net))
 
 
 # Largest tangent net the ``theory`` command builds, in points.
@@ -97,23 +100,28 @@ def midpoint_grid(dim: int, cells_per_axis: int) -> np.ndarray:
     return np.array(list(product(centers, repeat=dim)), dtype=np.float64)
 
 
-def _half_sq(x: np.ndarray) -> Tuple[float, np.ndarray]:
-    return 0.5 * float(np.dot(x, x)), x.copy()
+def _half_sq(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """1/2 ||x||^2 of every row and its gradient, the row itself."""
+    return half_sqnorm_rows(X), X
 
 
 def sup_error_estimate(
-    value_fn: Callable[[np.ndarray], np.ndarray],
+    oracle: RowOracle,
     approx: MaxAffine,
     num_samples: int = 100_000,
     seed: int = 0,
 ) -> float:
     """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim, in blocks,
-    where dim is the column count of ``approx.slopes``."""
+    where dim is the column count of ``approx.slopes``.  ``oracle`` maps rows
+    to (values, gradients) as in ``build_tangent_max_affine``; only the values
+    are read.  ``num_samples`` below 1 raises ``ValueError``."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     dim = approx.slopes.shape[1]
     X = spawn_rng(seed, dim, approx.num_pieces).uniform(-1.0, 1.0, (num_samples, dim))
     rows = max(1, SAMPLE_BLOCK_ENTRIES // approx.num_pieces)
     blocks = (X[i : i + rows] for i in range(0, num_samples, rows))
-    return max(float(np.max(np.abs(value_fn(B) - eval_max_affine_batch(approx, B)))) for B in blocks)
+    return max(float(np.max(np.abs(oracle(B)[0] - eval_max_affine_batch(approx, B)))) for B in blocks)
 
 
 def absorption_rate_rows(
@@ -127,19 +135,13 @@ def absorption_rate_rows(
     Each row reports the piece count N, the sampled sup error, and the
     piece lower bound evaluated at that error level (so N >= bound must
     hold row by row).  The log-log slope of error against N reveals the
-    N^(-2/d) rate.
+    N^(-2/d) rate.  ``num_samples`` below 1 raises ``ValueError``.
     """
     rows = []
     for dim in dims:
         for k in cells:
-            net = midpoint_grid(dim, k)
-            approx = build_tangent_max_affine(_half_sq, net)
-            err = sup_error_estimate(
-                lambda X: 0.5 * np.sum(X * X, axis=1),
-                approx,
-                num_samples=num_samples,
-                seed=seed,
-            )
+            approx = build_tangent_max_affine(_half_sq, midpoint_grid(dim, k))
+            err = sup_error_estimate(_half_sq, approx, num_samples=num_samples, seed=seed)
             rows.append(
                 {
                     "d": dim,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,14 +129,6 @@ def load_dataset_csv(path) -> Dataset:
     if not ys:
         raise ValueError(f"{path}: no data rows after the header")
     return Dataset(xs=np.asarray(xs, dtype=np.float64), ys=np.asarray(ys, dtype=np.float64))
-
-
-def save_history_csv(history: Sequence[Tuple[int, float, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, train_loss, val_loss in history:
-            writer.writerow([epoch, repr(float(train_loss)), repr(float(val_loss))])
 
 
 def train(

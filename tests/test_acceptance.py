@@ -322,8 +322,8 @@ def test_c8_downstream_pipeline_sanity():
                 task, theta, "QuadOnly", spawn_rng(7, 100 + index)
             )
             regrets.append(report.regret)
-            _, fa = minimize_task(task, theta, 20, 2000, seed=index)
-            _, fb = minimize_task(task, theta, 20, 2000, seed=10_000 + index)
+            _, fa, _, _ = minimize_task(task, theta, 20, 2000, seed=index)
+            _, fb, _, _ = minimize_task(task, theta, 20, 2000, seed=10_000 + index)
             stable.append(abs(fa - fb) <= 1e-4)
     elapsed = time.time() - started
     min_regret = min(regrets)

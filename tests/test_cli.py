@@ -84,6 +84,29 @@ def test_train_is_byte_identical_across_reruns(tmp_path, variant):
     assert result["variant"] == variant and result["d"] == 5
 
 
+def test_history_csv(tmp_path, monkeypatch):
+    # history.csv must read back to the history the run trained through
+    results = []
+    fit = cli.fit_variant_to_target
+
+    def recorded(*args, **kwargs):
+        results.append(fit(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "fit_variant_to_target", recorded)
+    out = tmp_path / "train"
+    assert main([
+        "train", "--target", "NormEuclid", "--d", "3", "--epochs", "3",
+        "--train-n", "32", "--val-n", "16", "--test-n", "16", "--out", str(out),
+    ]) == 0
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss"
+    history = results[0]["history"]
+    assert len(history) == 3
+    assert [(int(r["epoch"]), float(r["train_loss"]), float(r["val_loss"]))
+            for r in read_csv(out / "history.csv")] == history
+
+
 def test_train_rejects_unknown_target(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--target", "Nope", "--out", str(tmp_path / "x")])

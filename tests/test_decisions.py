@@ -555,7 +555,7 @@ def test_task_objective_batched_matches_single():
 def test_decision_report_at_the_optimum():
     task = make_task("SimplexSocp", 6, 7)
     theta = sample_context(7, 0)
-    x_star, _ = minimize_task(task, theta, 20, 2000, seed=0)
+    x_star, _, _, _ = minimize_task(task, theta, 20, 2000, seed=0)
     report = evaluate_decision_quality(task, theta, x_star, oracle_seed=0)
     assert report.regret == pytest.approx(0.0, abs=1e-12)
     assert report.decision_error == pytest.approx(0.0, abs=1e-9)
@@ -574,12 +574,21 @@ def test_oracle_certifies_before_its_last_step(family, monkeypatch):
 
     monkeypatch.setattr(decisions, "task_objective", counted)
     restarts, steps = DEFAULT_ORACLE_CONFIG
-    x_star, _ = minimize_task(task, theta, restarts, steps)
+    x_star, _, _, _ = minimize_task(task, theta, restarts, steps)
     assert len(calls) < steps
     report = evaluate_decision_quality(task, theta, x_star)  # the same search
     assert report.oracle_gap <= CERTIFIED_GAP
     assert report.decision_error == 0.0
     assert report.oracle_evals == (len(calls) - 1) // 2  # less the call at x_hat
+
+
+def test_decision_report_takes_the_gap_and_calls_of_minimize_task():
+    task = make_task("BudgetTwoConeSocp", 6, 3)
+    theta = sample_context(3, 1)
+    x_star, _, gap, calls = minimize_task(task, theta, 5, 300, seed=4)
+    report = evaluate_decision_quality(task, theta, x_star, (5, 300), oracle_seed=4)
+    assert (report.oracle_gap, report.oracle_evals) == (gap, calls)
+    assert report.decision_error == 0.0
 
 
 @pytest.mark.parametrize("x_hat, message", [

@@ -8,6 +8,7 @@ from socicnn import (
     make_target,
     spawn_rng,
     target_value_and_subgradient,
+    target_values_and_subgradients,
     target_values_batch,
 )
 
@@ -89,6 +90,17 @@ def test_batch_values_match_pointwise():
             assert target_value_and_subgradient(t, row)[0] == pytest.approx(
                 val, rel=1e-13, abs=1e-13
             )
+
+
+@pytest.mark.parametrize("name", TARGET_NAMES)
+def test_batch_entry_rejects_rows_of_the_wrong_width(name):
+    t = make_target(name, 3, 0)
+    for X in (np.ones((2, 5)), np.ones((2, 2)), np.ones(3)):
+        for entry in (target_values_batch, target_values_and_subgradients):
+            with pytest.raises(ValueError, match=r"expected an \(n, 3\) matrix"):
+                entry(t, X)
+    values, grads = target_values_and_subgradients(t, np.ones((2, 3)))
+    assert values.shape == (2,) and grads.shape == (2, 3)
 
 
 def test_logsumexp_stable_for_huge_inputs():

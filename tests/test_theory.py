@@ -13,7 +13,7 @@ from socicnn import (
     make_target,
     midpoint_grid,
     spawn_rng,
-    target_value_and_subgradient,
+    target_values_and_subgradients,
 )
 from socicnn.theory import (
     eval_max_affine_batch,
@@ -65,8 +65,8 @@ def test_max_affine_midpoint_convexity():
     assert float(np.max(gap)) <= 1e-12
 
 
-def _half_sq(x):
-    return 0.5 * float(np.dot(x, x)), np.asarray(x, dtype=np.float64).copy()
+def _half_sq(X):
+    return 0.5 * np.sum(X * X, axis=1), X
 
 
 def test_tangent_net_three_points_hand_computed():
@@ -88,14 +88,32 @@ def test_tangent_net_underapproximates_convex_targets():
     rng = spawn_rng(42)
     for name in ("QuadraticAniso", "LogSumExpQuad", "SoftplusSum"):
         target = make_target(name, 3, 5)
-        oracle = lambda p: target_value_and_subgradient(target, p)
+        oracle = lambda X: target_values_and_subgradients(target, X)
         net = rng.uniform(-1, 1, (25, 3))
         g = build_tangent_max_affine(oracle, net)
         X = rng.uniform(-1, 1, (10_000, 3))
-        over = eval_max_affine_batch(g, X) - np.array(
-            [target_value_and_subgradient(target, row)[0] for row in X]
-        )
+        over = eval_max_affine_batch(g, X) - oracle(X)[0]
         assert float(np.max(over)) <= 1e-12, name
+
+
+def test_tangent_net_rejects_gradients_not_shaped_like_the_net():
+    net = midpoint_grid(2, 2)
+    for grads in (np.zeros((4, 3)), np.zeros(4), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="gradients must be shaped like the net"):
+            build_tangent_max_affine(lambda X: (np.zeros(len(X)), grads), net)
+
+
+@pytest.mark.parametrize("num_samples", [0, -1])
+def test_sup_error_estimate_rejects_fewer_than_one_sample(num_samples):
+    g = build_tangent_max_affine(_half_sq, midpoint_grid(1, 2))
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        sup_error_estimate(_half_sq, g, num_samples=num_samples)
+
+
+@pytest.mark.parametrize("num_samples", [0, -1])
+def test_absorption_rate_rows_rejects_fewer_than_one_sample(num_samples):
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        absorption_rate_rows(dims=(1,), cells=(2,), num_samples=num_samples)
 
 
 def test_midpoint_grid_geometry():
@@ -123,8 +141,7 @@ def test_sampled_error_matches_exact_formula_for_half_sq():
     for k in (4, 8):
         net = midpoint_grid(1, k)
         g = build_tangent_max_affine(_half_sq, net)
-        sampled = sup_error_estimate(lambda X: 0.5 * np.sum(X * X, axis=1), g,
-                                     num_samples=200_000, seed=1)
+        sampled = sup_error_estimate(_half_sq, g, num_samples=200_000, seed=1)
         exact = 1.0 / (2.0 * k**2)
         assert sampled <= exact + 1e-12
         assert sampled >= 0.98 * exact

@@ -26,7 +26,6 @@ from socicnn.training import (
     fit_variant_to_target,
     load_dataset_csv,
     save_dataset_csv,
-    save_history_csv,
     variant_depth,
 )
 
@@ -207,14 +206,6 @@ def test_soc_fits_quadratic_iso_quickly():
         config=TrainConfig(epochs=200, seed=1),
     )
     assert result["rel_err"] < 0.1
-
-
-def test_history_csv(tmp_path):
-    path = tmp_path / "history.csv"
-    save_history_csv([(1, 0.5, 0.6), (2, 0.25, 0.3)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss"
-    assert lines[1] == "1,0.5,0.6"
 
 
 # ---------------------------------------------------------------------------
