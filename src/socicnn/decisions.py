@@ -77,10 +77,10 @@ def _project_simplex_rows(Y: np.ndarray) -> np.ndarray:
     """Sort-and-threshold projection of each row onto {x >= 0, sum x = 1}."""
     n, d = Y.shape
     srt = np.sort(Y, axis=1)[:, ::-1]
-    csum = np.cumsum(srt, axis=1)
+    csum = srt.cumsum(axis=1)
     ks = np.arange(1, d + 1)
     cond = srt - (csum - 1.0) / ks > 0.0
-    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index satisfying cond
+    rho = d - 1 - cond[:, ::-1].argmax(axis=1)  # last index satisfying cond
     tau = (csum[np.arange(n), rho] - 1.0) / (rho + 1.0)
     return np.maximum(Y - tau[:, None], 0.0)
 
@@ -98,23 +98,23 @@ def _project_capped_rows(Y: np.ndarray, budget: float) -> np.ndarray:
     arXiv:1503.01002).  O(d log d) time and O(d) memory per row.
     """
     n, d = Y.shape
+    rows = np.arange(n)
     kinks = np.concatenate([Y - 1.0, Y], axis=1)
-    order = np.argsort(kinks, axis=1, kind="stable")
-    K = np.take_along_axis(kinks, order, axis=1)
+    order = kinks.argsort(axis=1, kind="stable")
+    K = kinks[rows[:, None], order]
     enters = order < d  # a y_i - 1 kink: coordinate i becomes free
     sign = np.where(enters, 1.0, -1.0)
-    free = np.cumsum(sign, axis=1)
-    free_sum = np.cumsum(sign * np.take_along_axis(Y, order % d, axis=1), axis=1)
-    at_one = d - np.cumsum(enters, axis=1)
+    free = sign.cumsum(axis=1)
+    free_sum = (sign * Y[rows[:, None], order % d]).cumsum(axis=1)
+    at_one = d - enters.cumsum(axis=1)
     # segment j runs from K[j] to K[j + 1] with the state after kink j; the
     # segment ending at max(y) always has a free coordinate and sums to 0 there
     end_sums = at_one[:, :-1] + free_sum[:, :-1] - free[:, :-1] * K[:, 1:]
     hit = (free[:, :-1] > 0.0) & (end_sums <= budget)
     hit[:, -1] = True
-    j = np.argmax(hit, axis=1)
-    rows = np.arange(n)
+    j = hit.argmax(axis=1)
     tau = (at_one[rows, j] + free_sum[rows, j] - budget) / free[rows, j]
-    return np.clip(Y - tau[:, None], 0.0, 1.0)
+    return (Y - tau[:, None]).clip(0.0, 1.0)
 
 
 def project_onto_batch(feasible: FeasibleSet, Y: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def project_onto_batch(feasible: FeasibleSet, Y: np.ndarray) -> np.ndarray:
     if Y.ndim != 2 or Y.shape[1] != feasible.dim:
         raise ValueError(f"expected rows of length {feasible.dim}")
     if feasible.kind == "Box":
-        return np.clip(Y, 0.0, 1.0)
+        return Y.clip(0.0, 1.0)
     if feasible.kind == "Simplex":
         return _project_simplex_rows(Y)
     return _project_capped_rows(Y, feasible.budget)
@@ -140,12 +140,12 @@ def fw_gap(feasible: FeasibleSet, X: np.ndarray, G: np.ndarray) -> np.ndarray:
     if feasible.kind == "Box":
         lowest = np.minimum(G, 0.0).sum(axis=1)
     elif feasible.kind == "Simplex":
-        lowest = np.min(G, axis=1)
+        lowest = G.min(axis=1)
     else:
         whole = int(feasible.budget)
         srt = np.sort(G, axis=1)
         lowest = srt[:, :whole].sum(axis=1) + (feasible.budget - whole) * srt[:, whole]
-    return np.maximum(np.sum(G * X, axis=1) - lowest, 0.0)
+    return np.maximum((G * X).sum(axis=1) - lowest, 0.0)
 
 
 def project_onto(feasible: FeasibleSet, y) -> np.ndarray:
@@ -221,8 +221,8 @@ def pgd_minimize(
         improved = finite & (vals < best_vals)
         best_vals[improved] = vals[improved]
         best_X[improved] = points[improved]
-        if np.any(alive):
-            gap = min(gap, float(np.min(fw_gap(feasible, points[alive], grads[alive]))))
+        if alive.any():
+            gap = min(gap, float(fw_gap(feasible, points[alive], grads[alive]).min()))
         return gap <= CERTIFIED_GAP
 
     t = np.full(restarts, SEARCH_STEP)
@@ -239,7 +239,7 @@ def pgd_minimize(
             moved = norm_rows(X - last_X)
             local = np.divide(moved, turned, out=np.full_like(t, np.inf), where=turned > 0.0)
             cap = np.divide(reach, slope, out=t.copy(), where=slope > 0.0)
-            new_t = np.min([np.sqrt(1.0 + theta) * t, local, cap], axis=0)
+            new_t = np.minimum(np.minimum(np.sqrt(1.0 + theta) * t, local), cap)
             theta, t = new_t / t, new_t
         last_X, last_grads = X, grads
         X = project_onto_batch(feasible, X - t[:, None] * grads)

@@ -9,6 +9,7 @@ the backward pass deterministic.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -26,8 +27,10 @@ from .model import (
 
 
 def _act_derivative(activation: str, pre: np.ndarray) -> np.ndarray:
+    """The activation's derivative at pre; under ReLU the boolean mask
+    pre > 0, which multiplies as 1.0 and 0.0."""
     if activation == RELU:
-        return (pre > 0.0).astype(np.float64)
+        return pre > 0.0
     return sigmoid(pre)
 
 
@@ -82,7 +85,8 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     totals, cache = batch_forward(params, X)
     n = totals.shape[0]
     seed = np.ones(n)
-    G = np.broadcast_to(params.w_skip, (n, params.input_dim)).copy()
+    G = np.empty((n, params.input_dim))
+    G[...] = params.w_skip
     deltas = _backbone_deltas(params, cache["preacts"], seed)
     # Top layer first: the summation order fixes the last bits of G, and with
     # them the decisions that projected descent reaches.
@@ -99,7 +103,8 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
 def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnParams) -> float:
     """Mean-squared-error loss over a batch; its exact parameter gradients,
     d loss / d entry, overwrite every entry of ``out``, a model made by
-    ``unflatten_params`` over a gradient vector."""
+    ``unflatten_params`` over a gradient vector.  A non-finite entry of
+    ``batch_y`` raises ``ValueError``; one of ``batch_x`` does in the forward."""
     X = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -110,20 +115,23 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
 
     totals, cache = batch_forward(params, X)
     residual = totals - y
-    loss = float(np.mean(residual**2))
+    loss = float(np.add.reduce(residual * residual)) / n
+    # a non-finite y always makes the loss non-finite, so y is read only then
+    if not math.isfinite(loss) and not np.all(np.isfinite(y)):
+        raise ValueError("batch_y contains non-finite values")
     dtotal = (2.0 / n) * residual  # dL/d f(x_i)
 
     acts = cache["acts"]
     deltas = _backbone_deltas(params, cache["preacts"], dtotal)
     for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
         if grad.w_x is not None:
-            grad.w_x[...] = delta.T @ X
+            np.matmul(delta.T, X, out=grad.w_x)
         if grad.w_z is not None:
-            grad.w_z[...] = delta.T @ acts[idx - 1]
-        grad.b[...] = delta.sum(axis=0)
-    out.w_out[...] = acts[-1].T @ dtotal
-    out.w_skip[...] = X.T @ dtotal
-    out.b_out[...] = np.sum(dtotal)
+            np.matmul(delta.T, acts[idx - 1], out=grad.w_z)
+        np.add.reduce(delta, axis=0, out=grad.b)
+    np.matmul(acts[-1].T, dtotal, out=out.w_out)
+    np.matmul(X.T, dtotal, out=out.w_skip)
+    np.add.reduce(dtotal, out=out.b_out)
 
     # per branch: d loss / d residual rows, and the norm values the weight scales
     quad = [((dtotal * br.weight)[:, None] * Q, s)
@@ -131,9 +139,9 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
     conic = [(over_norm(dtotal * br.weight, t)[:, None] * U, t)
              for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"])]
     for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
-        grad.weight[...] = np.dot(dtotal, norms)
-        grad.proj[...] = dR.T @ X
-        grad.offset[...] = dR.sum(axis=0)
+        np.matmul(dtotal, norms, out=grad.weight)
+        np.matmul(dR.T, X, out=grad.proj)
+        np.add.reduce(dR, axis=0, out=grad.offset)
     return loss
 
 

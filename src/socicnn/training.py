@@ -10,6 +10,8 @@ deepening the backbone at fixed width.
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -61,8 +63,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning rate must be positive and finite")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "early_stop_patience"):
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +149,14 @@ def train(
     """Projected Adam on mean-squared error; returns the best-validation model.
 
     The model and its gradient are views of two flat buffers, built once.
-    Every Adam step updates the parameter vector in place and clamps the
-    sign-constrained entries at zero, so each iterate is feasible.  The run is
+    Every Adam step updates m, v and the parameter vector in place, through
+    two scratch vectors, in the order of the out-of-place update
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    flat = max(flat - lr_t m / (sqrt(v) + eps), lower), so the bits are
+    those of that update; the clamp at ``lower`` keeps every sign-constrained
+    entry at or above zero, so each iterate is feasible.  An epoch's
+    ``train_loss`` is the mean of its per-step batch losses, which is not the
+    epoch's mean-squared error when the last batch is partial.  The run is
     deterministic in (params, datasets, config.seed).  ``on_epoch`` is a test
     hook called after each epoch with the live model, which later steps move.
     """
@@ -157,11 +171,14 @@ def train(
     lower = np.where(nonneg_mask(params), 0.0, -np.inf)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
+    scratch = np.empty_like(flat)
+    denom = np.empty_like(flat)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     step = 0
     rng = spawn_rng(config.seed)
     n = train_ds.size
     batch = min(config.batch_size, n)
+    step_losses = np.empty(-(-n // batch))  # one per step of an epoch
 
     best_val = np.inf
     best_flat = flat.copy()
@@ -170,24 +187,33 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, batch):
+        for k, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
             loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training aborted: non-finite loss at epoch {epoch}, step {step}"
                 )
-            epoch_losses.append(loss)
+            step_losses[k] = loss
             step += 1
-            lr_t = config.learning_rate * (np.sqrt(1.0 - b2**step) / (1.0 - b1**step))
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + ADAM_EPS), lower)
+            lr_t = config.learning_rate * (math.sqrt(1.0 - b2**step) / (1.0 - b1**step))
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=scratch)
+            v *= b2
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - b2
+            v += scratch
+            np.sqrt(v, out=denom)
+            denom += ADAM_EPS
+            np.multiply(m, lr_t, out=scratch)
+            scratch /= denom
+            np.subtract(flat, scratch, out=scratch)
+            np.maximum(scratch, lower, out=flat)
 
-        train_loss = float(np.mean(epoch_losses))
-        val_loss = float(np.mean((forward_total_batch(model, val_ds.xs) - val_ds.ys) ** 2))
-        if not np.isfinite(val_loss):
+        train_loss = float(np.add.reduce(step_losses)) / step_losses.size
+        resid = forward_total_batch(model, val_ds.xs) - val_ds.ys
+        val_loss = float(np.add.reduce(resid * resid)) / resid.size
+        if not math.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:

@@ -134,6 +134,64 @@ def test_capped_projection_matches_bisection(dim, budget):
         assert np.max(np.abs(got - bisection_capped_projection(Y, budget))) <= 1e-12
 
 
+def reference_capped_projection(Y, budget):
+    # the kink sweep with np.take_along_axis gathers and np.clip
+    n, d = Y.shape
+    kinks = np.concatenate([Y - 1.0, Y], axis=1)
+    order = np.argsort(kinks, axis=1, kind="stable")
+    K = np.take_along_axis(kinks, order, axis=1)
+    enters = order < d
+    sign = np.where(enters, 1.0, -1.0)
+    free = np.cumsum(sign, axis=1)
+    free_sum = np.cumsum(sign * np.take_along_axis(Y, order % d, axis=1), axis=1)
+    at_one = d - np.cumsum(enters, axis=1)
+    end_sums = at_one[:, :-1] + free_sum[:, :-1] - free[:, :-1] * K[:, 1:]
+    hit = (free[:, :-1] > 0.0) & (end_sums <= budget)
+    hit[:, -1] = True
+    j = np.argmax(hit, axis=1)
+    rows = np.arange(n)
+    tau = (at_one[rows, j] + free_sum[rows, j] - budget) / free[rows, j]
+    return np.clip(Y - tau[:, None], 0.0, 1.0)
+
+
+def reference_simplex_projection(Y):
+    # sort and threshold with the np.cumsum and np.argmax wrappers
+    n, d = Y.shape
+    srt = np.sort(Y, axis=1)[:, ::-1]
+    csum = np.cumsum(srt, axis=1)
+    cond = srt - (csum - 1.0) / np.arange(1, d + 1) > 0.0
+    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = (csum[np.arange(n), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(Y - tau[:, None], 0.0)
+
+
+@pytest.mark.parametrize("dim,budget", [(2, 0.5), (5, 1.0), (7, 4.0), (10, 3.0), (10, 7.25)])
+def test_capped_projection_is_bitwise_the_reference(dim, budget):
+    # tobytes compares signed zeros too: clip keeps a -0.0 that
+    # minimum(maximum(.)) would turn into +0.0
+    rng = spawn_rng(18, dim)
+    random_rows = rng.uniform(-2.0, 3.0, (100, dim))
+    tied_rows = np.round(rng.uniform(-2.0, 3.0, (100, dim)), 1)
+    signed_zero_rows = np.where(rng.uniform(size=(100, dim)) < 0.4, -0.0, random_rows)
+    # vertices of an integral budget, written with -0.0: tau is 0 and Y - tau keeps the sign
+    whole = int(budget)
+    vertices = np.full((20, dim), -0.0)
+    for row in vertices:
+        row[rng.permutation(dim)[:whole]] = 1.0
+    ref = {
+        "CappedSimplex": lambda Y: reference_capped_projection(Y, budget),
+        "Box": lambda Y: np.clip(Y, 0.0, 1.0),
+        "Simplex": reference_simplex_projection,
+    }
+    for feasible in (capped_simplex(dim, budget), FeasibleSet("Box", dim), FeasibleSet("Simplex", dim)):
+        for Y in (random_rows, tied_rows, signed_zero_rows, vertices):
+            got = project_onto_batch(feasible, Y)
+            assert got.tobytes() == ref[feasible.kind](Y).tobytes()
+    assert np.signbit(project_onto_batch(FeasibleSet("Box", dim), signed_zero_rows)).any()
+    if whole == budget:
+        assert np.signbit(project_onto_batch(capped_simplex(dim, budget), vertices)).any()
+
+
 def brute_force_gap(feasible, x, g):
     # g . x minus the smallest g . s over every candidate vertex: entries in
     # {0, fractional part of the budget, 1}, kept when the point is feasible

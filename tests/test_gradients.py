@@ -18,8 +18,11 @@ from socicnn.gradients import chain_multipliers
 from socicnn.model import (
     LayerParams,
     SocIcnnParams,
+    batch_forward,
     flatten_params,
     forward_total_batch,
+    over_norm,
+    sigmoid,
     unflatten_params,
 )
 
@@ -156,6 +159,15 @@ def test_parameter_gradients_validation():
         parameter_gradients(m, np.zeros((3, m.input_dim)), np.zeros(4), _gradient_model(m))
 
 
+def test_parameter_gradients_reject_non_finite_targets():
+    m = random_model(26)
+    X = spawn_rng(26).uniform(-1.0, 1.0, (3, m.input_dim))
+    for bad in (np.nan, np.inf, -np.inf):
+        for y in (np.full(3, bad), np.array([0.0, bad, 1.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                parameter_gradients(m, X, y, _gradient_model(m))
+
+
 def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
     # a NaN left anywhere in the reused buffer would survive into the result
     for passthrough in (True, False):
@@ -170,6 +182,58 @@ def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
             loss = parameter_gradients(m, X, y, grads)
             assert loss == parameter_gradients(m, X, y, unflatten_params(m, fresh))
             assert np.array_equal(reused, fresh)
+
+
+def reference_parameter_gradients(params, X, y, out):
+    # float derivative masks, temporaries copied into out, and np.mean
+    totals, cache = batch_forward(params, X)
+    residual = totals - y
+    loss = float(np.mean(residual**2))
+    dtotal = (2.0 / X.shape[0]) * residual
+    acts, preacts = cache["acts"], cache["preacts"]
+
+    def derivative(pre):
+        return (pre > 0.0).astype(np.float64) if params.activation == RELU else sigmoid(pre)
+
+    deltas = [None] * params.depth
+    delta = (dtotal[:, None] * params.w_out) * derivative(preacts[-1])
+    for idx in range(params.depth - 1, -1, -1):
+        deltas[idx] = delta
+        if idx > 0:
+            delta = (delta @ params.layers[idx].w_z) * derivative(preacts[idx - 1])
+    for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
+        if grad.w_x is not None:
+            grad.w_x[...] = delta.T @ X
+        if grad.w_z is not None:
+            grad.w_z[...] = delta.T @ acts[idx - 1]
+        grad.b[...] = delta.sum(axis=0)
+    out.w_out[...] = acts[-1].T @ dtotal
+    out.w_skip[...] = X.T @ dtotal
+    out.b_out[...] = np.sum(dtotal)
+    quad = [((dtotal * br.weight)[:, None] * Q, s)
+            for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"])]
+    conic = [(over_norm(dtotal * br.weight, t)[:, None] * U, t)
+             for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"])]
+    for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
+        grad.weight[...] = np.dot(dtotal, norms)
+        grad.proj[...] = dR.T @ X
+        grad.offset[...] = dR.sum(axis=0)
+    return loss
+
+
+@pytest.mark.parametrize("activation", [RELU, SOFTPLUS])
+def test_parameter_gradients_match_the_reference_bit_for_bit(activation):
+    for passthrough in (True, False):
+        m = random_model(28, widths=(8, 8, 5), num_quad=2, num_conic=2,
+                         passthrough=passthrough, activation=activation)
+        rng = spawn_rng(28, int(passthrough))
+        for rows in (1, 37, 64, 200):
+            X = rng.uniform(-2, 2, (rows, m.input_dim))
+            y = rng.standard_normal(rows)
+            got, want = _gradient_model(m), _gradient_model(m)
+            loss = parameter_gradients(m, X, y, got)
+            assert loss == reference_parameter_gradients(m, X, y, want)
+            assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
 
 
 def _loss_of_flat(template, flat, X, y):

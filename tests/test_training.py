@@ -21,7 +21,12 @@ from socicnn import (
     train,
     variant_param_count,
 )
+from socicnn.gradients import parameter_gradients
+from socicnn.model import flatten_params, nonneg_mask, unflatten_params
 from socicnn.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     VARIANTS,
     fit_variant_to_target,
     load_dataset_csv,
@@ -57,6 +62,14 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for patience in (0, -5):
+        with pytest.raises(ValueError, match="early_stop_patience must be >= 1"):
+            TrainConfig(early_stop_patience=patience)
+    for name in ("epochs", "batch_size", "early_stop_patience"):
+        for count in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                TrainConfig(**{name: count})
+    TrainConfig(epochs=np.int64(3), batch_size=np.int32(4), early_stop_patience=1)
 
 
 def test_dataset_sampling_validation():
@@ -183,6 +196,72 @@ def test_best_val_checkpoint_and_monotone_best():
     assert np.all(np.diff(best_so_far) <= 0.0 + 1e-18)
     resid = forward_total_batch(trained, va.xs) - va.ys
     assert float(np.mean(resid**2)) == pytest.approx(min(vals), rel=1e-12)
+
+
+def reference_train(params, train_ds, val_ds, config):
+    # the out-of-place loop: a list of step losses, np.mean, and new m, v and
+    # parameter vectors on every Adam step
+    flat = flatten_params(params)
+    g = np.zeros_like(flat)
+    model = unflatten_params(params, flat)
+    grads = unflatten_params(params, g)
+    lower = np.where(nonneg_mask(params), 0.0, -np.inf)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    step = 0
+    rng = spawn_rng(config.seed)
+    n = train_ds.size
+    batch = min(config.batch_size, n)
+    best_val = np.inf
+    best_flat = flat.copy()
+    stall = 0
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
+            epoch_losses.append(loss)
+            step += 1
+            lr_t = config.learning_rate * (np.sqrt(1.0 - b2**step) / (1.0 - b1**step))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + ADAM_EPS), lower)
+        train_loss = float(np.mean(epoch_losses))
+        val_loss = float(np.mean((forward_total_batch(model, val_ds.xs) - val_ds.ys) ** 2))
+        history.append((epoch, train_loss, val_loss))
+        if val_loss < best_val:
+            best_val = val_loss
+            best_flat[:] = flat
+            stall = 0
+        else:
+            stall += 1
+        if stall >= config.early_stop_patience:
+            break
+    return unflatten_params(params, best_flat), history
+
+
+def test_train_matches_the_reference_loop_bit_for_bit():
+    tr, va = _tiny_splits(8, name="Mixed", d=4, n=50)
+    cases = [
+        (va, TrainConfig(epochs=6, batch_size=16, learning_rate=1e-2, seed=3)),  # last batch of 2
+        (tr, TrainConfig(epochs=6, batch_size=64, learning_rate=1e-2, seed=4)),  # the decide shape
+        (va, TrainConfig(epochs=30, batch_size=32, learning_rate=2e-2, seed=5,
+                         early_stop_patience=2)),
+    ]
+    stopped = 0
+    for variant in VARIANTS:
+        for passthrough in (True, False):
+            model = build_variant_model(variant, 4, 6, 2, seed=8, passthrough=passthrough)
+            for val, cfg in cases:
+                got, history = train(model, tr, val, cfg)
+                want, want_history = reference_train(model, tr, val, cfg)
+                assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+                assert history == want_history
+                stopped += len(history) < cfg.epochs
+    assert stopped == 2 * len(VARIANTS)  # early stop fired in every third case
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
