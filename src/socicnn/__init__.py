@@ -19,10 +19,10 @@ from .model import (
     ForwardTrace,
     LayerParams,
     SocIcnnParams,
+    batch_forward,
     count_forward_flops,
     count_parameters,
     forward,
-    forward_total_batch,
     from_json_dict,
     from_structured_class,
     init_model,
@@ -56,7 +56,6 @@ from .targets import (
     TARGET_NAMES,
     TargetFunction,
     make_target,
-    target_value_and_subgradient,
     target_values_and_subgradients,
     target_values_batch,
 )
@@ -92,7 +91,6 @@ from .theory import (
     absorption_rate_rows,
     build_tangent_max_affine,
     cpwl_piece_lower_bound,
-    eval_max_affine,
     loglog_slope,
     midpoint_grid,
 )

@@ -199,9 +199,13 @@ _METRIC_FIELDS = tuple(f.name for f in fields(DiagnosticsReport))
 
 
 def _max_over(values) -> float:
+    """The largest value, at least 0.0; a NaN value makes it NaN, so that it
+    fails every threshold."""
     worst = 0.0
     for v in values:
-        worst = max(worst, float(v))
+        v = float(v)
+        if v > worst or v != v:
+            worst = v
     return worst
 
 

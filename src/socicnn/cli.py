@@ -166,7 +166,7 @@ def cmd_verify(args: argparse.Namespace, out: Path) -> List[str]:
         key = f"passthrough_{str(passthrough).lower()}"
         doc[key] = {"trials": len(reports), "metrics": summary, "reports": reports}
         for name, stats in summary.items():
-            if stats["max"] > _VERIFY_LIMITS.get(name, FEASIBILITY_THRESHOLD):
+            if not stats["max"] <= _VERIFY_LIMITS.get(name, FEASIBILITY_THRESHOLD):
                 failures.append(f"{key}: {name} {stats['max']:.3e}")
         print(
             f"verify[{key}]: trials={len(reports)} "

@@ -344,19 +344,19 @@ def sample_context(seed: int, *key: int) -> np.ndarray:
     return spawn_rng(seed, *key).uniform(-1.0, 1.0, THETA_DIM)
 
 
-def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Objective value and gradient in x; accepts a point or an (n, d) batch.
+def task_objective(task: ParametricTask, theta, X) -> Tuple[np.ndarray, np.ndarray]:
+    """Objective values (n,) and gradients (n, d) on the rows of an (n, d)
+    batch X; any other shape raises ``ValueError``.  A single point is a
+    one-row batch.
 
     Gradients at a vanishing cone norm use the zero-vector convention.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (THETA_DIM,):
         raise ValueError(f"theta must have shape ({THETA_DIM},)")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != task.dim:
-        raise ValueError(f"decision points must have dimension {task.dim}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != task.dim:
+        raise ValueError(f"decision points must be an (n, {task.dim}) batch, got shape {X.shape}")
 
     m = task.m_base + task.m_map @ theta
     c = task.c_base + task.c_map @ theta
@@ -386,9 +386,6 @@ def task_objective(task: ParametricTask, theta, x) -> Tuple[np.ndarray, np.ndarr
             hv, hg = huber(T, HUBER_DELTA)
             vals += hv @ weights
             grads += (hg * weights) @ term.proj
-
-    if single:
-        return float(vals[0]), grads[0]
     return vals, grads
 
 
@@ -468,14 +465,14 @@ def evaluate_decision_quality(
         raise ValueError(f"x_hat lies {off:.3g} from the feasible set (max-norm)")
     restarts, steps = oracle_config
     x_star, f_star, gap, calls = minimize_task(task, theta, restarts, steps, oracle_seed)
-    f_hat, _ = task_objective(task, theta, x_hat)
+    f_hat = float(task_objective(task, theta, x_hat[None])[0][0])
     return DecisionReport(
         regret=float(f_hat - f_star),
         oracle_gap=gap,
         oracle_evals=calls,
         decision_error=float(np.sqrt(np.sum((x_hat - x_star) ** 2))),
         surrogate_value=float(surrogate_value),
-        true_value=float(f_hat),
+        true_value=f_hat,
     )
 
 

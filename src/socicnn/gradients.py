@@ -35,7 +35,7 @@ def _act_derivative(activation: str, pre: np.ndarray) -> np.ndarray:
 
 
 def _backbone_deltas(params: SocIcnnParams, preacts, seed: np.ndarray) -> List[np.ndarray]:
-    """The backward recursion through the backbone, over a batch cache.
+    """The backward recursion through the backbone, over a batch trace.
 
     ``seed[i]`` is the derivative of the output with respect to row i's
     total; the result holds, per layer, the derivative with respect to that
@@ -82,22 +82,22 @@ def input_subgradient(params: SocIcnnParams, x, trace: Optional[ForwardTrace] = 
 
 def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     """Forward values and input subgradients for every row of X at once."""
-    totals, cache = batch_forward(params, X)
-    n = totals.shape[0]
+    trace = batch_forward(params, X)
+    n = trace.total.shape[0]
     seed = np.ones(n)
     G = np.empty((n, params.input_dim))
     G[...] = params.w_skip
-    deltas = _backbone_deltas(params, cache["preacts"], seed)
+    deltas = _backbone_deltas(params, trace.preacts, seed)
     # Top layer first: the summation order fixes the last bits of G, and with
     # them the decisions that projected descent reaches.
     for layer, delta in zip(params.layers[::-1], deltas[::-1]):
         if layer.w_x is not None:
             G += delta @ layer.w_x
-    for br, Q in zip(params.quad, cache["quad_q"]):
+    for br, Q in zip(params.quad, trace.quad_q):
         G += br.weight * (Q @ br.proj)
-    for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"]):
+    for br, U, t in zip(params.conic, trace.conic_u, trace.conic_t):
         G += (over_norm(br.weight, t)[:, None] * U) @ br.proj
-    return totals, G
+    return trace.total, G
 
 
 def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnParams) -> float:
@@ -113,16 +113,16 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
         raise DimensionError("batch_y must match the number of batch rows")
     n = X.shape[0]
 
-    totals, cache = batch_forward(params, X)
-    residual = totals - y
+    trace = batch_forward(params, X)
+    residual = trace.total - y
     loss = float(np.add.reduce(residual * residual)) / n
     # a non-finite y always makes the loss non-finite, so y is read only then
     if not math.isfinite(loss) and not np.all(np.isfinite(y)):
         raise ValueError("batch_y contains non-finite values")
     dtotal = (2.0 / n) * residual  # dL/d f(x_i)
 
-    acts = cache["acts"]
-    deltas = _backbone_deltas(params, cache["preacts"], dtotal)
+    acts = trace.acts
+    deltas = _backbone_deltas(params, trace.preacts, dtotal)
     for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
         if grad.w_x is not None:
             np.matmul(delta.T, X, out=grad.w_x)
@@ -135,9 +135,9 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
 
     # per branch: d loss / d residual rows, and the norm values the weight scales
     quad = [((dtotal * br.weight)[:, None] * Q, s)
-            for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"])]
+            for br, Q, s in zip(params.quad, trace.quad_q, trace.quad_s)]
     conic = [(over_norm(dtotal * br.weight, t)[:, None] * U, t)
-             for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"])]
+             for br, U, t in zip(params.conic, trace.conic_u, trace.conic_t)]
     for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
         np.matmul(dtotal, norms, out=grad.weight)
         np.matmul(dR.T, X, out=grad.proj)
@@ -145,20 +145,22 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
     return loss
 
 
-def _near_kink(params: SocIcnnParams, trace: ForwardTrace, threshold: float) -> bool:
+def _near_kink(params: SocIcnnParams, trace: ForwardTrace, threshold: float) -> np.ndarray:
+    """Row mask of a batch trace: True where a ReLU preactivation or a norm
+    lies within ``threshold`` of its kink."""
+    near = np.zeros(trace.total.shape[0], dtype=bool)
     if params.activation == RELU:
         for pre in trace.preacts:
-            if pre.size and float(np.min(np.abs(pre))) < threshold:
-                return True
+            near |= np.any(np.abs(pre) < threshold, axis=1)
     for t in trace.conic_t:
-        if t < threshold:
-            return True
-    return False
+        near |= t < threshold
+    return near
 
 
 def finite_difference_check(params: SocIcnnParams, x, step: float) -> float:
     """Max relative gap between the input subgradient and central differences.
 
+    x and its 2d steps x +/- step * e_i are one batch of 2d + 1 rows.
     Coordinates whose +/-step evaluations pass within 10*step of an
     activation or norm kink are skipped: central differences are invalid
     across kinks, and a kink hit must not raise a false alarm.
@@ -166,21 +168,12 @@ def finite_difference_check(params: SocIcnnParams, x, step: float) -> float:
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    base = forward(params, x)
-    g = input_subgradient(params, x, trace=base)
-    threshold = 10.0 * step
-
-    worst = 0.0
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        tp = forward(params, xp)
-        tm = forward(params, xm)
-        if any(_near_kink(params, tr, threshold) for tr in (base, tp, tm)):
-            continue
-        fd = (tp.total - tm.total) / (2.0 * step)
-        denom = max(abs(g[i]), abs(fd), 1e-3)
-        worst = max(worst, abs(g[i] - fd) / denom)
-    return worst
+    d = x.shape[0]
+    g = input_subgradient(params, x)
+    shifts = step * np.eye(d)
+    trace = batch_forward(params, np.vstack([x, x + shifts, x - shifts]))
+    near = _near_kink(params, trace, 10.0 * step)
+    fd = (trace.total[1 : d + 1] - trace.total[d + 1 :]) / (2.0 * step)
+    keep = ~(near[0] | near[1 : d + 1] | near[d + 1 :])
+    denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-3)
+    return float(np.max(np.abs(g - fd) / denom, where=keep, initial=0.0))

@@ -11,6 +11,9 @@ nonnegative so the total stays convex in the input.  Nonnegativity is imposed
 by clamping (``project_feasible``), never by reparameterization, so the stored
 arrays are exactly the data of the epigraph lift used by the certificate
 module.
+
+The forward pass is one computation over the rows of a batch, recorded in
+one ``ForwardTrace``; a single point is a one-row batch.
 """
 
 from __future__ import annotations
@@ -147,23 +150,30 @@ class SocIcnnParams:
         return len(self.layers)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ForwardTrace:
-    """Everything the forward pass computed for one input.
+    """Everything the forward pass computed, row by row.
+
+    From ``batch_forward`` over an (n, d0) batch every field has a leading
+    row axis: total and backbone_value are (n,), preacts[l] and acts[l] are
+    (n, w_l), quad_q[h] and conic_u[g] are (n, k), and quad_s[h] and
+    conic_t[g] are (n,).  ``forward`` returns its one row: the same fields
+    without the row axis, the scalars as floats.
 
     quad_s[h] and conic_t[g] are stored exactly as evaluated from quad_q[h]
     and conic_u[g]; downstream feasibility checks rely on that bitwise
-    identity.
+    identity.  Not frozen: a frozen dataclass costs several times more to
+    build, and training builds one per step.
     """
 
-    preacts: Tuple[np.ndarray, ...]
-    acts: Tuple[np.ndarray, ...]
-    backbone_value: float
-    quad_q: Tuple[np.ndarray, ...]
-    quad_s: Tuple[float, ...]
-    conic_u: Tuple[np.ndarray, ...]
-    conic_t: Tuple[float, ...]
-    total: float
+    preacts: Sequence[np.ndarray]
+    acts: Sequence[np.ndarray]
+    backbone_value: np.ndarray
+    quad_q: Sequence[np.ndarray]
+    quad_s: Sequence[np.ndarray]
+    conic_u: Sequence[np.ndarray]
+    conic_t: Sequence[np.ndarray]
+    total: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +352,9 @@ def _apply_activation(activation: str, pre: np.ndarray) -> np.ndarray:
     return softplus(pre)
 
 
-def _forward_rows(params: SocIcnnParams, X: np.ndarray):
-    """The forward pass over the rows of X: totals and every intermediate.
-
-    Both public forwards are this one computation; a single point is a
-    one-row batch.
-    """
+def _forward_rows(params: SocIcnnParams, X: np.ndarray) -> ForwardTrace:
+    """The forward pass over the rows of X, recording every intermediate;
+    ``forward`` and ``batch_forward`` are both this one computation."""
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
 
@@ -377,50 +384,38 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray):
     for br, t in zip(params.conic, conic_t):
         totals += br.weight * t
 
-    cache = {
-        "preacts": preacts,
-        "acts": acts,
-        "backbone": backbone,
-        "quad_q": quad_q,
-        "quad_s": quad_s,
-        "conic_u": conic_u,
-        "conic_t": conic_t,
-    }
-    return totals, cache
+    return ForwardTrace(preacts, acts, backbone, quad_q, quad_s, conic_u, conic_t, totals)
 
 
 def forward(params: SocIcnnParams, x) -> ForwardTrace:
-    """Evaluate the model at one input, recording every intermediate."""
+    """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise DimensionError(f"expected input of shape ({params.input_dim},), got {x.shape}")
-    totals, cache = _forward_rows(params, x[None])
+    rows = _forward_rows(params, x[None])
     return ForwardTrace(
-        preacts=tuple(pre[0] for pre in cache["preacts"]),
-        acts=tuple(act[0] for act in cache["acts"]),
-        backbone_value=float(cache["backbone"][0]),
-        quad_q=tuple(Q[0] for Q in cache["quad_q"]),
-        quad_s=tuple(float(s[0]) for s in cache["quad_s"]),
-        conic_u=tuple(U[0] for U in cache["conic_u"]),
-        conic_t=tuple(float(t[0]) for t in cache["conic_t"]),
-        total=float(totals[0]),
+        preacts=tuple(pre[0] for pre in rows.preacts),
+        acts=tuple(act[0] for act in rows.acts),
+        backbone_value=float(rows.backbone_value[0]),
+        quad_q=tuple(Q[0] for Q in rows.quad_q),
+        quad_s=tuple(float(s[0]) for s in rows.quad_s),
+        conic_u=tuple(U[0] for U in rows.conic_u),
+        conic_t=tuple(float(t[0]) for t in rows.conic_t),
+        total=float(rows.total[0]),
     )
 
 
-def batch_forward(params: SocIcnnParams, X: np.ndarray):
-    """Vectorized forward over the rows of X.
+def batch_forward(params: SocIcnnParams, X: np.ndarray) -> ForwardTrace:
+    """The forward pass over the rows of an (n, d0) batch X.
 
-    Returns totals of shape (n,) and the cache of per-layer and per-branch
-    intermediates that the gradient engine reads.
+    Returns the ``ForwardTrace`` with a leading row axis on every field:
+    ``.total`` holds the n forward values, and the per-layer and per-branch
+    intermediates are what the gradient engine reads.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
     return _forward_rows(params, X)
-
-
-def forward_total_batch(params: SocIcnnParams, X: np.ndarray) -> np.ndarray:
-    return batch_forward(params, X)[0]
 
 
 # ---------------------------------------------------------------------------

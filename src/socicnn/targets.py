@@ -139,14 +139,6 @@ def target_values_and_subgradients(target: TargetFunction, X) -> Tuple[np.ndarra
     raise AssertionError(name)
 
 
-def target_value_and_subgradient(target: TargetFunction, x) -> Tuple[float, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (target.dim,):
-        raise ValueError(f"expected input of shape ({target.dim},), got {x.shape}")
-    values, grads = target_values_and_subgradients(target, x[None])
-    return float(values[0]), grads[0]
-
-
 def target_values_batch(target: TargetFunction, X) -> np.ndarray:
     """Values on the rows of X; used for dataset generation and sampling tests."""
     return target_values_and_subgradients(target, X)[0]

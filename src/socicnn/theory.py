@@ -41,13 +41,6 @@ class MaxAffine:
         return self.slopes.shape[0]
 
 
-def eval_max_affine(g: MaxAffine, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.slopes.shape[1],):
-        raise ValueError(f"expected input of dimension {g.slopes.shape[1]}")
-    return float(eval_max_affine_batch(g, x[None])[0])
-
-
 def eval_max_affine_batch(g: MaxAffine, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     return np.max(X @ g.slopes.T + g.intercepts, axis=1)
@@ -121,7 +114,9 @@ def sup_error_estimate(
     X = spawn_rng(seed, dim, approx.num_pieces).uniform(-1.0, 1.0, (num_samples, dim))
     rows = max(1, SAMPLE_BLOCK_ENTRIES // approx.num_pieces)
     blocks = (X[i : i + rows] for i in range(0, num_samples, rows))
-    return max(float(np.max(np.abs(oracle(B)[0] - eval_max_affine_batch(approx, B)))) for B in blocks)
+    # np.max, not max: a NaN in any block must survive into the estimate
+    errors = [np.max(np.abs(oracle(B)[0] - eval_max_affine_batch(approx, B))) for B in blocks]
+    return float(np.max(errors))
 
 
 def absorption_rate_rows(

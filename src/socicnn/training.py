@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -23,9 +24,9 @@ from .model import (
     SOFTPLUS,
     DimensionError,
     SocIcnnParams,
+    batch_forward,
     count_parameters,
     flatten_params,
-    forward_total_batch,
     init_model,
     nonneg_mask,
     spawn_rng,
@@ -61,15 +62,18 @@ class TrainConfig:
     early_stop_patience: int = 50
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise TypeError(f"learning_rate must be a real number, got {rate!r}")
+        if not 0 < rate < np.inf:
             raise ValueError("learning rate must be positive and finite")
-        for name in ("epochs", "batch_size", "early_stop_patience"):
+        for name in ("seed", "epochs", "batch_size", "early_stop_patience"):
             value = getattr(self, name)
             try:
                 count = operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            if count < 1:
+            if count < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1, got {count}")
 
 
@@ -211,7 +215,7 @@ def train(
             np.maximum(scratch, lower, out=flat)
 
         train_loss = float(np.add.reduce(step_losses)) / step_losses.size
-        resid = forward_total_batch(model, val_ds.xs) - val_ds.ys
+        resid = batch_forward(model, val_ds.xs).total - val_ds.ys
         val_loss = float(np.add.reduce(resid * resid)) / resid.size
         if not math.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")
@@ -235,7 +239,7 @@ def relative_l2_error(params: SocIcnnParams, test: Dataset) -> float:
     denom = float(np.sqrt(np.dot(test.ys, test.ys)))
     if denom == 0.0:
         raise ValueError("relative error is undefined for all-zero targets")
-    resid = forward_total_batch(params, test.xs) - test.ys
+    resid = batch_forward(params, test.xs).total - test.ys
     return float(np.sqrt(np.dot(resid, resid))) / denom
 
 

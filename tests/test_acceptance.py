@@ -18,8 +18,8 @@ from socicnn import (
     RELU,
     count_forward_flops,
     finite_difference_check,
+    batch_forward,
     forward,
-    forward_total_batch,
     from_structured_class,
     init_model,
     make_target,
@@ -127,7 +127,7 @@ def test_c3_exact_structured_representation():
             )
         model = from_structured_class(a, b, B, terms)
         X = rng.uniform(-3.0, 3.0, (500, d0))
-        values = forward_total_batch(model, X)
+        values = batch_forward(model, X).total
         closed = X @ a + b
         if B is not None:
             QX = X @ B.T
@@ -162,8 +162,8 @@ def test_c4_convexity_and_gradient_suites():
         X = rng.uniform(-4.0, 4.0, (500, d0))
         Y = rng.uniform(-4.0, 4.0, (500, d0))
         fx, gx = value_and_input_gradient_batch(model, X)
-        fy = forward_total_batch(model, Y)
-        fmid = forward_total_batch(model, (X + Y) / 2.0)
+        fy = batch_forward(model, Y).total
+        fmid = batch_forward(model, (X + Y) / 2.0).total
         worst_mid = max(worst_mid, float(np.max(fmid - 0.5 * (fx + fy))))
         worst_sub = max(
             worst_sub, float(np.max(fx + np.einsum("ij,ij->i", gx, Y - X) - fy))
@@ -183,9 +183,9 @@ def test_c4_convexity_and_gradient_suites():
         for k in range(params.size):
             bumped = params.copy()
             bumped[k] += step
-            up = forward_total_batch(unflatten_params(model, bumped), X) - y
+            up = batch_forward(unflatten_params(model, bumped), X).total - y
             bumped[k] -= 2 * step
-            down = forward_total_batch(unflatten_params(model, bumped), X) - y
+            down = batch_forward(unflatten_params(model, bumped), X).total - y
             fd = (float(np.mean(up**2)) - float(np.mean(down**2))) / (2 * step)
             analytic = float(flat[k])
             worst_param = max(

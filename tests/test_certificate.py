@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -23,9 +24,9 @@ from socicnn import (
 from socicnn.certificate import _METRIC_FIELDS
 from socicnn.cli import FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
 from socicnn.gradients import chain_multipliers
-from socicnn.model import LayerParams, SocIcnnParams
+from socicnn.model import LayerParams, SocIcnnParams, batch_forward, flatten_params, unflatten_params
 
-from test_model import random_model, relu_scalar_model
+from test_model import fail_wherever_called, random_model, relu_scalar_model
 
 
 def test_lift_shape_for_scalar_relu():
@@ -252,6 +253,31 @@ def test_verification_trials_are_deterministic():
     a = run_verification_trials(4, 6, 8, 2, 1, 1, False, seed=9)
     b = run_verification_trials(4, 6, 8, 2, 1, 1, False, seed=9)
     assert a == b
+
+
+def test_verification_trials_run_no_batch_forward(monkeypatch):
+    # a certify item is single-point work, and the benchmark counts it so
+    fail_wherever_called(monkeypatch, batch_forward)
+    (report,) = run_verification_trials(1, 4, 6, 2, 1, 1, True, seed=3)
+    assert report["primal_dual_gap"] <= GAP_THRESHOLD
+
+
+def test_a_nan_row_fails_every_threshold():
+    # weights of 1e160 overflow the second layer, so pre - z is inf - inf
+    m = init_model(3, [4, 4], [3], [3], True, RELU, seed=1)
+    huge = unflatten_params(m, flatten_params(m) * 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = diagnostics_report(huge, np.array([1.0, -2.0, 0.5]))
+    for name in (
+        "relu_primal_violation",
+        "relu_dual_box_violation",
+        "relu_complementarity_slack",
+        "quad_epigraph_violation",
+        "quad_tightness_slack",
+        "norm_epigraph_violation",
+        "norm_tightness_slack",
+    ):
+        assert math.isnan(getattr(report, name)), name
 
 
 def test_certificate_subgradient_consistency():

@@ -68,6 +68,21 @@ def test_verify_check_reports_every_breached_metric(tmp_path, capsys, monkeypatc
     ]
 
 
+def test_verify_check_fails_on_a_nan_metric(tmp_path, capsys, monkeypatch):
+    def trials(count, *args):
+        reports = [dict.fromkeys(_METRIC_FIELDS, 0.0) for _ in range(count)]
+        reports[-1]["relu_primal_violation"] = math.nan
+        return reports
+
+    monkeypatch.setattr("socicnn.cli.run_verification_trials", trials)
+    code = main(["verify", "--trials", "4", "--out", str(tmp_path / "v"), "--check"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"check failed: passthrough_{setting}: relu_primal_violation nan"
+        for setting in ("false", "true")
+    ]
+
+
 @pytest.mark.parametrize("variant", ["SOC", "Softplus"])
 def test_train_is_byte_identical_across_reruns(tmp_path, variant):
     args = [

@@ -396,8 +396,13 @@ def _slsqp_value(task, theta):
     if total is not None:
         constraints.append({"type": "eq", "fun": lambda x: np.sum(x) - total,
                             "jac": lambda x: np.ones_like(x)})
+
+    def objective(x):
+        (value,), (grad,) = task_objective(task, theta, x[None])
+        return value, grad
+
     result = minimize(
-        lambda x: task_objective(task, theta, x),
+        objective,
         project_onto(feasible, np.full(task.dim, 0.5)),
         jac=True,
         method="SLSQP",
@@ -405,7 +410,7 @@ def _slsqp_value(task, theta):
         constraints=constraints,
         options={"ftol": 1e-15, "maxiter": 1000},
     )
-    return task_objective(task, theta, project_onto(feasible, result.x))[0]
+    return task_objective(task, theta, project_onto(feasible, result.x)[None])[0][0]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -538,7 +543,7 @@ def test_theta_zero_uses_base_coefficients():
     task = make_task("SimplexSocp", 6, 1)
     theta = np.zeros(8)
     x = np.full(6, 1.0 / 6.0)
-    value, _ = task_objective(task, theta, x)
+    (value,), _ = task_objective(task, theta, x[None])
     diff = x - task.m_base
     expected = 0.5 * task.alpha * float(task.backbone_weights @ (diff * diff))
     expected += float(task.c_base @ x)
@@ -552,7 +557,7 @@ def test_backbone_vanishes_at_its_anchor_point():
     task = make_task("BoxSocp", 5, 2)
     theta = sample_context(2, 0)
     m = task.m_base + task.m_map @ theta
-    value, _ = task_objective(task, theta, m)
+    (value,), _ = task_objective(task, theta, m[None])
     linear = float((task.c_base + task.c_map @ theta) @ m)
     cone = task.terms[0]
     weight = float(np.logaddexp(0.0, cone.weight_base + cone.weight_map @ theta))
@@ -568,14 +573,13 @@ def test_task_gradients_match_finite_differences(family):
     for trial in range(5):
         theta = sample_context(4, trial)
         x = rng.uniform(0.0, 1.0, 6)
-        _, grad = task_objective(task, theta, x)
+        _, (grad,) = task_objective(task, theta, x[None])
         for i in range(6):
             xp, xm = x.copy(), x.copy()
             xp[i] += step
             xm[i] -= step
-            fd = (task_objective(task, theta, xp)[0] - task_objective(task, theta, xm)[0]) / (
-                2 * step
-            )
+            (fp, fm), _ = task_objective(task, theta, np.array([xp, xm]))
+            fd = (fp - fm) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=2e-4, abs=2e-5)
 
 
@@ -601,9 +605,17 @@ def test_task_objective_batched_matches_single():
     X = spawn_rng(6, 2).uniform(0, 1, (9, 7))
     vals, grads = task_objective(task, theta, X)
     for row, v, g in zip(X, vals, grads):
-        sv, sg = task_objective(task, theta, row)
+        (sv,), (sg,) = task_objective(task, theta, row[None])
         assert sv == pytest.approx(v, rel=1e-13)
         assert np.allclose(sg, g, atol=1e-12)
+
+
+def test_task_objective_takes_only_batches():
+    task = make_task("BudgetHuber", 7, 6)
+    theta = sample_context(6, 0)
+    for X in (np.full(7, 0.5), np.full((1, 1, 7), 0.5), np.full((2, 6), 0.5), np.float64(0.5)):
+        with pytest.raises(ValueError, match=r"must be an \(n, 7\) batch"):
+            task_objective(task, theta, X)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +684,7 @@ def test_regret_is_nonnegative_for_feasible_points():
         report = evaluate_decision_quality(task, theta, x_hat, oracle_seed=trial)
         assert report.regret >= -1e-9
         assert report.true_value == pytest.approx(
-            task_objective(task, theta, x_hat)[0]
+            task_objective(task, theta, x_hat[None])[0][0]
         )
 
 

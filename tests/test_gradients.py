@@ -20,7 +20,6 @@ from socicnn.model import (
     SocIcnnParams,
     batch_forward,
     flatten_params,
-    forward_total_batch,
     over_norm,
     sigmoid,
     unflatten_params,
@@ -74,7 +73,7 @@ def test_subgradient_inequality_sampled():
         X = rng.uniform(-4, 4, (250, 4))
         Y = rng.uniform(-4, 4, (250, 4))
         fx, gx = value_and_input_gradient_batch(m, X)
-        fy = forward_total_batch(m, Y)
+        fy = batch_forward(m, Y).total
         gap = fx + np.einsum("ij,ij->i", gx, Y - X) - fy
         worst = max(worst, float(np.max(gap)))
     assert worst <= 1e-9
@@ -125,7 +124,7 @@ def test_backbone_gradient_piecewise_constant():
 def test_zero_loss_means_zero_gradients():
     m = random_model(25)
     X = spawn_rng(25, 1).uniform(-2, 2, (12, m.input_dim))
-    y = forward_total_batch(m, X)
+    y = batch_forward(m, X).total
     grads = _gradient_model(m)
     loss = parameter_gradients(m, X, y, grads)
     assert loss == 0.0
@@ -186,11 +185,11 @@ def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
 
 def reference_parameter_gradients(params, X, y, out):
     # float derivative masks, temporaries copied into out, and np.mean
-    totals, cache = batch_forward(params, X)
-    residual = totals - y
+    trace = batch_forward(params, X)
+    residual = trace.total - y
     loss = float(np.mean(residual**2))
     dtotal = (2.0 / X.shape[0]) * residual
-    acts, preacts = cache["acts"], cache["preacts"]
+    acts, preacts = trace.acts, trace.preacts
 
     def derivative(pre):
         return (pre > 0.0).astype(np.float64) if params.activation == RELU else sigmoid(pre)
@@ -211,9 +210,9 @@ def reference_parameter_gradients(params, X, y, out):
     out.w_skip[...] = X.T @ dtotal
     out.b_out[...] = np.sum(dtotal)
     quad = [((dtotal * br.weight)[:, None] * Q, s)
-            for br, Q, s in zip(params.quad, cache["quad_q"], cache["quad_s"])]
+            for br, Q, s in zip(params.quad, trace.quad_q, trace.quad_s)]
     conic = [(over_norm(dtotal * br.weight, t)[:, None] * U, t)
-             for br, U, t in zip(params.conic, cache["conic_u"], cache["conic_t"])]
+             for br, U, t in zip(params.conic, trace.conic_u, trace.conic_t)]
     for grad, (dR, norms) in zip(out.quad + out.conic, quad + conic):
         grad.weight[...] = np.dot(dtotal, norms)
         grad.proj[...] = dR.T @ X
@@ -238,7 +237,7 @@ def test_parameter_gradients_match_the_reference_bit_for_bit(activation):
 
 def _loss_of_flat(template, flat, X, y):
     model = unflatten_params(template, flat)
-    resid = forward_total_batch(model, X) - y
+    resid = batch_forward(model, X).total - y
     return float(np.mean(resid**2))
 
 

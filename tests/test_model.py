@@ -1,8 +1,11 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import socicnn
 from socicnn import (
     RELU,
     SOFTPLUS,
@@ -13,7 +16,6 @@ from socicnn import (
     SocIcnnParams,
     count_parameters,
     forward,
-    forward_total_batch,
     from_json_dict,
     from_structured_class,
     init_model,
@@ -50,6 +52,22 @@ def relu_scalar_model():
         passthrough=True,
         activation=RELU,
     )
+
+
+def fail_wherever_called(monkeypatch, fn):
+    """Replace ``fn`` by a function that raises at every attribute of the
+    package's modules that holds it, which is where its callers look it up."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{fn.__module__}.{fn.__name__} was called")
+
+    modules = [socicnn] + [
+        importlib.import_module(f"socicnn.{info.name}") for info in pkgutil.iter_modules(socicnn.__path__)
+    ]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, fail)
 
 
 def random_model(seed, d0=6, widths=(8, 8), num_quad=1, num_conic=1, passthrough=True,
@@ -243,14 +261,14 @@ def test_forward_is_row_zero_of_the_batch():
         m = random_model(12, num_quad=2, num_conic=2, passthrough=passthrough)
         x = spawn_rng(12, 1).uniform(-2, 2, m.input_dim)
         tr = forward(m, x)
-        totals, cache = batch_forward(m, x[None])
-        assert tr.total == totals[0]
-        assert tr.backbone_value == cache["backbone"][0]
+        rows = batch_forward(m, x[None])
+        assert tr.total == rows.total[0]
+        assert tr.backbone_value == rows.backbone_value[0]
         for name in ("preacts", "acts", "quad_q", "conic_u"):
-            for row, full in zip(getattr(tr, name), cache[name], strict=True):
+            for row, full in zip(getattr(tr, name), getattr(rows, name), strict=True):
                 assert np.array_equal(row, full[0])
         for name in ("quad_s", "conic_t"):
-            assert list(getattr(tr, name)) == [v[0] for v in cache[name]]
+            assert list(getattr(tr, name)) == [v[0] for v in getattr(rows, name)]
 
 
 def test_batch_forward_rejects_non_finite_rows():
@@ -267,7 +285,7 @@ def test_batch_forward_rejects_non_finite_rows():
 def test_batch_forward_matches_pointwise():
     m = random_model(5)
     X = spawn_rng(5, 1).uniform(-2, 2, (40, m.input_dim))
-    totals = forward_total_batch(m, X)
+    totals = batch_forward(m, X).total
     for row, total in zip(X, totals):
         assert forward(m, row).total == pytest.approx(total, rel=1e-13, abs=1e-13)
 
@@ -335,9 +353,9 @@ def test_midpoint_convexity_sampled():
                          passthrough=bool(trial % 2))
         X = rng.uniform(-4, 4, (500, 4))
         Y = rng.uniform(-4, 4, (500, 4))
-        fx = forward_total_batch(m, X)
-        fy = forward_total_batch(m, Y)
-        fmid = forward_total_batch(m, (X + Y) / 2.0)
+        fx = batch_forward(m, X).total
+        fy = batch_forward(m, Y).total
+        fmid = batch_forward(m, (X + Y) / 2.0).total
         worst = max(worst, float(np.max(fmid - 0.5 * (fx + fy))))
     assert worst <= 1e-9
 

@@ -20,9 +20,9 @@ from socicnn import (
     RELU,
     ConstraintError,
     DimensionError,
+    batch_forward,
     diagnostics_report,
     forward,
-    forward_total_batch,
     from_json_dict,
     init_model,
     socp_oracle_value,
@@ -104,7 +104,7 @@ def test_forward_is_convex_along_segments(data):
     m = data.draw(models())
     x, y = data.draw(points(m.input_dim, 2))
     t = np.linspace(0.0, 1.0, 11)[:, None]
-    values = forward_total_batch(m, (1.0 - t) * x + t * y)
+    values = batch_forward(m, (1.0 - t) * x + t * y).total
     chord = (1.0 - t[:, 0]) * values[0] + t[:, 0] * values[-1]
     tol = 1e-9 * (1.0 + np.max(np.abs(values)))
     assert np.all(values <= chord + tol)

@@ -7,7 +7,6 @@ from socicnn import (
     TARGET_NAMES,
     make_target,
     spawn_rng,
-    target_value_and_subgradient,
     target_values_and_subgradients,
     target_values_batch,
 )
@@ -39,30 +38,30 @@ def test_frozen_data_deterministic():
 
 
 def test_point_values():
-    v, g = target_value_and_subgradient(make_target("NormEuclid", 2, 0), [3.0, 4.0])
+    (v,), (g,) = target_values_and_subgradients(make_target("NormEuclid", 2, 0), [[3.0, 4.0]])
     assert v == pytest.approx(5.0, abs=1e-14)
     assert np.allclose(g, [0.6, 0.8], atol=1e-14)
 
-    v, g = target_value_and_subgradient(make_target("LogSumExpQuad", 2, 0), [0.0, 0.0])
+    (v,), (g,) = target_values_and_subgradients(make_target("LogSumExpQuad", 2, 0), [[0.0, 0.0]])
     assert v == pytest.approx(math.log(2.0), abs=1e-12)
     assert np.allclose(g, [0.5, 0.5], atol=1e-12)
 
     # Huber branch 2*delta*|t| - delta^2 beyond the knee, 2t inside
-    v, g = target_value_and_subgradient(make_target("Huber", 2, 0), [2.0, 0.0])
+    (v,), (g,) = target_values_and_subgradients(make_target("Huber", 2, 0), [[2.0, 0.0]])
     assert v == pytest.approx(3.0, abs=1e-14)
     assert np.allclose(g, [2.0, 0.0], atol=1e-14)
-    v, g = target_value_and_subgradient(make_target("Huber", 2, 0), [0.5, -0.25])
+    (v,), (g,) = target_values_and_subgradients(make_target("Huber", 2, 0), [[0.5, -0.25]])
     assert v == pytest.approx(0.25 + 0.0625, abs=1e-14)
     assert np.allclose(g, [1.0, -0.5], atol=1e-14)
 
-    v, g = target_value_and_subgradient(make_target("L1Norm", 2, 0), [-1.0, 2.0])
+    (v,), (g,) = target_values_and_subgradients(make_target("L1Norm", 2, 0), [[-1.0, 2.0]])
     assert v == pytest.approx(3.0, abs=1e-15)
     assert np.allclose(g, [-1.0, 1.0], atol=1e-15)
 
 
 def test_ickan_target_at_ones():
     t = make_target("ICKANPaperTarget", 7, 5)
-    v, _ = target_value_and_subgradient(t, np.ones(7))
+    (v,) = target_values_batch(t, np.ones((1, 7)))
     assert v == pytest.approx(7.0 + 0.25 * float(np.sum(t.weights)), abs=1e-12)
 
 
@@ -76,8 +75,8 @@ def test_quadratic_iso_matches_closed_form():
 def test_kink_conventions_are_zero():
     for name in ("NormEuclid", "NormAniso", "L1Norm"):
         t = make_target(name, 3, 0)
-        _, g = target_value_and_subgradient(t, np.zeros(3))
-        assert np.array_equal(g, np.zeros(3))
+        _, G = target_values_and_subgradients(t, np.zeros((1, 3)))
+        assert np.array_equal(G, np.zeros((1, 3)))
 
 
 def test_batch_values_match_pointwise():
@@ -87,7 +86,7 @@ def test_batch_values_match_pointwise():
         X = rng.uniform(-3, 3, (40, 5))
         batch = target_values_batch(t, X)
         for row, val in zip(X, batch):
-            assert target_value_and_subgradient(t, row)[0] == pytest.approx(
+            assert target_values_batch(t, row[None])[0] == pytest.approx(
                 val, rel=1e-13, abs=1e-13
             )
 
@@ -105,12 +104,11 @@ def test_batch_entry_rejects_rows_of_the_wrong_width(name):
 
 def test_logsumexp_stable_for_huge_inputs():
     t = make_target("LogSumExpQuad", 3, 0)
-    for x in (np.full(3, 700.0), np.full(3, -700.0)):
-        v, g = target_value_and_subgradient(t, x)
-        assert np.isfinite(v) and np.all(np.isfinite(g))
+    v, g = target_values_and_subgradients(t, np.array([np.full(3, 700.0), np.full(3, -700.0)]))
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
     t = make_target("SoftplusSum", 3, 0)
-    v, g = target_value_and_subgradient(t, np.full(3, 700.0))
-    assert np.isfinite(v) and np.all(np.isfinite(g))
+    v, g = target_values_and_subgradients(t, np.full((1, 3), 700.0))
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
 
 
 def test_every_target_is_midpoint_convex():
@@ -134,6 +132,6 @@ def test_subgradient_inequality_for_every_target():
         fy = target_values_batch(t, Y)
         worst = -np.inf
         for x, fy_val, y in zip(X, fy, Y):
-            fx, gx = target_value_and_subgradient(t, x)
+            (fx,), (gx,) = target_values_and_subgradients(t, x[None])
             worst = max(worst, fx + float(gx @ (y - x)) - float(fy_val))
         assert worst <= 1e-9, name

@@ -8,7 +8,6 @@ from socicnn import (
     absorption_rate_rows,
     build_tangent_max_affine,
     cpwl_piece_lower_bound,
-    eval_max_affine,
     loglog_slope,
     make_target,
     midpoint_grid,
@@ -47,9 +46,9 @@ def test_piece_lower_bound_scaling_in_accuracy():
 
 def test_eval_max_affine_basics():
     zero = MaxAffine(slopes=np.zeros((1, 2)), intercepts=np.zeros(1))
-    assert eval_max_affine(zero, [3.0, -1.0]) == 0.0
+    assert eval_max_affine_batch(zero, [[3.0, -1.0]])[0] == 0.0
     absval = MaxAffine(slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2))
-    assert eval_max_affine(absval, [3.0]) == 3.0
+    assert eval_max_affine_batch(absval, [[3.0]])[0] == 3.0
     with pytest.raises(ValueError):
         MaxAffine(slopes=np.zeros((0, 2)), intercepts=np.zeros(0))
 
@@ -74,14 +73,30 @@ def test_tangent_net_three_points_hand_computed():
     g = build_tangent_max_affine(_half_sq, net)
     # tangents of t^2/2 at -1, 0, 1 are -t - 1/2, 0, t - 1/2
     assert np.array_equal(np.sort(g.slopes[:, 0]), [-1.0, 0.0, 1.0])
-    assert eval_max_affine(g, [0.5]) == 0.0
-    assert 0.5 * 0.5**2 - eval_max_affine(g, [0.5]) == pytest.approx(0.125, abs=1e-15)
+    assert eval_max_affine_batch(g, [[0.5]])[0] == 0.0
+    assert 0.5 * 0.5**2 - eval_max_affine_batch(g, [[0.5]])[0] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_single_tangent_is_exact_at_its_point():
     g = build_tangent_max_affine(_half_sq, np.array([[0.7, -0.3]]))
-    assert eval_max_affine(g, [0.7, -0.3]) == pytest.approx(0.5 * (0.7**2 + 0.3**2), abs=1e-15)
+    assert eval_max_affine_batch(g, [[0.7, -0.3]])[0] == pytest.approx(
+        0.5 * (0.7**2 + 0.3**2), abs=1e-15
+    )
     assert g.num_pieces == 1
+
+
+def test_sup_error_keeps_a_nan_from_any_block(monkeypatch):
+    monkeypatch.setattr("socicnn.theory.SAMPLE_BLOCK_ENTRIES", 4)
+    approx = build_tangent_max_affine(_half_sq, midpoint_grid(1, 2))  # 2 rows per block
+    blocks = []
+
+    def nan_in_the_last_block(X):
+        blocks.append(X.shape[0])
+        values, grads = _half_sq(X)
+        return values + (np.nan if len(blocks) == 5 else 0.0), grads
+
+    assert math.isnan(sup_error_estimate(nan_in_the_last_block, approx, num_samples=10))
+    assert blocks == [2] * 5
 
 
 def test_tangent_net_underapproximates_convex_targets():

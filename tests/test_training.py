@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from socicnn import (
     DimensionError,
     TrainConfig,
     anchor_width,
+    batch_forward,
     build_variant_model,
     count_parameters,
-    forward_total_batch,
+    forward,
     from_structured_class,
     make_target,
     match_parameter_budget,
@@ -33,6 +36,8 @@ from socicnn.training import (
     save_dataset_csv,
     variant_depth,
 )
+
+from test_model import fail_wherever_called
 
 
 @pytest.mark.parametrize("name", TARGET_NAMES)
@@ -69,7 +74,15 @@ def test_train_config_validation():
         for count in (2.5, 3.0, "3"):
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 TrainConfig(**{name: count})
+    for seed in (2.5, 2.0, "2", None):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            TrainConfig(seed=seed)
+    for rate in ("0.1", True, None, 1e-2 + 0j):
+        with pytest.raises(TypeError, match="learning_rate must be a real number"):
+            TrainConfig(learning_rate=rate)
     TrainConfig(epochs=np.int64(3), batch_size=np.int32(4), early_stop_patience=1)
+    TrainConfig(seed=np.int64(-5), learning_rate=np.float32(0.5))
+    TrainConfig(learning_rate=1)
 
 
 def test_dataset_sampling_validation():
@@ -140,7 +153,7 @@ def test_relative_error_reference_points():
     assert relative_l2_error(zero, ds) == pytest.approx(1.0, abs=1e-14)
 
     # a model predicting exactly 2*ys scores 1 as well
-    halved = Dataset(xs=ds.xs, ys=forward_total_batch(exact, ds.xs) / 2.0)
+    halved = Dataset(xs=ds.xs, ys=batch_forward(exact, ds.xs).total / 2.0)
     assert relative_l2_error(exact, halved) == pytest.approx(1.0, abs=1e-12)
 
     with pytest.raises(ValueError):
@@ -194,7 +207,7 @@ def test_best_val_checkpoint_and_monotone_best():
     vals = [v for _, _, v in history]
     best_so_far = np.minimum.accumulate(vals)
     assert np.all(np.diff(best_so_far) <= 0.0 + 1e-18)
-    resid = forward_total_batch(trained, va.xs) - va.ys
+    resid = batch_forward(trained, va.xs).total - va.ys
     assert float(np.mean(resid**2)) == pytest.approx(min(vals), rel=1e-12)
 
 
@@ -230,7 +243,7 @@ def reference_train(params, train_ds, val_ds, config):
             v = b2 * v + (1.0 - b2) * (g * g)
             flat[:] = np.maximum(flat - lr_t * m / (np.sqrt(v) + ADAM_EPS), lower)
         train_loss = float(np.mean(epoch_losses))
-        val_loss = float(np.mean((forward_total_batch(model, val_ds.xs) - val_ds.ys) ** 2))
+        val_loss = float(np.mean((batch_forward(model, val_ds.xs).total - val_ds.ys) ** 2))
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -273,6 +286,18 @@ def test_train_aborts_on_divergence():
     cfg = TrainConfig(epochs=50, batch_size=64, learning_rate=1e200, seed=7)
     with pytest.raises(RuntimeError, match="non-finite"):
         train(model, tr, va, cfg)
+
+
+def test_fit_cells_run_no_single_point_forward(monkeypatch):
+    # training is batch work only, and the benchmark counts it so
+    fail_wherever_called(monkeypatch, forward)
+    target = make_target("QuadraticIso", 3, 0)
+    for variant in VARIANTS:
+        result = fit_variant_to_target(
+            target, variant, seed=1, n_train=32, n_val=16, n_test=16,
+            config=TrainConfig(epochs=2, batch_size=16, seed=1),
+        )
+        assert math.isfinite(result["rel_err"])
 
 
 def test_soc_fits_quadratic_iso_quickly():
