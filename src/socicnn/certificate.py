@@ -231,7 +231,8 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     with |e|, |e'| <= r, against weight and fl(weight t) = weight t (1+d5).
     To first order in r, norm_dual_ball_violation <= (k+4)/2 eps weight and
     norm_dual_alignment_violation <= (k+5/2) eps weight t, assuming u.u does
-    not underflow nor weight/t overflow.
+    not underflow nor weight/t overflow.  A non-finite t makes the ball row
+    NaN: its mu = (weight/t) u is then 0 or NaN and certifies nothing.
     """
     _require_relu(params)
     x = np.asarray(x, dtype=np.float64)
@@ -271,7 +272,8 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
         recomputed = float(norm_rows(u[None])[0])
         norm_epi.append(max(recomputed - t, 0.0))
         norm_tight.append(abs(t - recomputed))
-        norm_ball.append(max(float(np.sqrt(np.dot(mu, mu))) - br.weight, 0.0))
+        ball = max(float(np.sqrt(np.dot(mu, mu))) - br.weight, 0.0)
+        norm_ball.append(ball if np.isfinite(t) else np.nan)
         norm_align.append(abs(float(mu @ u) - br.weight * t))
 
     return DiagnosticsReport(

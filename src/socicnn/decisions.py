@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .gradients import value_and_input_gradient_batch
-from .model import forward, norm_rows, over_norm, sigmoid, softplus, spawn_rng
+from .model import norm_rows, over_norm, sigmoid, softplus, spawn_rng
 from .targets import huber, logsumexp_rows
 from .training import Dataset, TrainConfig, build_variant_model, train
 
@@ -176,7 +176,7 @@ def pgd_minimize(
     restarts: int,
     steps: int,
     seed: int,
-) -> Tuple[np.ndarray, float, float]:
+) -> Tuple[np.ndarray, float, float, int]:
     """Best point of projected gradient descent over random restarts, each
     with its own adaptive step (Malitsky & Mishchenko 2020, "Adaptive
     gradient descent without descent"; projected: Latafat et al. 2023,
@@ -200,8 +200,9 @@ def pgd_minimize(
     every restart is.  The smallest Frank-Wolfe gap (``fw_gap``) of a live
     point bounds best value - min f for a convex objective; the search stops
     once it is at most ``CERTIFIED_GAP``, else after ``steps + 1`` objective
-    calls.  Returns the best point, its value and that gap.  ``objective``
-    maps an (n, d) batch to values and gradients, shaped ((n,), (n, d)).
+    calls.  Returns the best point, its value as ``objective`` returned it,
+    that gap and the number of objective calls made.  ``objective`` maps an
+    (n, d) batch to values and gradients, shaped ((n,), (n, d)).
     """
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be >= 1")
@@ -212,25 +213,19 @@ def pgd_minimize(
     best_X = X.copy()
     alive = np.ones(restarts, dtype=bool)
     gap = np.inf
-
-    def record(points, vals, grads):
-        """Keeps the best values and the smallest gap; True once certified."""
-        nonlocal alive, gap
-        finite = np.isfinite(vals)
-        alive &= finite
-        improved = finite & (vals < best_vals)
-        best_vals[improved] = vals[improved]
-        best_X[improved] = points[improved]
-        if alive.any():
-            gap = min(gap, float(fw_gap(feasible, points[alive], grads[alive]).min()))
-        return gap <= CERTIFIED_GAP
-
     t = np.full(restarts, SEARCH_STEP)
     theta = np.full(restarts, np.inf)
     reach = math.sqrt(feasible.dim) / np.finfo(np.float64).eps
     for call in range(steps + 1):
         vals, grads = objective(X)
-        if record(X, vals, grads) or call == steps:
+        finite = np.isfinite(vals)
+        alive &= finite
+        improved = finite & (vals < best_vals)
+        best_vals[improved] = vals[improved]
+        best_X[improved] = X[improved]
+        if alive.any():
+            gap = min(gap, float(fw_gap(feasible, X[alive], grads[alive]).min()))
+        if gap <= CERTIFIED_GAP or call == steps:
             break
         grads = np.where(alive[:, None], grads, 0.0)  # abandoned restarts stay put
         if call:
@@ -247,7 +242,7 @@ def pgd_minimize(
     if not np.any(np.isfinite(best_vals)):
         raise RuntimeError("every restart produced non-finite objective values")
     idx = int(np.argmin(best_vals))
-    return best_X[idx].copy(), float(best_vals[idx]), gap
+    return best_X[idx].copy(), float(best_vals[idx]), gap, call + 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +394,10 @@ class DecisionReport:
     known only to within sqrt(2 * oracle_gap / mu) of the true minimiser, with
     mu = alpha * min(backbone_weights) the strong-convexity modulus.
     ``oracle_evals`` is the number of objective calls the oracle made.
-    ``surrogate_value`` and ``true_value`` are the surrogate's and the true
-    objective's values at the decision; they default to NaN so that a report
-    built from the first four values alone (as ``bench/tests`` does) works."""
+    ``surrogate_value`` is the surrogate's value at the decision as its search
+    evaluated it, and ``true_value`` the true objective's value there; both
+    default to NaN so that a report built from the first four values alone
+    (as ``bench/tests`` does) works."""
 
     regret: float
     oracle_gap: float
@@ -425,15 +421,9 @@ def minimize_task(
     ``restarts`` starts, with at most steps + 1 objective calls, stopped once
     its Frank-Wolfe gap is at most ``CERTIFIED_GAP``.  Returns the best point,
     its value, that gap and the number of objective calls."""
-    calls = 0
-
-    def objective(X):
-        nonlocal calls
-        calls += 1
-        return task_objective(task, theta, X)
-
-    x, value, gap = pgd_minimize(objective, task.feasible_set, restarts, steps, seed)
-    return x, value, gap, calls
+    return pgd_minimize(
+        lambda X: task_objective(task, theta, X), task.feasible_set, restarts, steps, seed
+    )
 
 
 def evaluate_decision_quality(
@@ -522,7 +512,7 @@ def decide_instance(
     trained, _ = train(surrogate, ds, ds, cfg)
 
     # the surrogate is convex in its input, so its search stops when certified
-    x_hat, _, _ = pgd_minimize(
+    x_hat, value, _, _ = pgd_minimize(
         lambda X: value_and_input_gradient_batch(trained, X),
         task.feasible_set,
         restarts,
@@ -535,6 +525,6 @@ def decide_instance(
         x_hat,
         oracle_config=oracle_config,
         oracle_seed=int(instance_rng.integers(2**62)),
-        surrogate_value=forward(trained, x_hat).total,
+        surrogate_value=value,
     )
     return report, x_hat

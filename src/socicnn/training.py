@@ -14,7 +14,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -148,7 +148,6 @@ def train(
     train_ds: Dataset,
     val_ds: Dataset,
     config: TrainConfig,
-    on_epoch: Optional[Callable[[int, SocIcnnParams], None]] = None,
 ) -> Tuple[SocIcnnParams, List[Tuple[int, float, float]]]:
     """Projected Adam on mean-squared error; returns the best-validation model.
 
@@ -161,8 +160,7 @@ def train(
     entry at or above zero, so each iterate is feasible.  An epoch's
     ``train_loss`` is the mean of its per-step batch losses, which is not the
     epoch's mean-squared error when the last batch is partial.  The run is
-    deterministic in (params, datasets, config.seed).  ``on_epoch`` is a test
-    hook called after each epoch with the live model, which later steps move.
+    deterministic in (params, datasets, config.seed).
     """
     if train_ds.xs.shape[1] != params.input_dim or val_ds.xs.shape[1] != params.input_dim:
         raise DimensionError("dataset dimension does not match the model")
@@ -226,8 +224,6 @@ def train(
             stall = 0
         else:
             stall += 1
-        if on_epoch is not None:
-            on_epoch(epoch, model)
         if stall >= config.early_stop_patience:
             break
 

@@ -22,7 +22,7 @@ from socicnn import (
     summarize_reports,
 )
 from socicnn.certificate import _METRIC_FIELDS
-from socicnn.cli import FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
+from socicnn.cli import _VERIFY_LIMITS, FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
 from socicnn.gradients import chain_multipliers
 from socicnn.model import LayerParams, SocIcnnParams, batch_forward, flatten_params, unflatten_params
 
@@ -276,8 +276,12 @@ def test_a_nan_row_fails_every_threshold():
         "quad_tightness_slack",
         "norm_epigraph_violation",
         "norm_tightness_slack",
+        "norm_dual_ball_violation",
     ):
         assert math.isnan(getattr(report, name)), name
+    # the norm t overflows to inf, which zeroes mu; no row may certify that
+    for name in _METRIC_FIELDS:
+        assert not getattr(report, name) <= _VERIFY_LIMITS.get(name, FEASIBILITY_THRESHOLD), name
 
 
 def test_certificate_subgradient_consistency():

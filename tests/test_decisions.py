@@ -9,6 +9,7 @@ from socicnn import (
     capped_simplex,
     decisions,
     evaluate_decision_quality,
+    forward,
     make_task,
     minimize_task,
     pgd_minimize,
@@ -26,6 +27,8 @@ from socicnn.decisions import (
     project_onto_batch,
     sample_feasible,
 )
+
+from test_model import fail_wherever_called
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def test_feasible_set_validation():
 def test_pgd_interior_minimum_on_box():
     center = np.array([0.5, 0.5])
     obj = lambda X: (0.5 * np.sum((X - center) ** 2, axis=1), X - center)
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, seed=0)
+    x, value, _, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 400, seed=0)
     assert np.allclose(x, center, atol=1e-6)
     assert value <= 1e-10
 
@@ -252,7 +255,7 @@ def test_pgd_interior_minimum_on_box():
 def test_pgd_linear_on_simplex_hits_vertex():
     c = np.array([1.0, 2.0])
     obj = lambda X: (X @ c, np.tile(c, (X.shape[0], 1)))
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, seed=1)
+    x, value, _, _ = pgd_minimize(obj, FeasibleSet("Simplex", 2), 4, 400, seed=1)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -267,7 +270,7 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
         return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b, X @ Q + b
 
     cap = capped_simplex(3, 0.9)
-    x, value, _ = pgd_minimize(obj, cap, 5, 800, seed=2)
+    x, value, _, _ = pgd_minimize(obj, cap, 5, 800, seed=2)
 
     # grid-search oracle with pitch 0.01 over the two free coordinates
     best = np.inf
@@ -281,13 +284,17 @@ def test_pgd_quadratic_on_capped_simplex_vs_grid():
 
 def test_pgd_abandons_nonfinite_restarts():
     # objective blows up on half the box; surviving restarts still answer
+    abandoned = []
+
     def obj(X):
+        abandoned.append(int(np.sum(X[:, 0] > 0.6)))
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
-    x, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    x, value, _, count = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert np.isfinite(value)
     assert x[0] <= 0.6
+    assert abandoned[0] > 0 and count == len(abandoned)
 
     always_bad = lambda X: (np.full(X.shape[0], np.nan), np.zeros_like(X))
     with pytest.raises(RuntimeError):
@@ -300,7 +307,7 @@ def test_backtracking_abandons_nonfinite_restarts():
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, 0.0, 2 * X)
 
-    x, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    x, value, gap, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert x[0] <= 0.6
     assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
 
@@ -316,7 +323,7 @@ def test_pgd_abandons_restarts_with_infinite_gradients():
         vals = np.where(X[:, 0] > 0.6, np.nan, np.sum(X**2, axis=1))
         return vals, np.where(X[:, :1] > 0.6, np.inf, 2 * X)
 
-    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
+    _, value, gap, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 8, 50, seed=4)
     assert value == pytest.approx(0.0, abs=1e-9) and gap <= CERTIFIED_GAP
 
 
@@ -332,7 +339,7 @@ def test_pgd_returns_best_value_seen():
         grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
         return values, grads
 
-    _, value, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, seed=6)
+    _, value, _, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 1, 40, seed=6)
     assert value == min(seen)
 
 
@@ -346,7 +353,7 @@ def test_backtracking_returns_best_value_seen_within_its_budget():
         grads[:, 0] += 0.8 * np.cos(8 * X[:, 0])
         return values, grads
 
-    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
+    _, value, gap, _ = pgd_minimize(obj, FeasibleSet("Box", 2), 3, 4, seed=6)
     assert len(seen) == 5  # every step and the start, no certificate yet
     assert value == np.min(seen)
     assert CERTIFIED_GAP < gap < np.inf
@@ -360,13 +367,13 @@ def test_pgd_without_certificate_runs_every_step():
         calls.append(X.shape[0])
         return 0.5 * np.sum((X - center) ** 2, axis=1), X - center
 
-    _, _, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 5, seed=0)
-    assert len(calls) == 6  # every step and the start
+    _, _, gap, count = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 5, seed=0)
+    assert count == len(calls) == 6  # every step and the start
     assert CERTIFIED_GAP < gap < np.inf
 
     calls.clear()
-    _, value, gap = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 400, seed=0)
-    assert len(calls) < 400
+    _, value, gap, count = pgd_minimize(obj, FeasibleSet("Box", 2), 2, 400, seed=0)
+    assert count == len(calls) < 400
     assert gap <= CERTIFIED_GAP and value <= gap
 
 
@@ -426,7 +433,7 @@ def test_backtracking_oracle_agrees_with_pgd(family):
             calls.append(1)
             return task_objective(task, theta, X)
 
-        _, value, gap = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=index)
+        _, value, gap, _ = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=index)
         assert value <= _slsqp_value(task, theta) + CERTIFIED_GAP, (dim, index)
         assert gap <= CERTIFIED_GAP, (dim, index)
         assert len(calls) < 100, (dim, index)
@@ -448,7 +455,7 @@ def test_backtracking_certifies_at_a_rounding_level_decrease():
             diff = X - center
             return 100.0 + 0.5 * np.einsum("ij,jk,ik->i", diff, Q, diff), diff @ Q
 
-        _, _, gap = pgd_minimize(obj, simplex, 1, 2000, seed=trial)
+        _, _, gap, _ = pgd_minimize(obj, simplex, 1, 2000, seed=trial)
         assert gap <= CERTIFIED_GAP, trial
 
 
@@ -463,7 +470,7 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
         return X @ c, np.tile(c, (X.shape[0], 1))
 
     monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)  # never stop early
-    x, value, gap = pgd_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
+    x, value, gap, _ = pgd_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
     assert len(points) == 3001
     assert np.array_equal(x, [1.0, 0.0, 0.0]) and value == 1.0
     assert gap <= CERTIFIED_GAP
@@ -488,7 +495,7 @@ def test_search_certifies_where_f_dwarfs_its_variation(constant):
             diff = X - center
             return constant + 0.5 * np.einsum("ij,jk,ik->i", diff, Q, diff), diff @ Q
 
-        _, _, gap = pgd_minimize(obj, simplex, 1, 2000, seed=20)
+        _, _, gap, _ = pgd_minimize(obj, simplex, 1, 2000, seed=20)
         assert gap <= CERTIFIED_GAP, draw
 
 
@@ -505,7 +512,7 @@ def test_oracle_certifies_a_slow_budget_huber_context_quickly():
             calls.append(1)
             return task_objective(task, theta, X)
 
-        _, _, gap = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=seed)
+        _, _, gap, _ = pgd_minimize(obj, task.feasible_set, *DEFAULT_ORACLE_CONFIG, seed=seed)
         assert gap <= CERTIFIED_GAP and len(calls) < 100, (seed, len(calls))
 
 
@@ -686,6 +693,26 @@ def test_regret_is_nonnegative_for_feasible_points():
         assert report.true_value == pytest.approx(
             task_objective(task, theta, x_hat[None])[0][0]
         )
+
+
+def test_decide_runs_no_single_point_forward(monkeypatch):
+    # the surrogate's value at the decision is the one its own search found
+    fail_wherever_called(monkeypatch, forward)
+    searches = []
+
+    def recorded(*args):
+        searches.append(pgd_minimize(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(decisions, "pgd_minimize", recorded)
+    task = make_task("SimplexSocp", 4, 2)
+    report, x_hat = decisions.decide_instance(
+        task, sample_context(2, 0), "QuadOnly", spawn_rng(2, 1),
+        candidates=16, surrogate_epochs=5, oracle_config=(3, 100),
+    )
+    (surrogate_x, surrogate_value, _, _), _ = searches  # the oracle's search is second
+    assert np.array_equal(x_hat, surrogate_x)
+    assert report.surrogate_value.hex() == surrogate_value.hex()
 
 
 def test_sample_context_determinism_and_range():

@@ -24,6 +24,7 @@ from socicnn import (
     train,
     variant_param_count,
 )
+from socicnn import training
 from socicnn.gradients import parameter_gradients
 from socicnn.model import flatten_params, nonneg_mask, unflatten_params
 from socicnn.training import (
@@ -189,13 +190,23 @@ def test_train_is_deterministic():
     assert t1.quad[0].weight == t2.quad[0].weight
 
 
-def test_training_keeps_iterates_feasible():
+def test_training_keeps_iterates_feasible(monkeypatch):
+    # each step's gradient is taken at the live model, which the step before moved
     tr, va = _tiny_splits(5)
     model = build_variant_model("SOC", 3, 6, 2, seed=5)
-    seen = []
+    seen, live = [], []
+
+    def recording(params, *args):
+        seen.append(max_infeasibility(params))
+        live[:] = [params]
+        return parameter_gradients(params, *args)
+
+    monkeypatch.setattr(training, "parameter_gradients", recording)
     cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=5e-3, seed=5)
-    trained, _ = train(model, tr, va, cfg, on_epoch=lambda e, m: seen.append(max_infeasibility(m)))
-    assert seen and all(v == 0.0 for v in seen)
+    trained, history = train(model, tr, va, cfg)
+    assert len(seen) == len(history) * -(-tr.size // 32)
+    assert all(v == 0.0 for v in seen)
+    assert max_infeasibility(live[0]) == 0.0  # the iterate after the last step
     assert max_infeasibility(trained) == 0.0
 
 
