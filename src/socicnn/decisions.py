@@ -506,6 +506,8 @@ def decide_instance(
         epochs=surrogate_epochs,
         batch_size=candidates,
         learning_rate=surrogate_lr,
+        # train reads no seed on a full batch validated on itself; it is still
+        # drawn, so that the search and oracle seeds after it stay put
         seed=int(instance_rng.integers(2**62)),
         early_stop_patience=surrogate_epochs,
     )

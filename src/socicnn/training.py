@@ -161,6 +161,14 @@ def train(
     ``train_loss`` is the mean of its per-step batch losses, which is not the
     epoch's mean-squared error when the last batch is partial.  The run is
     deterministic in (params, datasets, config.seed).
+
+    When ``val_ds`` is ``train_ds`` and one batch holds every row, each step
+    reads the rows in stored order and ``config.seed`` is unused.  The step
+    of epoch e + 1 then computes, over the same rows with the same
+    parameters, exactly the validation loss of epoch e, so that loss is taken
+    from the step, and only the last epoch runs a validation forward.  The
+    checkpoint and an early stop at epoch e come before the update of step
+    e + 1, so the result is that of validating every epoch.
     """
     if train_ds.xs.shape[1] != params.input_dim or val_ds.xs.shape[1] != params.input_dim:
         raise DimensionError("dataset dimension does not match the model")
@@ -181,6 +189,12 @@ def train(
     n = train_ds.size
     batch = min(config.batch_size, n)
     step_losses = np.empty(-(-n // batch))  # one per step of an epoch
+    # one batch of every row, validated on itself, keeps the stored order: the
+    # next step's loss is then an epoch's validation loss, so each step's loss
+    # and gradient are taken at the end of the epoch before it (the first here)
+    fused = val_ds is train_ds and batch == n
+    if fused:
+        loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads)
 
     best_val = np.inf
     best_flat = flat.copy()
@@ -188,10 +202,11 @@ def train(
     history: List[Tuple[int, float, float]] = []
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        order = None if fused else rng.permutation(n)
         for k, start in enumerate(range(0, n, batch)):
-            idx = order[start : start + batch]
-            loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
+            if not fused:
+                idx = order[start : start + batch]
+                loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training aborted: non-finite loss at epoch {epoch}, step {step}"
@@ -213,8 +228,11 @@ def train(
             np.maximum(scratch, lower, out=flat)
 
         train_loss = float(np.add.reduce(step_losses)) / step_losses.size
-        resid = batch_forward(model, val_ds.xs).total - val_ds.ys
-        val_loss = float(np.add.reduce(resid * resid)) / resid.size
+        if fused and epoch < config.epochs:
+            val_loss = loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads)
+        else:
+            resid = batch_forward(model, val_ds.xs).total - val_ds.ys
+            val_loss = float(np.add.reduce(resid * resid)) / resid.size
         if not math.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))

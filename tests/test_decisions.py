@@ -17,6 +17,7 @@ from socicnn import (
     sample_context,
     spawn_rng,
     task_objective,
+    training,
 )
 from socicnn.decisions import (
     CERTIFIED_GAP,
@@ -28,7 +29,7 @@ from socicnn.decisions import (
     sample_feasible,
 )
 
-from test_model import fail_wherever_called
+from test_model import count_calls, fail_wherever_called
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +714,17 @@ def test_decide_runs_no_single_point_forward(monkeypatch):
     (surrogate_x, surrogate_value, _, _), _ = searches  # the oracle's search is second
     assert np.array_equal(x_hat, surrogate_x)
     assert report.surrogate_value.hex() == surrogate_value.hex()
+
+
+def test_decide_validates_its_surrogate_with_one_forward(monkeypatch):
+    # the surrogate trains on one full batch validated on itself, so only its
+    # last epoch runs a validation forward
+    forwards = count_calls(monkeypatch, training, "batch_forward")
+    decisions.decide_instance(
+        make_task("BoxSocp", 4, 3), sample_context(3, 0), "QuadOnly", spawn_rng(3, 1),
+        candidates=16, surrogate_epochs=5, oracle_config=(3, 100),
+    )
+    assert len(forwards) == 1
 
 
 def test_sample_context_determinism_and_range():

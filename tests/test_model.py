@@ -70,6 +70,19 @@ def fail_wherever_called(monkeypatch, fn):
                 monkeypatch.setattr(module, name, fail)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_model(seed, d0=6, widths=(8, 8), num_quad=1, num_conic=1, passthrough=True,
                  activation=RELU):
     ranks = [max(2, d0 // 2)] * num_quad

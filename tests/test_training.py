@@ -38,7 +38,7 @@ from socicnn.training import (
     variant_depth,
 )
 
-from test_model import fail_wherever_called
+from test_model import count_calls, fail_wherever_called
 
 
 @pytest.mark.parametrize("name", TARGET_NAMES)
@@ -224,7 +224,8 @@ def test_best_val_checkpoint_and_monotone_best():
 
 def reference_train(params, train_ds, val_ds, config):
     # the out-of-place loop: a list of step losses, np.mean, and new m, v and
-    # parameter vectors on every Adam step
+    # parameter vectors on every Adam step; one batch of every row validated
+    # on itself keeps the stored order, and every epoch runs its validation
     flat = flatten_params(params)
     g = np.zeros_like(flat)
     model = unflatten_params(params, flat)
@@ -237,12 +238,13 @@ def reference_train(params, train_ds, val_ds, config):
     rng = spawn_rng(config.seed)
     n = train_ds.size
     batch = min(config.batch_size, n)
+    stored = val_ds is train_ds and batch == n
     best_val = np.inf
     best_flat = flat.copy()
     stall = 0
     history = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        order = np.arange(n) if stored else rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
@@ -274,6 +276,8 @@ def test_train_matches_the_reference_loop_bit_for_bit():
         (tr, TrainConfig(epochs=6, batch_size=64, learning_rate=1e-2, seed=4)),  # the decide shape
         (va, TrainConfig(epochs=30, batch_size=32, learning_rate=2e-2, seed=5,
                          early_stop_patience=2)),
+        (tr, TrainConfig(epochs=30, batch_size=64, learning_rate=2e-2, seed=6,
+                         early_stop_patience=2)),  # the decide shape, stopping early
     ]
     stopped = 0
     for variant in VARIANTS:
@@ -285,7 +289,7 @@ def test_train_matches_the_reference_loop_bit_for_bit():
                 assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
                 assert history == want_history
                 stopped += len(history) < cfg.epochs
-    assert stopped == 2 * len(VARIANTS)  # early stop fired in every third case
+    assert stopped == 4 * len(VARIANTS)  # early stop fired in both patience-2 cases
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -293,10 +297,35 @@ def test_train_matches_the_reference_loop_bit_for_bit():
 def test_train_aborts_on_divergence():
     tr, va = _tiny_splits(7)
     model = build_variant_model("ReLU", 3, 6, 2, seed=7)
-    # a step this large overflows the forward pass; the loop must abort
-    cfg = TrainConfig(epochs=50, batch_size=64, learning_rate=1e200, seed=7)
-    with pytest.raises(RuntimeError, match="non-finite"):
-        train(model, tr, va, cfg)
+    # a step this large overflows the forward pass and the loop must abort; on
+    # one batch validated on itself, the step loss that fails is epoch 1's
+    # validation loss and is named so
+    shapes = (
+        (va, 64, "training aborted: non-finite loss at epoch 1, step 1"),
+        (tr, tr.size, "training aborted: non-finite validation loss at epoch 1"),
+    )
+    for val, batch_size, message in shapes:
+        cfg = TrainConfig(epochs=50, batch_size=batch_size, learning_rate=1e200, seed=7)
+        with pytest.raises(RuntimeError) as info:
+            train(model, tr, val, cfg)
+        assert str(info.value) == message
+
+
+def test_a_full_batch_validated_on_itself_runs_one_validation_forward(monkeypatch):
+    # the step's loss is the validation loss of the epoch before it, so only
+    # the last epoch runs a forward of its own; every other shape runs one per epoch
+    tr, va = _tiny_splits(9, n=40)
+    model = build_variant_model("SOC", 3, 6, 2, seed=9)
+    for val, batch_size, forwards in ((tr, 64, 1), (va, 64, 12), (tr, 16, 12)):
+        validations = count_calls(monkeypatch, training, "batch_forward")
+        steps = count_calls(monkeypatch, training, "parameter_gradients")
+        cfg = TrainConfig(epochs=12, batch_size=batch_size, learning_rate=1e-2, seed=9,
+                          early_stop_patience=12)
+        _, history = train(model, tr, val, cfg)
+        monkeypatch.undo()
+        assert len(history) == 12
+        assert len(validations) == forwards
+        assert len(steps) == 12 * -(-tr.size // batch_size)
 
 
 def test_fit_cells_run_no_single_point_forward(monkeypatch):
