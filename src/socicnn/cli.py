@@ -332,10 +332,18 @@ _finite = _finite_float(positive=False)
 _learning_rate = _finite_float(positive=True)
 
 
+def _ints(text: str) -> list:
+    """The entries of a comma-separated list of integers; [] if one is not."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        return []
+
+
 def _dims(text: str) -> str:
     """A comma-separated list of positive dimensions; kept as text for the
     manifest."""
-    if min(int(v) for v in text.split(",")) < 1:
+    if min(_ints(text), default=0) < 1:
         raise argparse.ArgumentTypeError(f"needs positive dimensions, got {text!r}")
     return text
 
@@ -343,8 +351,8 @@ def _dims(text: str) -> str:
 def _cell_counts(text: str) -> str:
     """A comma-separated list of at least two distinct positive cell counts,
     so that a slope can be fitted; kept as text for the manifest."""
-    cells = [int(v) for v in text.split(",")]
-    if min(cells) < 1 or len(set(cells)) < 2:
+    cells = _ints(text)
+    if min(cells, default=0) < 1 or len(set(cells)) < 2:
         raise argparse.ArgumentTypeError(
             f"needs at least two distinct positive cell counts, got {text!r}"
         )

@@ -11,15 +11,13 @@ the package: it is the oracle that the closed-form forward pass is checked
 against, so it shares no evaluation code with the model.
 
 The tableau starts as ``[-A | I | -b]`` with every surplus variable basic.
-When c >= 0, as in the certificate lift, that basis is dual feasible, so no
-phase 1 and no artificial columns are needed.  Each iteration leaves on the
-infeasible row with the smallest basic index and enters the column that
-minimizes ``d_j / |a_rj|`` (d the reduced costs) over the row's negative
-entries, ties going to the smallest column.  A cost vector with a negative
-entry first gets the bounding row ``-sum(y) >= -M`` and one pivot on its most
-negative cost, which makes the start dual feasible (Koberstein 2005); a
-positive multiplier of that row at the optimum means the problem is
-unbounded.
+The costs must be nonnegative, as the certificate lift's are (its only
+costs are a network's output weights, which input convexity keeps >= 0), so
+that basis is dual feasible: no phase 1, no artificial columns, and no
+unbounded problem.  Each iteration leaves on the infeasible row with the
+smallest basic index and enters the column that minimizes ``d_j / |a_rj|``
+(d the reduced costs) over the row's negative entries, ties going to the
+smallest column.
 
 Intended for desk-scale problems (a few hundred variables); everything is
 kept in one dense C-contiguous tableau.  A pivot updates only the rows whose
@@ -51,18 +49,14 @@ class InfeasibleProblem(SimplexError):
 
 
 class UnboundedProblem(SimplexError):
-    """The bounding row added for negative costs kept a positive multiplier
-    at the optimum, so the objective decreases without limit."""
+    """An unbounded objective.  Nothing raises it: with c >= 0 the objective
+    is bounded below by 0.  Kept only for callers that still name it."""
 
 
 # share of its terms' magnitude that a structural pivot entry must keep
 _PIVOT_TOL = 1e-9
 # relative to max|b|
 _FEAS_TOL = 1e-12
-# relative to max|c|
-_DUAL_TOL = 1e-9
-# the bounding row's right-hand side, relative to 1 + max|b|
-_BOUND = 1e6
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -116,13 +110,12 @@ def _dual_iterate(
 
 
 def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
-    """Minimize c @ y subject to A @ y >= b and y >= 0.
+    """Minimize c @ y subject to A @ y >= b and y >= 0, for costs c >= 0.
 
     Returns (optimal value, optimal basic feasible y).  Raises
-    InfeasibleProblem / UnboundedProblem accordingly, and SimplexError after
-    200 * (m + n + 10) pivots.  Data of the wrong shape or with a non-finite
-    entry raises ValueError.  With a negative cost, a bounded problem whose
-    optimal y all have sum(y) above 1e6 * (1 + max|b|) is reported unbounded.
+    InfeasibleProblem accordingly, and SimplexError after 200 * (m + n + 10)
+    pivots.  Data of the wrong shape, with a non-finite entry or with a
+    negative cost raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -131,31 +124,22 @@ def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    if np.any(c < 0.0):
+        raise ValueError("LP costs must be nonnegative")
     m, n = A.shape
     max_iter = 200 * (m + n + 10)
-    bounded = bool(np.any(c < 0.0))
-    if bounded:
-        A = np.vstack([A, -np.ones(n)])
-        b = np.append(b, -_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0))))
-    feas_tol = _FEAS_TOL * float(np.max(np.abs(b[:m]), initial=0.0))
-    rows = m + bounded
+    feas_tol = _FEAS_TOL * float(np.max(np.abs(b), initial=0.0))
 
-    tableau = np.zeros((rows + 1, n + rows + 1))
-    tableau[:rows, :n] = -A
-    tableau[:rows, n:-1] = np.eye(rows)
-    tableau[:rows, -1] = -b
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = -A
+    tableau[:m, n:-1] = np.eye(m)
+    tableau[:m, -1] = -b
     tableau[-1, :n] = c
-    basis = np.arange(n, n + rows)
-    if bounded:
-        col = int(np.argmin(c))
-        _pivot(tableau, m, col)
-        basis[m] = col
+    basis = np.arange(n, n + m)
 
     _dual_iterate(tableau, basis, np.abs(A), feas_tol, max_iter)
-    if bounded and tableau[-1, -2] > _DUAL_TOL * float(np.max(np.abs(c))):
-        raise UnboundedProblem("the bounding row has a positive multiplier at the optimum")
 
     y = np.zeros(n)
     structural = basis < n
-    y[basis[structural]] = tableau[:rows, -1][structural]
+    y[basis[structural]] = tableau[:m, -1][structural]
     return float(c @ y), y

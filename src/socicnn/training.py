@@ -136,8 +136,14 @@ def load_dataset_csv(path) -> Dataset:
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"the header has {dim + 1}"
                 )
-            xs.append([float(v) for v in row[:dim]])
-            ys.append(float(row[dim]))
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = [np.nan]
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: line {reader.line_num}: a field is not a finite number")
+            xs.append(values[:dim])
+            ys.append(values[dim])
     if not ys:
         raise ValueError(f"{path}: no data rows after the header")
     return Dataset(xs=np.asarray(xs, dtype=np.float64), ys=np.asarray(ys, dtype=np.float64))

@@ -339,11 +339,15 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["theory", "--dims", "1,17", "--cells", "1,2"],
     ["theory", "--cells", "2,65537"],
     ["theory", "--dims", "1000000000"],
+    ["theory", "--dims", "a"],
+    ["theory", "--cells", "2,x"],
 ])
 def test_out_of_range_flags_exit_usage(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert argv[1] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[1] in err
+    assert "invalid _" not in err  # no private type name in a usage error
     assert not out.exists()

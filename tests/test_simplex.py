@@ -3,11 +3,7 @@ import pytest
 
 from socicnn import RELU, build_lp_lift, forward, init_model, simplex, spawn_rng
 from socicnn.model import flatten_params, unflatten_params
-from socicnn.simplex import (
-    InfeasibleProblem,
-    UnboundedProblem,
-    solve_min_geq,
-)
+from socicnn.simplex import InfeasibleProblem, solve_min_geq
 
 
 def _dense_pivot(tableau, row, col):
@@ -18,13 +14,6 @@ def _dense_pivot(tableau, row, col):
     tableau -= np.outer(factors, tableau[row])
 
 
-def test_simple_bounded_lp():
-    # min -x1 - x2  s.t.  x1 + x2 <= 1 (as -x1 - x2 >= -1), x >= 0
-    value, x = solve_min_geq(np.array([-1.0, -1.0]), np.array([[-1.0, -1.0]]), np.array([-1.0]))
-    assert value == pytest.approx(-1.0, abs=1e-12)
-    assert x.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_lower_bounded_by_geq_row():
     # min x  s.t.  x >= 2
     value, x = solve_min_geq(np.array([1.0]), np.array([[1.0]]), np.array([2.0]))
@@ -32,17 +21,15 @@ def test_lower_bounded_by_geq_row():
     assert x[0] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_unbounded_problem():
-    with pytest.raises(UnboundedProblem):
-        solve_min_geq(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0))
-
-
-def test_negative_cost_with_a_zero_cost_ray_is_bounded():
-    # min -x1  s.t.  x1 <= 1: x2 costs nothing and may end up holding the
-    # bounding row tight, but that row's multiplier is zero
-    value, x = solve_min_geq(np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]]), np.array([-1.0]))
-    assert value == pytest.approx(-1.0, abs=1e-12)
-    assert x[0] == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("c,A,b", [
+    ([-1.0, -1.0], [[-1.0, -1.0]], [-1.0]),  # bounded: min -x1 - x2 s.t. x1 + x2 <= 1
+    ([-1.0], np.zeros((0, 1)), np.zeros(0)),  # unbounded: min -x1 over x1 >= 0
+    ([-1.0, 0.0], [[-1.0, 0.0]], [-1.0]),  # bounded, with a zero-cost ray in x2
+], ids=["bounded", "unbounded", "zero_cost_ray"])
+def test_negative_costs_are_rejected(c, A, b):
+    # the all-surplus start is dual feasible only for c >= 0, as the lift's are
+    with pytest.raises(ValueError, match="LP costs must be nonnegative"):
+        solve_min_geq(np.array(c), np.array(A), np.array(b))
 
 
 def test_infeasible_problem():
@@ -80,44 +67,14 @@ def test_solution_is_feasible_and_optimal_against_scipy():
         if trial % 5 == 0 and m >= 2:
             A[m - 1] = A[0]  # duplicated row
             b[m - 1] = b[0]
+        if trial % 4 == 0:
+            c[: n // 2] = 0.0  # a lift has zero costs off its last layer
         value, x = solve_min_geq(c, A, b)
         assert np.all(A @ x >= b - 1e-8)
         assert np.all(x >= -1e-10)
         ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert value == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_negative_costs_agree_with_scipy():
-    # a negative cost makes the slack basis dual infeasible, so these LPs go
-    # through the bounding row; on even trials a row sum(y) <= n + 1 keeps
-    # them bounded, on odd trials scipy decides.  The bounding row's
-    # right-hand side, 1e6 * (1 + max|b|), costs about that times eps of
-    # accuracy, hence 1e-7 for feasibility as for the value.
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(43)
-    statuses = set()
-    for trial in range(200):
-        m = int(rng.integers(1, 12))
-        n = int(rng.integers(1, 9))
-        c, A, b = _random_feasible_bounded_lp(rng, m, n)
-        c[rng.random(n) < 0.5] *= -1.0
-        c[int(rng.integers(n))] = -rng.uniform(0.1, 1.0)
-        if trial % 2 == 0:
-            A = np.vstack([A, -np.ones(n)])
-            b = np.append(b, -(n + 1.0))
-        ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, None)] * n, method="highs")
-        statuses.add(ref.status)
-        if ref.status == 3:
-            with pytest.raises(UnboundedProblem):
-                solve_min_geq(c, A, b)
-            continue
-        assert ref.status == 0
-        value, x = solve_min_geq(c, A, b)
-        assert np.all(A @ x >= b - 1e-7)
-        assert np.all(x >= -1e-10)
-        assert value == pytest.approx(ref.fun, abs=1e-7)
-    assert statuses == {0, 3}
 
 
 def test_dimension_validation():

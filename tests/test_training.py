@@ -128,6 +128,15 @@ def test_long_csv_row_is_a_named_error(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1.0,abc", "1.0,nan", "1e999,1"])
+def test_csv_field_that_is_not_a_finite_number_is_a_named_error(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,y\n1.0,2.0\n{row}\n")
+    with pytest.raises(ValueError, match="line 3: a field is not a finite number") as exc:
+        load_dataset_csv(path)
+    assert str(exc.value).startswith(f"{path}: line 3")
+
+
 @pytest.mark.parametrize("header", ["x0,x1", "a,b", "y", "x1,x0,y", "x0,y,z"])
 def test_csv_header_other_than_x0_to_y_is_a_named_error(tmp_path, header):
     path = tmp_path / "header.csv"
