@@ -360,15 +360,19 @@ def _cell_counts(text: str) -> str:
 
 
 def _names(noun: str, valid):
-    """An argparse type for a comma-separated list of names from ``valid``;
-    kept as text for the manifest."""
+    """An argparse type for a comma-separated list of distinct names from
+    ``valid``; kept as text for the manifest."""
 
     def parse(text: str) -> str:
+        seen = set()
         for name in text.split(","):
             if name not in valid:
                 raise argparse.ArgumentTypeError(
                     f"unknown {noun} {name!r}; valid names: {', '.join(valid)}"
                 )
+            if name in seen:
+                raise argparse.ArgumentTypeError(f"{noun} {name!r} is named twice")
+            seen.add(name)
         return text
 
     return parse

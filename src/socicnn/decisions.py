@@ -17,7 +17,7 @@ one instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -169,6 +169,11 @@ CERTIFIED_GAP = 1e-9
 # First step of every restart of ``pgd_minimize``.
 SEARCH_STEP = 0.05
 
+# Window, in objective calls, over which ``pgd_minimize`` judges a search
+# stalled: its best value fell by at most ``CERTIFIED_GAP`` and its gap not
+# at all.
+STALL_CALLS = 30
+
 
 def pgd_minimize(
     objective: Callable,
@@ -198,11 +203,23 @@ def pgd_minimize(
     The best value at any evaluated point wins, ties to the lowest restart;
     a restart with a non-finite value is abandoned, and it is an error if
     every restart is.  The smallest Frank-Wolfe gap (``fw_gap``) of a live
-    point bounds best value - min f for a convex objective; the search stops
-    once it is at most ``CERTIFIED_GAP``, else after ``steps + 1`` objective
-    calls.  Returns the best point, its value as ``objective`` returned it,
-    that gap and the number of objective calls made.  ``objective`` maps an
-    (n, d) batch to values and gradients, shaped ((n,), (n, d)).
+    point bounds best value - min f for a convex objective.  The search
+    makes at most ``steps + 1`` objective calls and stops earlier
+
+    * once that gap is at most ``CERTIFIED_GAP`` (certified), or
+    * once it has stalled: after call k >= ``STALL_CALLS`` its best value is
+      at most ``CERTIFIED_GAP`` below its best after call k - ``STALL_CALLS``,
+      and its gap is no smaller than it was then.
+
+    A stall needs a gap that has not fallen for ``STALL_CALLS`` calls, so it
+    cannot end a search while its certificate tightens, however flat its
+    values are (at the rounding level of a large f, say).  It ends a search
+    whose gap cannot reach zero, such as one at a kink of a ReLU network,
+    where one subgradient's gap stays put while the value has settled.
+    Returns the best point, its value as ``objective`` returned it, the
+    smallest gap (above ``CERTIFIED_GAP`` unless certified) and the number of
+    objective calls made.  ``objective`` maps an (n, d) batch to values and
+    gradients, shaped ((n,), (n, d)).
     """
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be >= 1")
@@ -213,6 +230,7 @@ def pgd_minimize(
     best_X = X.copy()
     alive = np.ones(restarts, dtype=bool)
     gap = np.inf
+    history = []  # (best value, smallest gap) after each call
     t = np.full(restarts, SEARCH_STEP)
     theta = np.full(restarts, np.inf)
     reach = math.sqrt(feasible.dim) / np.finfo(np.float64).eps
@@ -225,8 +243,14 @@ def pgd_minimize(
         best_X[improved] = X[improved]
         if alive.any():
             gap = min(gap, float(fw_gap(feasible, X[alive], grads[alive]).min()))
+        best = float(best_vals.min())
+        history.append((best, gap))
         if gap <= CERTIFIED_GAP or call == steps:
             break
+        if call >= STALL_CALLS:
+            then_best, then_gap = history[call - STALL_CALLS]
+            if then_best - best <= CERTIFIED_GAP and gap >= then_gap:
+                break  # stalled: no lower value and no tighter gap
         grads = np.where(alive[:, None], grads, 0.0)  # abandoned restarts stay put
         if call:
             turned = 2.0 * norm_rows(grads - last_grads)
@@ -395,9 +419,12 @@ class DecisionReport:
     mu = alpha * min(backbone_weights) the strong-convexity modulus.
     ``oracle_evals`` is the number of objective calls the oracle made.
     ``surrogate_value`` is the surrogate's value at the decision as its search
-    evaluated it, and ``true_value`` the true objective's value there; both
-    default to NaN so that a report built from the first four values alone
-    (as ``bench/tests`` does) works."""
+    evaluated it, and ``true_value`` the true objective's value there.
+    ``surrogate_evals`` and ``surrogate_gap`` are that search's objective
+    calls and smallest Frank-Wolfe gap, above ``CERTIFIED_GAP`` where it
+    stalled or ran out of steps.  The last four have defaults (NaN, and 0
+    calls) so that a report built from the first four values alone (as
+    ``bench/tests`` does) works."""
 
     regret: float
     oracle_gap: float
@@ -405,6 +432,8 @@ class DecisionReport:
     decision_error: float
     surrogate_value: float = math.nan
     true_value: float = math.nan
+    surrogate_evals: int = 0
+    surrogate_gap: float = math.nan
 
 
 DEFAULT_ORACLE_CONFIG = (20, 2000)
@@ -513,8 +542,9 @@ def decide_instance(
     )
     trained, _ = train(surrogate, ds, ds, cfg)
 
-    # the surrogate is convex in its input, so its search stops when certified
-    x_hat, value, _, _ = pgd_minimize(
+    # the surrogate is convex in its input, so its search stops when certified,
+    # or when it stalls at a kink where no subgradient certifies
+    x_hat, value, gap, calls = pgd_minimize(
         lambda X: value_and_input_gradient_batch(trained, X),
         task.feasible_set,
         restarts,
@@ -529,4 +559,4 @@ def decide_instance(
         oracle_seed=int(instance_rng.integers(2**62)),
         surrogate_value=value,
     )
-    return report, x_hat
+    return replace(report, surrogate_evals=calls, surrogate_gap=gap), x_hat

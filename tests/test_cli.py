@@ -178,7 +178,8 @@ def test_decide_small_run(tmp_path):
     rows = read_csv(out / "decisions.csv")
     assert len(rows) == 2
     assert set(rows[0]) == {"task", "family", "d", "seed", "model", "regret", "oracle_gap",
-                            "oracle_evals", "decision_error", "surrogate_value", "true_value"}
+                            "oracle_evals", "decision_error", "surrogate_value", "true_value",
+                            "surrogate_evals", "surrogate_gap"}
     for row in rows:
         assert float(row["regret"]) >= -1e-9
         assert float(row["oracle_gap"]) <= 1e-9
@@ -329,6 +330,8 @@ def test_outputs_stay_under_out_dir(tmp_path):
     ["benchmark", "--lr", "inf"],
     ["decide", "--surrogate-lr", "-1"],
     ["decide", "--surrogate-lr", "nan"],
+    ["decide", "--families", "BoxSocp,BoxSocp"],
+    ["benchmark", "--variants", "ReLU,ReLU"],
     ["train", "--lo", "3", "--hi", "-3", "--target", "QuadraticIso"],
     ["train", "--lo", "1", "--hi", "1", "--target", "QuadraticIso"],
     ["train", "--hi", "inf", "--target", "QuadraticIso"],

@@ -470,13 +470,31 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
         points.append(X)
         return X @ c, np.tile(c, (X.shape[0], 1))
 
-    monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)  # never stop early
+    # never stop early: at a CERTIFIED_GAP of -1 no gap certifies, and no
+    # search stalls, since its best value never rises
+    monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)
     x, value, gap, _ = pgd_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
     assert len(points) == 3001
     assert np.array_equal(x, [1.0, 0.0, 0.0]) and value == 1.0
     assert gap <= CERTIFIED_GAP
     assert np.all(np.isfinite(np.array(points)))
     assert np.array_equal(points[-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+
+def test_search_stops_where_it_stalls_at_a_kink(monkeypatch):
+    # sum |x - c| has its minimiser on a kink inside the box, where no
+    # subgradient has a small Frank-Wolfe gap: the search never certifies,
+    # and it stops once its value has settled
+    c = np.array([0.3, 0.6])
+    obj = lambda X: (np.sum(np.abs(X - c), axis=1), np.where(X >= c, 1.0, -1.0))
+    steps = 400
+    _, value, gap, calls = pgd_minimize(obj, FeasibleSet("Box", 2), 3, steps, seed=0)
+    assert calls < steps + 1 and gap > CERTIFIED_GAP
+
+    monkeypatch.setattr(decisions, "STALL_CALLS", steps + 1)  # never stalls
+    _, full_value, _, full_calls = pgd_minimize(obj, FeasibleSet("Box", 2), 3, steps, seed=0)
+    assert full_calls == steps + 1
+    assert full_value <= value <= full_value + CERTIFIED_GAP
 
 
 @pytest.mark.parametrize("constant", [1e2, 1e6, 1e10])
@@ -711,9 +729,10 @@ def test_decide_runs_no_single_point_forward(monkeypatch):
         task, sample_context(2, 0), "QuadOnly", spawn_rng(2, 1),
         candidates=16, surrogate_epochs=5, oracle_config=(3, 100),
     )
-    (surrogate_x, surrogate_value, _, _), _ = searches  # the oracle's search is second
+    (surrogate_x, surrogate_value, gap, calls), _ = searches  # the oracle's search is second
     assert np.array_equal(x_hat, surrogate_x)
     assert report.surrogate_value.hex() == surrogate_value.hex()
+    assert (report.surrogate_gap, report.surrogate_evals) == (gap, calls)
 
 
 def test_decide_validates_its_surrogate_with_one_forward(monkeypatch):

@@ -1,8 +1,10 @@
 """Every module-level import and private name of a library module is used
-in that module, and every library name that ``bench/`` reaches exists."""
+in that module, every library name that ``bench/`` reaches exists, and every
+decide setting it passes is a parameter of ``decide_instance``."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,16 @@ def test_names_bench_reaches_exist_in_the_package():
     missing = [f"{module}.{name}" for module, name in refs
                if not hasattr(importlib.import_module(f"socicnn.{module}"), name)]
     assert missing == []
+
+
+def test_decide_settings_bench_passes_are_parameters_of_decide_instance():
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    settings = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "DECIDE_SETTINGS"
+                        for t in node.targets)]
+    assert len(settings) == 1
+    keys = [kw.arg for kw in settings[0].keywords]
+    assert "steps" in keys
+    decisions = importlib.import_module("socicnn.decisions")
+    params = inspect.signature(decisions.decide_instance).parameters
+    assert [key for key in keys if key not in params] == []
