@@ -26,6 +26,7 @@ from .model import (
     ForwardTrace,
     LayerParams,
     SocIcnnParams,
+    as_input,
     forward,
     half_sqnorm_rows,
     init_model,
@@ -80,9 +81,10 @@ def _affine(layer: LayerParams, x: np.ndarray) -> np.ndarray:
 
 def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     """Lift whose optimal value is the backbone value at x (plus branches,
-    handled separately by the cone blocks)."""
+    handled separately by the cone blocks).  An x of any shape but (d0,)
+    raises ``DimensionError``."""
     _require_relu(params)
-    x = np.asarray(x, dtype=np.float64)
+    x = as_input(params, x)
     widths = params.widths
     n = sum(widths)
     offsets = np.concatenate([[0], np.cumsum(widths)])

@@ -387,11 +387,18 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray) -> ForwardTrace:
     return ForwardTrace(preacts, acts, backbone, quad_q, quad_s, conic_u, conic_t, totals)
 
 
-def forward(params: SocIcnnParams, x) -> ForwardTrace:
-    """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
+def as_input(params: SocIcnnParams, x) -> np.ndarray:
+    """x as one float64 input of shape (d0,); any other shape raises
+    ``DimensionError``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise DimensionError(f"expected input of shape ({params.input_dim},), got {x.shape}")
+    return x
+
+
+def forward(params: SocIcnnParams, x) -> ForwardTrace:
+    """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
+    x = as_input(params, x)
     rows = _forward_rows(params, x[None])
     return ForwardTrace(
         preacts=tuple(pre[0] for pre in rows.preacts),

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from socicnn import (
     RELU,
     SOFTPLUS,
+    DimensionError,
     UnsupportedActivationError,
     build_lp_lift,
     diagnostics_report,
@@ -54,6 +56,19 @@ def test_lift_rejects_softplus():
         socp_oracle_value(m, np.zeros(m.input_dim))
     with pytest.raises(UnsupportedActivationError):
         diagnostics_report(m, np.zeros(m.input_dim))
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (4,), (1, 3), ()])
+def test_lift_and_oracle_name_a_misshapen_input(shape):
+    m = init_model(3, [4], [3], [3], True, RELU, seed=0)
+    x = np.ones(shape)
+    message = re.escape(f"expected input of shape (3,), got {shape}")
+    with pytest.raises(DimensionError, match=message):
+        build_lp_lift(m, x)
+    with pytest.raises(DimensionError, match=message):
+        socp_oracle_value(m, x)
+    with pytest.raises(DimensionError, match=message):
+        forward(m, x)
 
 
 def test_simplex_solve_scalar_examples():

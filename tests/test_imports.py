@@ -1,6 +1,7 @@
 """Every module-level import and private name of a library module is used
-in that module, every library name that ``bench/`` reaches exists, and every
-decide setting it passes is a parameter of ``decide_instance``."""
+in that module, the simplex oracle imports nothing of the library, every
+library name that ``bench/`` reaches exists, and every decide setting it
+passes is a parameter of ``decide_instance``."""
 
 import ast
 import importlib
@@ -38,6 +39,19 @@ def test_no_unused_private_module_names(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(name for name in defined - read if name.startswith("_")) == []
+
+
+def test_simplex_imports_only_numpy_and_typing():
+    # the oracle checks the forward pass, so it may share no code with it
+    tree = ast.parse((ROOT / "src" / "socicnn" / "simplex.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or "").split(".")[0])
+    assert "numpy" in modules
+    assert modules <= {"__future__", "numpy", "typing"}
 
 
 def _bench_references():

@@ -3,7 +3,7 @@ import pytest
 
 from socicnn import RELU, build_lp_lift, forward, init_model, simplex, spawn_rng
 from socicnn.model import flatten_params, unflatten_params
-from socicnn.simplex import InfeasibleProblem, solve_min_geq
+from socicnn.simplex import InfeasibleProblem, SimplexError, solve_min_geq
 
 
 def _dense_pivot(tableau, row, col):
@@ -12,6 +12,31 @@ def _dense_pivot(tableau, row, col):
     factors = tableau[:, col].copy()
     factors[row] = 0.0
     tableau -= np.outer(factors, tableau[row])
+
+
+def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter):
+    """Reference: the dual Bland loop that picks the leaving row and the
+    entering column again before every pivot."""
+    m, n = abs_a.shape
+    values, costs = tableau[:m, -1], tableau[-1]
+    for _ in range(max_iter):
+        infeasible = (values < -feas_tol).nonzero()[0]
+        if infeasible.size == 0:
+            return
+        row = int(infeasible[basis[infeasible].argmin()])
+        entries = tableau[row, :-1]
+        eligible = entries < 0.0
+        structural = eligible[:n].nonzero()[0]
+        terms = np.abs(entries[n:]) @ abs_a[:, structural]
+        eligible[structural] = -entries[structural] > simplex._PIVOT_TOL * terms
+        eligible = eligible.nonzero()[0]
+        if eligible.size == 0:
+            raise InfeasibleProblem("an infeasible row has no negative entry to pivot on")
+        ratios = costs[eligible] / -entries[eligible]
+        col = int(eligible[ratios.argmin()])
+        simplex._pivot(tableau, row, col)
+        basis[row] = col
+    raise SimplexError("iteration limit exceeded")
 
 
 def test_lower_bounded_by_geq_row():
@@ -166,13 +191,156 @@ def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
 
 
 @pytest.mark.parametrize("passthrough", [True, False])
-@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES + [(6, 8, 4), (6, 8, 5)])
 def test_certify_solve_takes_one_pivot_per_active_unit(monkeypatch, d0, width, depth, passthrough):
     # the dual Bland rule reaches the rows in layer order, and with W_z >= 0
-    # each infeasible row then has one negative entry, the -1 on its own unit
-    pivot = simplex._pivot
+    # each infeasible row then has one negative entry, the -1 on its own
+    # unit; one pass takes a layer's rows, since no pivot of a layer touches
+    # another row of it.  A unit counts as active once its preactivation
+    # clears the feasibility tolerance, which at scale 1e-6 without
+    # passthrough the deepest layers' do not.
+    pivot, plan = simplex._pivot, simplex._plan_pass
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return plan(*args)
+
+    monkeypatch.setattr(simplex, "_plan_pass", counted)
     for seed in range(10):
-        model, x = _certify_model(d0, width, depth, passthrough, seed)
-        active = sum(int((pre > 0.0).sum()) for pre in forward(model, x).preacts)
-        _, _, pivots = _solve_counting_pivots(monkeypatch, pivot, build_lp_lift(model, x))
-        assert pivots == active > 0
+        for scale in (1.0, 1e-6, 1e8):
+            model, x = _certify_model(d0, width, depth, passthrough, seed, scale)
+            lift = build_lp_lift(model, x)
+            feas_tol = simplex._FEAS_TOL * np.abs(lift.row_rhs).max()
+            active = sum(int((pre > feas_tol).sum()) for pre in forward(model, x).preacts)
+            passes = 0
+            _, _, pivots = _solve_counting_pivots(monkeypatch, pivot, lift)
+            assert pivots == active > 0
+            assert passes <= depth
+
+
+def _traced_solve(monkeypatch, iterate, c, A, b, max_iter=None):
+    """Solve with ``iterate`` as the dual loop, under ``max_iter`` pivots if
+    given: the (row, col) pivots, then (value, y's bytes) or the error's type
+    and message, then the final tableau's bytes and the pass lengths."""
+    pivots, tableaus, passes = [], [], []
+    pivot, plan = simplex._pivot, simplex._plan_pass
+
+    def recorded(tableau, row, col):
+        pivots.append((row, col))
+        pivot(tableau, row, col)
+
+    def planned(*args):
+        cols = plan(*args)
+        passes.append(cols.size)
+        return cols
+
+    def limited(tableau, basis, abs_a, feas_tol, limit):
+        tableaus.append(tableau)
+        iterate(tableau, basis, abs_a, feas_tol, limit if max_iter is None else max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_pivot", recorded)
+        patch.setattr(simplex, "_plan_pass", planned)
+        patch.setattr(simplex, "_dual_iterate", limited)
+        try:
+            value, y = solve_min_geq(c, A, b)
+            outcome = (value, y.tobytes())
+        except SimplexError as error:
+            outcome = (type(error), str(error))
+    return pivots, outcome, tableaus[0].tobytes(), passes
+
+
+def _assert_passes_pivot_one_at_a_time(monkeypatch, c, A, b, max_iter=None):
+    passes = _traced_solve(monkeypatch, simplex._dual_iterate, c, A, b, max_iter)
+    reference = _traced_solve(monkeypatch, _one_pivot_iterate, c, A, b, max_iter)
+    assert passes[:3] == reference[:3]
+    return passes
+
+
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
+def test_passes_pivot_like_one_at_a_time_on_certify_lifts(monkeypatch, d0, width, depth, passthrough):
+    for seed in (3, 4):
+        for scale in (1.0, 1e-6, 1e8):
+            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
+            pivots, _, _, passes = _assert_passes_pivot_one_at_a_time(
+                monkeypatch, lift.objective, lift.row_coeffs, lift.row_rhs)
+            assert max(passes) > 1
+            # cut short after each pivot count (every seventh on most lifts):
+            # the same error at the same pivot, with the same tableau
+            step = 1 if (seed, scale) == (3, 1.0) else 7
+            for limit in range(1, len(pivots) + 1, step):
+                _, outcome, _, _ = _assert_passes_pivot_one_at_a_time(
+                    monkeypatch, lift.objective, lift.row_coeffs, lift.row_rhs, limit)
+                assert outcome == (SimplexError, "iteration limit exceeded")
+
+
+def _structured_lp(rng):
+    """Rows with one positive entry among sparse, mostly negative others, as
+    a lift's rows have; random right-hand sides and some zero costs."""
+    m, n = int(rng.integers(2, 20)), int(rng.integers(2, 20))
+    A = np.zeros((m, n))
+    others = rng.random((m, n)) < 0.25
+    signs = np.where(rng.random(others.sum()) < 0.85, -1.0, 1.0)
+    A[others] = signs * rng.exponential(1.0, others.sum())
+    A[np.arange(m), rng.integers(0, n, m)] = rng.uniform(0.5, 2.0, m)
+    c = rng.uniform(0.0, 1.0, n)
+    c[rng.random(n) < 0.4] = 0.0
+    return c, A, rng.standard_normal(m)
+
+
+def test_passes_pivot_like_one_at_a_time_on_structured_lps(monkeypatch):
+    rng = np.random.default_rng(25)
+    blocks = infeasible = 0
+    for trial in range(400):
+        c, A, b = _structured_lp(rng)
+        pivots, outcome, _, passes = _assert_passes_pivot_one_at_a_time(monkeypatch, c, A, b)
+        blocks += max(passes, default=0) > 1
+        infeasible += outcome[0] is InfeasibleProblem
+        if trial % 20 == 0:
+            for limit in range(1, len(pivots) + 1):
+                _assert_passes_pivot_one_at_a_time(monkeypatch, c, A, b, limit)
+    assert blocks > 20 and infeasible > 20
+
+
+def _iterate_both(tableau, basis, abs_a):
+    """Run the pass loop and the one-pivot reference on copies of a tableau
+    and its basis; each run's error (or None), final tableau and basis."""
+    runs = []
+    for iterate in (simplex._dual_iterate, _one_pivot_iterate):
+        state, final_basis = tableau.copy(), basis.copy()
+        try:
+            iterate(state, final_basis, abs_a, 0.0, 10)
+            outcome = None
+        except SimplexError as error:
+            outcome = (type(error), str(error))
+        runs.append((outcome, state.tobytes(), final_basis.tolist()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize("share", [0.5, 1.5, 3.0])
+def test_a_pass_admits_no_entry_that_the_pivot_tolerance_rejects(share):
+    # row 1 would join row 0's pass but for its one negative entry, which
+    # keeps ``share`` times the pivot tolerance of its terms (here 1)
+    tableau = np.array([[-1.0, 0.0, 1.0, 0.0, -1.0],
+                        [0.0, -share * simplex._PIVOT_TOL, 0.0, 1.0, -1.0],
+                        [1.0, 1.0, 0.0, 0.0, 0.0]])
+    outcome, _, _ = _iterate_both(tableau, np.array([2, 3]), np.ones((2, 2)))
+    assert (outcome is None) == (share > 1.0)
+
+
+def test_a_pass_stops_before_a_row_that_its_pivots_make_infeasible():
+    # rows 0, 1 and 3 are infeasible with one negative entry each; pivoting
+    # row 1 makes the feasible row 2, which Bland's rule reaches before row
+    # 3, infeasible with no entry to pivot on, so the pass must end at row 1
+    tableau = np.array([[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+                        [0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, -1.0],
+                        [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5],
+                        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+                        [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    outcome, _, basis = _iterate_both(tableau, np.arange(3, 7), np.ones((4, 3)))
+    assert outcome[0] is InfeasibleProblem
+    assert basis == [0, 1, 5, 6]
