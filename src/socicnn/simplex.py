@@ -27,22 +27,22 @@ order.  A block pivot then touches neither a later block row nor another
 block column, so each block row is still infeasible and unchanged when its
 turn comes, every row before it is feasible, and a row with one eligible
 entry enters that entry whatever the costs: the pass takes exactly the
-pivots that one-at-a-time dual Bland would, with the same tableau after
-each.
+pivots that one-at-a-time dual Bland would take from the same tableau.
 
-Intended for desk-scale problems (a few hundred variables); everything is
-kept in one dense C-contiguous tableau.  A pivot updates only the rows whose
-pivot-column entry is nonzero and the columns whose pivot-row entry is
-nonzero, through the flat indices row * width + col of a view that shares
-the tableau's memory.  Every other entry of the full rank-one update would
-subtract an exact zero product (the data are finite, so no inf * 0 arises),
-so the tableau equals the dense update's up to the sign of a zero, and every
-pivot decision is the same.  On a network's lift (W_z >= 0) the rows are
-reached in layer order, and each infeasible one then has a single negative
-entry, the -1 on its own unit, so the solve takes one pivot per hidden unit
-with a positive preactivation, the fewest that reach the optimal basis, and
-one pass per layer: a unit's column is nonzero only in its own row and in
-the next layer's rows.
+A pass is one update of a dense tableau.  Its rows are divided by their
+pivots, and every row that its columns reach, its own rows aside, subtracts
+its entries in those columns times the divided rows, over the columns that
+those rows reach.  No pivot of a pass touches another pass row or column, so
+the product reads the original columns and the divided original rows, as the
+pivots in turn would: only the order of the sums changes, and a pass of one
+pivot gives the dense rank-one update up to the sign of a zero.
+
+On a network's lift (W_z >= 0) the rows are reached in layer order, and
+each infeasible one then has a single negative entry, the -1 on its own
+unit, so the solve takes one pivot per hidden unit with a positive
+preactivation, the fewest that reach the optimal basis, and one pass per
+layer: a unit's column is nonzero only in its own row and in the next
+layer's rows.
 """
 
 from __future__ import annotations
@@ -70,19 +70,6 @@ class UnboundedProblem(SimplexError):
 _PIVOT_TOL = 1e-9
 # relative to max|b|
 _FEAS_TOL = 1e-12
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row]
-    column = tableau[:, col]
-    rows = column.nonzero()[0]
-    rows = rows[rows != row]
-    cols = pivot_row.nonzero()[0]
-    width = tableau.shape[1]
-    flat = tableau.view()
-    flat.shape = -1  # raises unless flat shares the tableau's memory
-    flat[(rows * width)[:, None] + cols] -= np.multiply.outer(column[rows], pivot_row[cols])
 
 
 def _plan_pass(
@@ -155,9 +142,14 @@ def _dual_iterate(
             return
         rows = infeasible[basis[infeasible].argsort()[: max_iter - pivots]]
         cols = _plan_pass(tableau, basis, rows, abs_a)
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            _pivot(tableau, row, col)
-            basis[row] = col
+        rows = rows[: cols.size]
+        tableau[rows] /= tableau[rows, cols][:, None]
+        reached = (tableau[:, cols] != 0.0).any(axis=1)
+        reached[rows] = False
+        reached = reached.nonzero()[0][:, None]
+        spanned = (tableau[rows] != 0.0).any(axis=0).nonzero()[0]
+        tableau[reached, spanned] -= tableau[reached, cols] @ tableau[rows[:, None], spanned]
+        basis[rows] = cols
         pivots += cols.size
     raise SimplexError("iteration limit exceeded")
 

@@ -260,10 +260,12 @@ def test_check_fails_by_name_and_only_with_check(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--trials", "3", "--d0", "3", "--width", "4", "--depth", "2", "--seed", "1"],
+    # certify's largest lift, n = 192, whose passes take many pivots at once
+    ["verify", "--trials", "2", "--d0", "20", "--width", "64", "--depth", "3"],
     ["benchmark", "--targets", "NormEuclid", "--d", "2", "--variants", "ReLU,SOC",
      "--seeds", "2", "--epochs", "2", "--train-n", "16", "--val-n", "8", "--test-n", "8"],
     ["theory", "--dims", "1,2", "--cells", "2,4", "--samples", "500", "--seed", "4"],
-], ids=["verify", "benchmark", "theory"])
+], ids=["verify", "verify_n192", "benchmark", "theory"])
 def test_run_is_byte_identical_across_reruns(tmp_path, argv):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(argv + ["--out", str(out_a)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from socicnn import RELU, build_lp_lift, forward, init_model, simplex, spawn_rng
+from socicnn import RELU, build_lp_lift, forward, init_model, simplex, simplex_lp_solve, spawn_rng
 from socicnn.model import flatten_params, unflatten_params
 from socicnn.simplex import InfeasibleProblem, SimplexError, solve_min_geq
 
@@ -14,9 +14,10 @@ def _dense_pivot(tableau, row, col):
     tableau -= np.outer(factors, tableau[row])
 
 
-def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter):
+def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter, pivots=None):
     """Reference: the dual Bland loop that picks the leaving row and the
-    entering column again before every pivot."""
+    entering column again before every pivot, each a ``_dense_pivot``; the
+    (row, col) pivots are appended to ``pivots`` if given."""
     m, n = abs_a.shape
     values, costs = tableau[:m, -1], tableau[-1]
     for _ in range(max_iter):
@@ -34,8 +35,10 @@ def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter):
             raise InfeasibleProblem("an infeasible row has no negative entry to pivot on")
         ratios = costs[eligible] / -entries[eligible]
         col = int(eligible[ratios.argmin()])
-        simplex._pivot(tableau, row, col)
+        _dense_pivot(tableau, row, col)
         basis[row] = col
+        if pivots is not None:
+            pivots.append((row, col))
     raise SimplexError("iteration limit exceeded")
 
 
@@ -121,7 +124,9 @@ def test_non_finite_data_is_rejected(where, bad):
         solve_min_geq(data["c"], data["A"], data["b"])
 
 
-def test_sparse_pivot_equals_the_dense_update():
+def test_sparse_pivot_equals_the_dense_update(monkeypatch):
+    # a pass of one pivot, here (row, col), is the dense rank-one update
+    # bit for bit wherever the pivot row and column have planted zeros
     rng = np.random.default_rng(9)
     for trial in range(300):
         rows, cols = int(rng.integers(2, 12)), int(rng.integers(2, 15))
@@ -135,16 +140,14 @@ def test_sparse_pivot_equals_the_dense_update():
         tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
         expected = tableau.copy()
         _dense_pivot(expected, row, col)
-        simplex._pivot(tableau, row, col)
+        # every row counts as infeasible, and row has the smallest basic index
+        basis = np.arange(1, rows + 1)
+        basis[row] = 0
+        monkeypatch.setattr(simplex, "_plan_pass", lambda *args: np.array([col]))
+        with pytest.raises(SimplexError, match="iteration limit exceeded"):
+            simplex._dual_iterate(tableau, basis, np.zeros((rows, 0)), -np.inf, 1)
         assert np.array_equal(tableau, expected)
-
-
-def test_pivot_refuses_a_tableau_it_cannot_update_in_place():
-    # the rank-one block is scattered through a flat view, which a tableau
-    # that is not C-contiguous cannot give without a copy
-    tableau = np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4))
-    with pytest.raises(AttributeError):
-        simplex._pivot(tableau, 0, 0)
+        assert basis[row] == col
 
 
 # (d0, width, depth) of the certify benchmark's three lift sizes, n = 32, 96, 192
@@ -160,36 +163,6 @@ def _certify_model(d0, width, depth, passthrough, seed, scale=1.0):
     return model, spawn_rng(seed, 1).uniform(-3.0, 3.0, d0)
 
 
-def _solve_counting_pivots(monkeypatch, pivot, lift):
-    count = 0
-
-    def counted(tableau, row, col):
-        nonlocal count
-        count += 1
-        pivot(tableau, row, col)
-
-    monkeypatch.setattr(simplex, "_pivot", counted)
-    value, y = solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
-    return value, y, count
-
-
-@pytest.mark.parametrize("passthrough", [True, False])
-@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
-def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
-        monkeypatch, d0, width, depth, passthrough):
-    # at 1e-6 and 1e8 the hidden states span many orders of magnitude, so
-    # the pivot tolerance decides which entries may enter
-    sparse = simplex._pivot
-    for seed in (3, 4):
-        for scale in (1.0, 1e-6, 1e8):
-            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
-            value, y, pivots = _solve_counting_pivots(monkeypatch, sparse, lift)
-            ref_value, ref_y, ref_pivots = _solve_counting_pivots(monkeypatch, _dense_pivot, lift)
-            assert value == ref_value
-            assert np.array_equal(y, ref_y)
-            assert pivots == ref_pivots > 0
-
-
 @pytest.mark.parametrize("passthrough", [True, False])
 @pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES + [(6, 8, 4), (6, 8, 5)])
 def test_certify_solve_takes_one_pivot_per_active_unit(monkeypatch, d0, width, depth, passthrough):
@@ -199,13 +172,15 @@ def test_certify_solve_takes_one_pivot_per_active_unit(monkeypatch, d0, width, d
     # another row of it.  A unit counts as active once its preactivation
     # clears the feasibility tolerance, which at scale 1e-6 without
     # passthrough the deepest layers' do not.
-    pivot, plan = simplex._pivot, simplex._plan_pass
-    passes = 0
+    plan = simplex._plan_pass
+    pivots = passes = 0
 
     def counted(*args):
-        nonlocal passes
+        nonlocal pivots, passes
+        cols = plan(*args)
+        pivots += cols.size
         passes += 1
-        return plan(*args)
+        return cols
 
     monkeypatch.setattr(simplex, "_plan_pass", counted)
     for seed in range(10):
@@ -214,54 +189,99 @@ def test_certify_solve_takes_one_pivot_per_active_unit(monkeypatch, d0, width, d
             lift = build_lp_lift(model, x)
             feas_tol = simplex._FEAS_TOL * np.abs(lift.row_rhs).max()
             active = sum(int((pre > feas_tol).sum()) for pre in forward(model, x).preacts)
-            passes = 0
-            _, _, pivots = _solve_counting_pivots(monkeypatch, pivot, lift)
+            pivots = passes = 0
+            solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
             assert pivots == active > 0
             assert passes <= depth
 
 
-def _traced_solve(monkeypatch, iterate, c, A, b, max_iter=None):
-    """Solve with ``iterate`` as the dual loop, under ``max_iter`` pivots if
-    given: the (row, col) pivots, then (value, y's bytes) or the error's type
-    and message, then the final tableau's bytes and the pass lengths."""
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES + [(6, 8, 4), (6, 8, 5)])
+def test_certify_lift_solves_to_the_backbone_value(d0, width, depth, passthrough):
+    # a check of the oracle's answers that needs no reference loop: the
+    # forward pass gives the same value in closed form, up to rounding of
+    # the magnitude of its terms
+    for seed in range(10):
+        for scale in (1.0, 1e-6, 1e8):
+            model, x = _certify_model(d0, width, depth, passthrough, seed, scale)
+            trace = forward(model, x)
+            value, _ = simplex_lp_solve(build_lp_lift(model, x))
+            terms = (np.abs(model.w_out) @ np.abs(trace.acts[-1])
+                     + np.abs(model.w_skip) @ np.abs(x) + abs(model.b_out))
+            assert abs(value - trace.backbone_value) <= 1e-14 * terms
+
+
+def _traced_solve(monkeypatch, one_at_a_time, c, A, b, max_iter=None):
+    """Solve with the pass loop, or with the one-pivot reference, under
+    ``max_iter`` pivots if given: the (row, col) pivots, then (value, y) or
+    the error's type and message, then the final tableau and the pass
+    lengths (none for the reference)."""
     pivots, tableaus, passes = [], [], []
-    pivot, plan = simplex._pivot, simplex._plan_pass
+    plan, iterate = simplex._plan_pass, simplex._dual_iterate
 
-    def recorded(tableau, row, col):
-        pivots.append((row, col))
-        pivot(tableau, row, col)
-
-    def planned(*args):
-        cols = plan(*args)
+    def planned(tableau, basis, rows, abs_a):
+        cols = plan(tableau, basis, rows, abs_a)
+        pivots.extend(zip(rows[: cols.size].tolist(), cols.tolist()))
         passes.append(cols.size)
         return cols
 
     def limited(tableau, basis, abs_a, feas_tol, limit):
         tableaus.append(tableau)
-        iterate(tableau, basis, abs_a, feas_tol, limit if max_iter is None else max_iter)
+        limit = limit if max_iter is None else max_iter
+        if one_at_a_time:
+            _one_pivot_iterate(tableau, basis, abs_a, feas_tol, limit, pivots)
+        else:
+            iterate(tableau, basis, abs_a, feas_tol, limit)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_pivot", recorded)
         patch.setattr(simplex, "_plan_pass", planned)
         patch.setattr(simplex, "_dual_iterate", limited)
         try:
-            value, y = solve_min_geq(c, A, b)
-            outcome = (value, y.tobytes())
+            outcome = solve_min_geq(c, A, b)
         except SimplexError as error:
             outcome = (type(error), str(error))
-    return pivots, outcome, tableaus[0].tobytes(), passes
+    return pivots, outcome, tableaus[0], passes
+
+
+# the pass loop sums a pass's products in another order than the one-pivot
+# reference; its results may differ by this share of their magnitude, about
+# 45 times float64's epsilon
+RTOL = 1e-14
+
+
+def _assert_close(got, reference):
+    """``got`` within RTOL of ``reference``: a value relative to itself, an
+    array relative to its largest entry, a tableau row by row."""
+    if isinstance(reference, float):
+        assert abs(got - reference) <= RTOL * abs(reference)
+        return
+    assert got.shape == reference.shape
+    scale = np.abs(reference).max(axis=-1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(got - reference) <= RTOL * scale)
 
 
 def _assert_passes_pivot_one_at_a_time(monkeypatch, c, A, b, max_iter=None):
-    passes = _traced_solve(monkeypatch, simplex._dual_iterate, c, A, b, max_iter)
-    reference = _traced_solve(monkeypatch, _one_pivot_iterate, c, A, b, max_iter)
-    assert passes[:3] == reference[:3]
+    """The pass loop takes the reference's pivots, ends with its error or
+    with its value and y, and leaves its tableau, up to the order of sums."""
+    passes = _traced_solve(monkeypatch, False, c, A, b, max_iter)
+    pivots, outcome, tableau, _ = passes
+    ref_pivots, ref_outcome, ref_tableau, _ = _traced_solve(monkeypatch, True, c, A, b, max_iter)
+    assert pivots == ref_pivots
+    assert isinstance(outcome[0], type) == isinstance(ref_outcome[0], type)
+    if isinstance(ref_outcome[0], type):
+        assert outcome == ref_outcome
+    else:
+        _assert_close(outcome[0], ref_outcome[0])
+        _assert_close(outcome[1], ref_outcome[1])
+    _assert_close(tableau, ref_tableau)
     return passes
 
 
 @pytest.mark.parametrize("passthrough", [True, False])
 @pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
 def test_passes_pivot_like_one_at_a_time_on_certify_lifts(monkeypatch, d0, width, depth, passthrough):
+    # at 1e-6 and 1e8 the hidden states span many orders of magnitude, so
+    # the pivot tolerance decides which entries may enter
     for seed in (3, 4):
         for scale in (1.0, 1e-6, 1e8):
             lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
@@ -269,7 +289,7 @@ def test_passes_pivot_like_one_at_a_time_on_certify_lifts(monkeypatch, d0, width
                 monkeypatch, lift.objective, lift.row_coeffs, lift.row_rhs)
             assert max(passes) > 1
             # cut short after each pivot count (every seventh on most lifts):
-            # the same error at the same pivot, with the same tableau
+            # the same error at the same pivot, with a tableau within RTOL
             step = 1 if (seed, scale) == (3, 1.0) else 7
             for limit in range(1, len(pivots) + 1, step):
                 _, outcome, _, _ = _assert_passes_pivot_one_at_a_time(
@@ -307,7 +327,8 @@ def test_passes_pivot_like_one_at_a_time_on_structured_lps(monkeypatch):
 
 def _iterate_both(tableau, basis, abs_a):
     """Run the pass loop and the one-pivot reference on copies of a tableau
-    and its basis; each run's error (or None), final tableau and basis."""
+    and its basis; each run's error (or None) and final basis are equal, and
+    the final tableaus close.  The first run's error, tableau and basis."""
     runs = []
     for iterate in (simplex._dual_iterate, _one_pivot_iterate):
         state, final_basis = tableau.copy(), basis.copy()
@@ -316,8 +337,9 @@ def _iterate_both(tableau, basis, abs_a):
             outcome = None
         except SimplexError as error:
             outcome = (type(error), str(error))
-        runs.append((outcome, state.tobytes(), final_basis.tolist()))
-    assert runs[0] == runs[1]
+        runs.append((outcome, state, final_basis.tolist()))
+    assert runs[0][0] == runs[1][0] and runs[0][2] == runs[1][2]
+    _assert_close(runs[0][1], runs[1][1])
     return runs[0]
 
 
