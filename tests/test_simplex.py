@@ -297,6 +297,28 @@ def test_passes_pivot_like_one_at_a_time_on_certify_lifts(monkeypatch, d0, width
                 assert outcome == (SimplexError, "iteration limit exceeded")
 
 
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
+def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
+        monkeypatch, d0, width, depth, passthrough):
+    # with every pass cut to its first pivot, the block update is the dense
+    # rank-one update bit for bit, so the whole solve is too; at 1e-6 and
+    # 1e8 the pivot tolerance decides which entries may enter
+    plan = simplex._plan_pass
+    monkeypatch.setattr(simplex, "_plan_pass", lambda *args: plan(*args)[:1])
+    for seed in (3, 4):
+        for scale in (1.0, 1e-6, 1e8):
+            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
+            pivots, (value, y), _, passes = _traced_solve(
+                monkeypatch, False, lift.objective, lift.row_coeffs, lift.row_rhs)
+            ref_pivots, (ref_value, ref_y), _, _ = _traced_solve(
+                monkeypatch, True, lift.objective, lift.row_coeffs, lift.row_rhs)
+            assert value == ref_value
+            assert np.array_equal(y, ref_y)
+            assert pivots == ref_pivots
+            assert len(passes) == len(pivots) > 0
+
+
 def _structured_lp(rng):
     """Rows with one positive entry among sparse, mostly negative others, as
     a lift's rows have; random right-hand sides and some zero costs."""
