@@ -66,7 +66,6 @@ from .training import (
     anchor_width,
     build_variant_model,
     fit_variant_to_target,
-    match_parameter_budget,
     relative_l2_error,
     sample_uniform_dataset,
     train,

@@ -461,7 +461,6 @@ def evaluate_decision_quality(
     x_hat,
     oracle_config: Tuple[int, int] = DEFAULT_ORACLE_CONFIG,
     oracle_seed: int = 0,
-    surrogate_value: float = float("nan"),
 ) -> DecisionReport:
     """Regret and decision error of x_hat against the certified oracle.
 
@@ -490,7 +489,6 @@ def evaluate_decision_quality(
         oracle_gap=gap,
         oracle_evals=calls,
         decision_error=float(np.sqrt(np.sum((x_hat - x_star) ** 2))),
-        surrogate_value=float(surrogate_value),
         true_value=f_hat,
     )
 
@@ -557,6 +555,5 @@ def decide_instance(
         x_hat,
         oracle_config=oracle_config,
         oracle_seed=int(instance_rng.integers(2**62)),
-        surrogate_value=value,
     )
-    return replace(report, surrogate_evals=calls, surrogate_gap=gap), x_hat
+    return replace(report, surrogate_value=value, surrogate_evals=calls, surrogate_gap=gap), x_hat

@@ -281,18 +281,6 @@ def variant_param_count(
     return count_parameters(build_variant_model(variant, d0, width, depth, 0, passthrough))
 
 
-def match_parameter_budget(
-    anchor_count: int, d0: int, width: int, variant: str, passthrough: bool = True
-) -> int:
-    """Smallest depth whose parameter count reaches the anchor budget."""
-    if anchor_count < 1:
-        raise ValueError("anchor_count must be >= 1")
-    for depth in range(1, 65):
-        if variant_param_count(d0, width, depth, variant, passthrough) >= anchor_count:
-            return depth
-    raise ValueError("budget not reachable with depth <= 64")
-
-
 def build_variant_model(
     variant: str, d0: int, width: int, depth: int, seed: int, passthrough: bool = True
 ) -> SocIcnnParams:
@@ -305,12 +293,14 @@ def build_variant_model(
 
 
 def variant_depth(variant: str, d0: int, width: int, passthrough: bool = True) -> int:
-    """Anchor depth for SOC, budget-matched depth for every other variant;
-    the anchor and the variant share the passthrough setting."""
-    if variant == "SOC":
-        return 2
+    """Smallest depth in 1..64 whose parameter count reaches the two-layer SOC
+    anchor's, which is 2 for SOC itself; the anchor and the variant share the
+    passthrough setting."""
     anchor = variant_param_count(d0, width, 2, "SOC", passthrough)
-    return match_parameter_budget(anchor, d0, width, variant, passthrough)
+    for depth in range(1, 65):
+        if variant_param_count(d0, width, depth, variant, passthrough) >= anchor:
+            return depth
+    raise ValueError("budget not reachable with depth <= 64")
 
 
 def fit_variant_to_target(

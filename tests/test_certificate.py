@@ -242,6 +242,13 @@ def test_diagnostics_mean_gap_small():
     assert summary["forward_vs_oracle_abs_err"]["max"] <= 1e-9
 
 
+def test_summary_of_no_reports_is_a_named_error():
+    # zero trials is a valid sweep, and its empty list has no mean or max
+    reports = run_verification_trials(0, 6, 8, 2, 1, 1, True, seed=1)
+    with pytest.raises(ValueError, match="at least one report"):
+        summarize_reports(reports)
+
+
 @pytest.mark.parametrize("d0,width,depth,seed", [
     (10, 16, 2, 2973684427430321761),
     (20, 64, 3, 3565814781518276417),

@@ -1,12 +1,17 @@
 import csv
+import inspect
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from socicnn import cli
 from socicnn.certificate import _METRIC_FIELDS
 from socicnn.cli import main
+from socicnn.decisions import decide_instance
+from socicnn.theory import absorption_rate_rows
+from socicnn.training import TrainConfig, fit_variant_to_target
 
 
 def read_csv(path):
@@ -216,6 +221,38 @@ def test_theory_run_and_check(tmp_path):
     assert set(rows[0]) == {"d", "N", "sup_error", "bound"}
     for row in rows:
         assert float(row["N"]) >= float(row["bound"])
+
+
+def _defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # the flags repeat the library's defaults rather than read them; this
+    # keeps the two from drifting apart
+    parser = cli.build_parser()
+    fit = _defaults(fit_variant_to_target)
+    config = {f.name: f.default for f in fields(TrainConfig)}
+    train = parser.parse_args(["train", "--target", "NormEuclid"])
+    for args in (train, parser.parse_args(["benchmark"])):
+        assert (args.train_n, args.val_n, args.test_n) == (
+            fit["n_train"], fit["n_val"], fit["n_test"])
+        assert (args.epochs, args.batch_size, args.lr) == (
+            config["epochs"], config["batch_size"], config["learning_rate"])
+    assert (train.lo, train.hi) == (fit["lo"], fit["hi"])
+
+    decide = _defaults(decide_instance)
+    args = parser.parse_args(["decide"])
+    for name in ("candidates", "restarts", "steps", "surrogate_width", "surrogate_epochs",
+                 "surrogate_lr"):
+        assert getattr(args, name) == decide[name], name
+    assert (args.oracle_restarts, args.oracle_steps) == decide["oracle_config"]
+
+    theory = _defaults(absorption_rate_rows)
+    args = parser.parse_args(["theory"])
+    assert tuple(int(v) for v in args.dims.split(",")) == tuple(theory["dims"])
+    assert tuple(int(v) for v in args.cells.split(",")) == tuple(theory["cells"])
+    assert args.samples == theory["num_samples"]
 
 
 def _patch_nan_rel_err(monkeypatch):

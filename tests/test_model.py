@@ -105,9 +105,13 @@ def test_init_deterministic_for_fixed_seed():
 
 
 def test_init_feasible_by_construction():
-    m = init_model(2, [4], [2], [2], True, RELU, 7)
-    assert max_infeasibility(m) == 0.0
-    assert all(br.weight >= 0 for br in m.quad + m.conic)
+    # the shapes verify and certify draw: two quadratic and two conic branches
+    for seed in range(50):
+        for passthrough in (True, False):
+            for depth in (1, 2, 3):
+                m = init_model(3, [4] * depth, [3, 3], [3, 3], passthrough, RELU, seed)
+                assert max_infeasibility(m) == 0.0, (seed, passthrough, depth)
+                assert all(br.weight >= 0 for br in m.quad + m.conic)
 
 
 def test_init_seeds_differ():

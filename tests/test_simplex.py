@@ -347,6 +347,21 @@ def test_passes_pivot_like_one_at_a_time_on_structured_lps(monkeypatch):
     assert blocks > 20 and infeasible > 20
 
 
+@pytest.mark.xfail(reason="ROADMAP item 2: the oracle returns a y that violates a row of "
+                          "A y >= b, with entries near 3e15, instead of raising")
+def test_a_structured_lp_answer_satisfies_its_rows_or_raises():
+    # draw 55 of the structured-LP sequence, A of shape 3 x 16
+    rng = np.random.default_rng(25)
+    for _ in range(56):
+        c, A, b = _structured_lp(rng)
+    assert A.shape == (3, 16)
+    try:
+        _, y = solve_min_geq(c, A, b)
+    except SimplexError:
+        return
+    assert np.all(A @ y - b >= -1e-9 * max(1.0, float(np.max(np.abs(b)))))
+
+
 def _iterate_both(tableau, basis, abs_a):
     """Run the pass loop and the one-pivot reference on copies of a tableau
     and its basis; each run's error (or None) and final basis are equal, and

@@ -15,7 +15,6 @@ from socicnn import (
     forward,
     from_structured_class,
     make_target,
-    match_parameter_budget,
     max_infeasibility,
     relative_l2_error,
     sample_uniform_dataset,
@@ -397,14 +396,17 @@ def test_param_count_formula_matches_built_models():
 
 
 def test_budget_self_match():
-    anchor = variant_param_count(10, 20, 2, "SOC")
-    assert match_parameter_budget(anchor, 10, 20, "SOC") == 2
+    for passthrough in (True, False):
+        assert variant_depth("SOC", 10, 20, passthrough) == 2
 
 
 def test_budget_minimality():
-    depth2 = variant_param_count(10, 20, 2, "ReLU")
-    assert match_parameter_budget(depth2, 10, 20, "ReLU") == 2
-    assert match_parameter_budget(depth2 + 1, 10, 20, "ReLU") == 3
+    for passthrough in (True, False):
+        anchor = variant_param_count(10, 20, 2, "SOC", passthrough)
+        for variant in VARIANTS:
+            depth = variant_depth(variant, 10, 20, passthrough)
+            assert variant_param_count(10, 20, depth, variant, passthrough) >= anchor
+            assert variant_param_count(10, 20, depth - 1, variant, passthrough) < anchor
 
 
 def test_counts_strictly_increase_with_depth():
@@ -425,5 +427,7 @@ def test_budget_fairness_across_variants():
 
 
 def test_budget_error_when_unreachable():
-    with pytest.raises(ValueError):
-        match_parameter_budget(10**12, 2, 2, "ReLU")
+    # without passthrough a ReLU layer adds 1,056 scalars at d = 200 and the
+    # anchor's two branches alone hold 80,402: depth 79 would be needed
+    with pytest.raises(ValueError, match="depth <= 64"):
+        variant_depth("ReLU", 200, anchor_width(200), passthrough=False)
