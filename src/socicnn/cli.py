@@ -54,6 +54,7 @@ from .training import (
     TrainConfig,
     anchor_width,
     fit_variant_to_target,
+    variant_depth,
     variant_param_count,
 )
 
@@ -458,6 +459,12 @@ def main(argv=None) -> int:
     if args.subcommand == "train" and not 0 < args.hi - args.lo < np.inf:
         parser.error(f"train: needs --lo below --hi with a finite width, "
                      f"got --lo={args.lo!r} --hi={args.hi!r}")
+    # the budget rule needs a depth in 1..64 that reaches the SOC anchor's count
+    if args.subcommand == "train":
+        try:
+            variant_depth(args.variant, args.d, anchor_width(args.d), not args.no_passthrough)
+        except ValueError as exc:
+            parser.error(f"train: {exc}")
     # the lift has one variable per hidden unit
     if args.subcommand == "verify" and args.width * args.depth > MAX_LIFT_VARIABLES:
         parser.error(f"verify: --width times --depth is the lift's variable count, at most "

@@ -100,11 +100,16 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
     return trace.total, G
 
 
-def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnParams) -> float:
+def parameter_gradients(
+    params: SocIcnnParams, batch_x, batch_y, out: SocIcnnParams,
+    trace: Optional[ForwardTrace] = None,
+) -> float:
     """Mean-squared-error loss over a batch; its exact parameter gradients,
     d loss / d entry, overwrite every entry of ``out``, a model made by
-    ``unflatten_params`` over a gradient vector.  A non-finite entry of
-    ``batch_y`` raises ``ValueError``; one of ``batch_x`` does in the forward."""
+    ``unflatten_params`` over a gradient vector.  The forward pass writes
+    into ``trace``, from ``empty_trace`` over the batch's rows, when given.
+    A non-finite entry of ``batch_y`` raises ``ValueError``; one of
+    ``batch_x`` does in the forward."""
     X = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -113,7 +118,7 @@ def parameter_gradients(params: SocIcnnParams, batch_x, batch_y, out: SocIcnnPar
         raise DimensionError("batch_y must match the number of batch rows")
     n = X.shape[0]
 
-    trace = batch_forward(params, X)
+    trace = batch_forward(params, X, trace)
     residual = trace.total - y
     loss = float(np.add.reduce(residual * residual)) / n
     # a non-finite y always makes the loss non-finite, so y is read only then

@@ -13,11 +13,15 @@ arrays are exactly the data of the epigraph lift used by the certificate
 module.
 
 The forward pass is one computation over the rows of a batch, recorded in
-one ``ForwardTrace``; a single point is a one-row batch.
+one ``ForwardTrace``; a single point is a one-row batch.  Given a trace from
+``empty_trace`` as ``out``, the pass writes every intermediate into that
+trace's arrays instead of allocating them, so a caller that runs many passes
+over the same number of rows (training) builds its buffers once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -50,13 +54,15 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def softplus(t):
-    """log(1 + exp(t)), as max(t, 0) + log1p(e) with e = exp(-|t|).
+def softplus(t, out=None):
+    """log(1 + exp(t)), as max(t, 0) + log1p(e) with e = exp(-|t|), written
+    into ``out`` when given.
 
     The exponent is never positive, so no input overflows; ``sigmoid`` is the
     derivative from the same e.
     """
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    tail = np.log1p(np.exp(-np.abs(t)))
+    return np.add(np.maximum(t, 0.0, out=out), tail, out=out)
 
 
 def sigmoid(t):
@@ -66,19 +72,19 @@ def sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def half_sqnorm_rows(Q: np.ndarray) -> np.ndarray:
-    """1/2 ||q||^2 of every row of Q.
+def half_sqnorm_rows(Q: np.ndarray, out=None) -> np.ndarray:
+    """1/2 ||q||^2 of every row of Q, written into ``out`` when given.
 
     This and ``norm_rows`` are the only norm reductions of the forward pass;
     every check that must reproduce a forward value bit for bit (the
     diagnostics, exactly representable targets) calls them on the same rows.
     """
-    return 0.5 * np.einsum("ij,ij->i", Q, Q)
+    return np.multiply(np.einsum("ij,ij->i", Q, Q, out=out), 0.5, out=out)
 
 
-def norm_rows(U: np.ndarray) -> np.ndarray:
-    """||u|| of every row of U."""
-    return np.sqrt(np.einsum("ij,ij->i", U, U))
+def norm_rows(U: np.ndarray, out=None) -> np.ndarray:
+    """||u|| of every row of U, written into ``out`` when given."""
+    return np.sqrt(np.einsum("ij,ij->i", U, U, out=out), out=out)
 
 
 def over_norm(c, t):
@@ -163,7 +169,9 @@ class ForwardTrace:
     quad_s[h] and conic_t[g] are stored exactly as evaluated from quad_q[h]
     and conic_u[g]; downstream feasibility checks rely on that bitwise
     identity.  Not frozen: a frozen dataclass costs several times more to
-    build, and training builds one per step.
+    build, and every single-point ``forward`` builds one.  Training builds
+    none per step: it runs its passes into traces from ``empty_trace``,
+    built once per row count, whose arrays each pass overwrites.
     """
 
     preacts: Sequence[np.ndarray]
@@ -346,43 +354,103 @@ def max_infeasibility(params: SocIcnnParams) -> float:
 # forward evaluation
 
 
-def _apply_activation(activation: str, pre: np.ndarray) -> np.ndarray:
+def _apply_activation(activation: str, pre: np.ndarray, out=None) -> np.ndarray:
     if activation == RELU:
-        return np.maximum(pre, 0.0)
-    return softplus(pre)
+        return np.maximum(pre, 0.0, out=out)
+    return softplus(pre, out=out)
 
 
-def _forward_rows(params: SocIcnnParams, X: np.ndarray) -> ForwardTrace:
+def empty_trace(params: SocIcnnParams, n: int) -> ForwardTrace:
+    """Uninitialised buffers for the forward pass over n rows of ``params``:
+    the ``out`` of ``batch_forward``, which overwrites every entry."""
+    return ForwardTrace(
+        preacts=[np.empty((n, w)) for w in params.widths],
+        acts=[np.empty((n, w)) for w in params.widths],
+        backbone_value=np.empty(n),
+        quad_q=[np.empty((n, br.proj.shape[0])) for br in params.quad],
+        quad_s=[np.empty(n) for _ in params.quad],
+        conic_u=[np.empty((n, br.proj.shape[0])) for br in params.conic],
+        conic_t=[np.empty(n) for _ in params.conic],
+        total=np.empty(n),
+    )
+
+
+def _check_trace(params: SocIcnnParams, out: ForwardTrace, n: int) -> None:
+    """``DimensionError`` unless every entry of ``out`` is an array of the
+    shape ``empty_trace(params, n)`` gives it; written as loops, since
+    training checks every step's trace."""
+    rows = (n,)
+    ok = (
+        getattr(out.backbone_value, "shape", None) == getattr(out.total, "shape", None) == rows
+        and len(out.preacts) == len(out.acts) == len(params.layers)
+        and len(out.quad_q) == len(out.quad_s) == len(params.quad)
+        and len(out.conic_u) == len(out.conic_t) == len(params.conic)
+    )
+    for layer, pre, act in zip(params.layers, out.preacts, out.acts):
+        ok = ok and getattr(pre, "shape", None) == getattr(act, "shape", None) == rows + layer.b.shape
+    for br, q, s in zip((*params.quad, *params.conic), (*out.quad_q, *out.conic_u),
+                        (*out.quad_s, *out.conic_t)):
+        ok = ok and getattr(q, "shape", None) == rows + br.offset.shape
+        ok = ok and getattr(s, "shape", None) == rows
+    if not ok:
+        raise DimensionError(f"out is not a trace of this model over {n} rows")
+
+
+# the out of a pass that allocates: None for every buffer of every layer and branch
+_NONE = itertools.repeat(None)
+_ALLOCATE = ForwardTrace(_NONE, _NONE, None, _NONE, _NONE, _NONE, _NONE, None)
+
+
+def _forward_rows(params: SocIcnnParams, X: np.ndarray, out=None) -> ForwardTrace:
     """The forward pass over the rows of X, recording every intermediate;
-    ``forward`` and ``batch_forward`` are both this one computation."""
+    ``forward`` and ``batch_forward`` are both this one computation.  Every
+    array is written into ``out``'s when given, and allocated otherwise."""
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
+    if out is None:
+        out = _ALLOCATE
+    else:
+        _check_trace(params, out, X.shape[0])
 
     preacts = []
     acts = []
     Z = None
-    for layer in params.layers:
-        # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width)
-        pre = layer.b
+    for layer, pre, act in zip(params.layers, out.preacts, out.acts):
+        # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width);
+        # each sum is b + XW + ZW in the order of the out-of-place expression
         if layer.w_x is not None:
-            pre = pre + X @ layer.w_x.T
-        if layer.w_z is not None:
-            pre = pre + Z @ layer.w_z.T
-        Z = _apply_activation(params.activation, pre)
+            pre = np.matmul(X, layer.w_x.T, out=pre)
+            pre += layer.b
+            if layer.w_z is not None:
+                pre += Z @ layer.w_z.T
+        else:
+            pre = np.matmul(Z, layer.w_z.T, out=pre)
+            pre += layer.b
+        Z = _apply_activation(params.activation, pre, out=act)
         preacts.append(pre)
         acts.append(Z)
 
-    backbone = Z @ params.w_out + X @ params.w_skip + params.b_out
+    backbone = np.matmul(Z, params.w_out, out=out.backbone_value)
+    backbone += X @ params.w_skip
+    backbone += params.b_out
 
-    totals = backbone.copy()
-    quad_q = [X @ br.proj.T + br.offset for br in params.quad]
-    quad_s = [half_sqnorm_rows(Q) for Q in quad_q]
-    for br, s in zip(params.quad, quad_s):
-        totals += br.weight * s
-    conic_u = [X @ br.proj.T + br.offset for br in params.conic]
-    conic_t = [norm_rows(U) for U in conic_u]
-    for br, t in zip(params.conic, conic_t):
-        totals += br.weight * t
+    totals = np.positive(backbone, out=out.total)  # an exact copy
+    quad_q = []
+    quad_s = []
+    for br, q, s in zip(params.quad, out.quad_q, out.quad_s):
+        Q = np.matmul(X, br.proj.T, out=q)
+        Q += br.offset
+        quad_q.append(Q)
+        quad_s.append(half_sqnorm_rows(Q, out=s))
+        totals += br.weight * quad_s[-1]
+    conic_u = []
+    conic_t = []
+    for br, u, t in zip(params.conic, out.conic_u, out.conic_t):
+        U = np.matmul(X, br.proj.T, out=u)
+        U += br.offset
+        conic_u.append(U)
+        conic_t.append(norm_rows(U, out=t))
+        totals += br.weight * conic_t[-1]
 
     return ForwardTrace(preacts, acts, backbone, quad_q, quad_s, conic_u, conic_t, totals)
 
@@ -412,17 +480,20 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     )
 
 
-def batch_forward(params: SocIcnnParams, X: np.ndarray) -> ForwardTrace:
+def batch_forward(params: SocIcnnParams, X: np.ndarray, out=None) -> ForwardTrace:
     """The forward pass over the rows of an (n, d0) batch X.
 
     Returns the ``ForwardTrace`` with a leading row axis on every field:
     ``.total`` holds the n forward values, and the per-layer and per-branch
-    intermediates are what the gradient engine reads.
+    intermediates are what the gradient engine reads.  With ``out``, a trace
+    from ``empty_trace(params, n)``, every field is written into ``out``'s
+    arrays, with the same bits as a fresh pass, and the returned trace holds
+    those arrays; an ``out`` of other shapes raises ``DimensionError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
-    return _forward_rows(params, X)
+    return _forward_rows(params, X, out)
 
 
 # ---------------------------------------------------------------------------

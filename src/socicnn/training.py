@@ -26,6 +26,7 @@ from .model import (
     SocIcnnParams,
     batch_forward,
     count_parameters,
+    empty_trace,
     flatten_params,
     init_model,
     nonneg_mask,
@@ -157,7 +158,8 @@ def train(
 ) -> Tuple[SocIcnnParams, List[Tuple[int, float, float]]]:
     """Projected Adam on mean-squared error; returns the best-validation model.
 
-    The model and its gradient are views of two flat buffers, built once.
+    The model and its gradient are views of two flat buffers, and every
+    forward pass writes into the trace of its row count; all are built once.
     Every Adam step updates m, v and the parameter vector in place, through
     two scratch vectors, in the order of the out-of-place update
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
@@ -199,8 +201,10 @@ def train(
     # next step's loss is then an epoch's validation loss, so each step's loss
     # and gradient are taken at the end of the epoch before it (the first here)
     fused = val_ds is train_ds and batch == n
+    # every forward pass writes into the trace of its row count, built here once
+    traces = {rows: empty_trace(params, rows) for rows in (batch, n % batch, val_ds.size) if rows}
     if fused:
-        loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads)
+        loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, traces[n])
 
     best_val = np.inf
     best_flat = flat.copy()
@@ -212,7 +216,9 @@ def train(
         for k, start in enumerate(range(0, n, batch)):
             if not fused:
                 idx = order[start : start + batch]
-                loss = parameter_gradients(model, train_ds.xs[idx], train_ds.ys[idx], grads)
+                loss = parameter_gradients(
+                    model, train_ds.xs[idx], train_ds.ys[idx], grads, traces[idx.size]
+                )
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training aborted: non-finite loss at epoch {epoch}, step {step}"
@@ -235,9 +241,9 @@ def train(
 
         train_loss = float(np.add.reduce(step_losses)) / step_losses.size
         if fused and epoch < config.epochs:
-            val_loss = loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads)
+            val_loss = loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, traces[n])
         else:
-            resid = batch_forward(model, val_ds.xs).total - val_ds.ys
+            resid = batch_forward(model, val_ds.xs, traces[val_ds.size]).total - val_ds.ys
             val_loss = float(np.add.reduce(resid * resid)) / resid.size
         if not math.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")
@@ -298,9 +304,14 @@ def variant_depth(variant: str, d0: int, width: int, passthrough: bool = True) -
     passthrough setting."""
     anchor = variant_param_count(d0, width, 2, "SOC", passthrough)
     for depth in range(1, 65):
-        if variant_param_count(d0, width, depth, variant, passthrough) >= anchor:
+        count = variant_param_count(d0, width, depth, variant, passthrough)
+        if count >= anchor:
             return depth
-    raise ValueError("budget not reachable with depth <= 64")
+    raise ValueError(
+        f"budget not reachable with depth <= 64: {variant} at d={d0}, width {width}, "
+        f"passthrough {'on' if passthrough else 'off'} has {count} parameters at depth 64, "
+        f"below the two-layer SOC anchor's {anchor}"
+    )
 
 
 def fit_variant_to_target(

@@ -135,6 +135,20 @@ def test_train_rejects_unknown_target(tmp_path, capsys):
     assert "QuadraticIso" in err  # usage error lists the valid names
 
 
+def test_train_with_an_unreachable_budget_exits_usage(tmp_path, capsys):
+    # without passthrough a ReLU layer at d = 200 adds too few parameters for
+    # any depth up to 64 to reach the two-layer SOC anchor
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--target", "NormEuclid", "--d", "200", "--variant", "ReLU",
+              "--no-passthrough", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for named in ("ReLU", "d=200", "width 32", "73193 parameters at depth 64", "anchor's 88123"):
+        assert named in err
+    assert not out.exists()
+
+
 def test_benchmark_unknown_names_exit_usage(tmp_path, capsys):
     out = tmp_path / "bench"
     with pytest.raises(SystemExit) as exc:

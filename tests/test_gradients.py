@@ -19,6 +19,7 @@ from socicnn.model import (
     LayerParams,
     SocIcnnParams,
     batch_forward,
+    empty_trace,
     flatten_params,
     over_norm,
     sigmoid,
@@ -181,6 +182,22 @@ def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
             loss = parameter_gradients(m, X, y, grads)
             assert loss == parameter_gradients(m, X, y, unflatten_params(m, fresh))
             assert np.array_equal(reused, fresh)
+
+
+@pytest.mark.parametrize("activation", [RELU, SOFTPLUS])
+def test_parameter_gradients_into_a_reused_trace_match_a_fresh_forward(activation):
+    for passthrough in (True, False):
+        m = random_model(29, widths=(8, 8, 5), num_quad=2, num_conic=2,
+                         passthrough=passthrough, activation=activation)
+        rng = spawn_rng(29, int(passthrough))
+        for rows in (1, 37, 200):
+            trace = empty_trace(m, rows)
+            for _ in range(2):  # the second batch reuses the first one's trace
+                X = rng.uniform(-2, 2, (rows, m.input_dim))
+                y = rng.standard_normal(rows)
+                got, want = _gradient_model(m), _gradient_model(m)
+                assert parameter_gradients(m, X, y, got, trace) == parameter_gradients(m, X, y, want)
+                assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
 
 
 def reference_parameter_gradients(params, X, y, out):

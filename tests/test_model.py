@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from socicnn import (
     to_json_dict,
 )
 from socicnn.model import (
+    ForwardTrace,
     batch_forward,
     count_forward_flops,
+    empty_trace,
     flatten_params,
     half_sqnorm_rows,
     nonneg_mask,
@@ -37,6 +40,7 @@ from socicnn.model import (
     softplus,
     unflatten_params,
 )
+from socicnn.training import VARIANTS, build_variant_model, variant_depth
 
 
 def relu_scalar_model():
@@ -305,6 +309,82 @@ def test_batch_forward_matches_pointwise():
     totals = batch_forward(m, X).total
     for row, total in zip(X, totals):
         assert forward(m, row).total == pytest.approx(total, rel=1e-13, abs=1e-13)
+
+
+def trace_arrays(trace):
+    """Every array of a batch trace, field by field."""
+    return [[*value] if isinstance(value, list) else [value]
+            for value in (getattr(trace, name) for name in ForwardTrace.__slots__)]
+
+
+@pytest.mark.parametrize("activation", [RELU, SOFTPLUS])
+@pytest.mark.parametrize("passthrough", [True, False])
+def test_batch_forward_into_buffers_is_bitwise_a_fresh_pass(activation, passthrough):
+    # the buffers start as NaN, and a second batch reuses them: a value the
+    # pass did not overwrite, or one left from the first batch, would show
+    for num_quad in range(3):
+        for num_conic in range(3):
+            m = random_model(31, widths=(8, 8, 5), num_quad=num_quad, num_conic=num_conic,
+                             passthrough=passthrough, activation=activation)
+            rng = spawn_rng(31, num_quad, num_conic, int(passthrough))
+            for n in (1, 37, 128, 1000):
+                buf = empty_trace(m, n)
+                for field in trace_arrays(buf):
+                    for a in field:
+                        a.fill(np.nan)
+                for _ in range(2):
+                    X = rng.uniform(-3, 3, (n, m.input_dim))
+                    got = batch_forward(m, X, buf)
+                    want = batch_forward(m, X)
+                    for got_field, buf_field, want_field in zip(
+                            trace_arrays(got), trace_arrays(buf), trace_arrays(want), strict=True):
+                        assert len(got_field) == len(want_field)
+                        for a, b, c in zip(got_field, buf_field, want_field):
+                            assert a is b
+                            assert a.shape == c.shape and a.tobytes() == c.tobytes()
+
+
+def test_batch_forward_rejects_a_mismatched_buffer():
+    m = random_model(32, num_quad=1, num_conic=1)
+    X = spawn_rng(32).uniform(-2, 2, (37, m.input_dim))
+    short = empty_trace(m, 37)
+    short.quad_s.pop()
+    stacked = empty_trace(m, 37)
+    stacked.acts[1] = np.empty((2, 37, 8))
+    for buf in (
+        empty_trace(m, 36),
+        empty_trace(random_model(32, widths=(8, 7), num_quad=1, num_conic=1), 37),
+        empty_trace(random_model(32, num_quad=1, num_conic=2), 37),
+        empty_trace(random_model(32, d0=8, num_quad=1, num_conic=1), 37),
+        short,
+        stacked,
+    ):
+        with pytest.raises(DimensionError, match="37 rows"):
+            batch_forward(m, X, buf)
+    # a single point's trace has no row axis and scalar norms
+    with pytest.raises(DimensionError, match="1 rows"):
+        batch_forward(m, X[:1], forward(m, X[0]))
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "Softplus"])
+def test_a_forward_into_buffers_allocates_under_a_quarter_of_them(variant):
+    # at fit's validation shape the fresh pass allocates its whole trace; into
+    # reused buffers only temporaries remain, the largest one hidden layer
+    m = build_variant_model(variant, 10, 20, variant_depth(variant, 10, 20), seed=0)
+    X = spawn_rng(33).uniform(-3, 3, (1000, 10))
+    buf = empty_trace(m, 1000)
+    buffer_bytes = sum(a.nbytes for field in trace_arrays(buf) for a in field)
+    peaks = []
+    for out in (buf, None):
+        batch_forward(m, X, out)  # numpy's first-call set-up is not the pass's
+        tracemalloc.start()
+        try:
+            batch_forward(m, X, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < buffer_bytes / 4
+    assert peaks[1] > buffer_bytes
 
 
 def test_softplus_activation_forward():
