@@ -48,7 +48,7 @@ from .decisions import (
 )
 from .model import save_model, spawn_rng
 from .targets import TARGET_NAMES, make_target
-from .theory import MAX_NET_POINTS, absorption_rate_rows, loglog_slope
+from .theory import MAX_NET_POINTS, absorption_rate_rows, loglog_slope, net_too_large
 from .training import (
     VARIANTS,
     TrainConfig,
@@ -469,11 +469,11 @@ def main(argv=None) -> int:
     if args.subcommand == "verify" and args.width * args.depth > MAX_LIFT_VARIABLES:
         parser.error(f"verify: --width times --depth is the lift's variable count, at most "
                      f"{MAX_LIFT_VARIABLES}, got --width={args.width} --depth={args.depth}")
-    # the largest net has max(cells) ** max(dims) points; logs avoid a huge power
+    # the largest net has max(cells) ** max(dims) points
     if args.subcommand == "theory":
         dims = max(int(v) for v in args.dims.split(","))
         cells = max(int(v) for v in args.cells.split(","))
-        if dims * np.log2(cells) > np.log2(MAX_NET_POINTS):
+        if net_too_large(dims, cells):
             parser.error(f"theory: a net has --cells to the power --dims points, at most "
                          f"{MAX_NET_POINTS}, got --cells={cells} --dims={dims}")
     failures = args.func(args, _prepare_out(args))

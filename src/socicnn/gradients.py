@@ -108,14 +108,18 @@ def parameter_gradients(
     d loss / d entry, overwrite every entry of ``out``, a model made by
     ``unflatten_params`` over a gradient vector.  The forward pass writes
     into ``trace``, from ``empty_trace`` over the batch's rows, when given.
-    A non-finite entry of ``batch_y`` raises ``ValueError``; one of
-    ``batch_x`` does in the forward."""
+    An ``out`` of another depth, branch count or passthrough raises
+    ``DimensionError``.  A non-finite entry of ``batch_y`` raises
+    ``ValueError``; one of ``batch_x`` does in the forward."""
     X = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError("batch_x must be a non-empty (n, d0) matrix")
     if y.shape != (X.shape[0],):
         raise DimensionError("batch_y must match the number of batch rows")
+    if ((out.depth, len(out.quad), len(out.conic), out.passthrough)
+            != (params.depth, len(params.quad), len(params.conic), params.passthrough)):
+        raise DimensionError("out is not a gradient of this model's layout")
     n = X.shape[0]
 
     trace = batch_forward(params, X, trace)

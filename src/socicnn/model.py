@@ -13,15 +13,15 @@ arrays are exactly the data of the epigraph lift used by the certificate
 module.
 
 The forward pass is one computation over the rows of a batch, recorded in
-one ``ForwardTrace``; a single point is a one-row batch.  Given a trace from
-``empty_trace`` as ``out``, the pass writes every intermediate into that
-trace's arrays instead of allocating them, so a caller that runs many passes
-over the same number of rows (training) builds its buffers once.
+one ``ForwardTrace``; a single point is a one-row batch.  Every pass writes
+its intermediates into the arrays of a trace from ``empty_trace``, the only
+code that allocates them: ``batch_forward`` builds a fresh trace unless its
+caller passes one, so a caller that runs many passes over the same number of
+rows (training) builds its buffers once.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -169,9 +169,9 @@ class ForwardTrace:
     quad_s[h] and conic_t[g] are stored exactly as evaluated from quad_q[h]
     and conic_u[g]; downstream feasibility checks rely on that bitwise
     identity.  Not frozen: a frozen dataclass costs several times more to
-    build, and every single-point ``forward`` builds one.  Training builds
-    none per step: it runs its passes into traces from ``empty_trace``,
-    built once per row count, whose arrays each pass overwrites.
+    build, and every single-point ``forward`` builds one.  Every pass writes
+    into a trace from ``empty_trace``; training builds its traces once per
+    row count, and each of its passes overwrites their arrays.
     """
 
     preacts: Sequence[np.ndarray]
@@ -354,7 +354,7 @@ def max_infeasibility(params: SocIcnnParams) -> float:
 # forward evaluation
 
 
-def _apply_activation(activation: str, pre: np.ndarray, out=None) -> np.ndarray:
+def _apply_activation(activation: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     if activation == RELU:
         return np.maximum(pre, 0.0, out=out)
     return softplus(pre, out=out)
@@ -396,63 +396,40 @@ def _check_trace(params: SocIcnnParams, out: ForwardTrace, n: int) -> None:
         raise DimensionError(f"out is not a trace of this model over {n} rows")
 
 
-# the out of a pass that allocates: None for every buffer of every layer and branch
-_NONE = itertools.repeat(None)
-_ALLOCATE = ForwardTrace(_NONE, _NONE, None, _NONE, _NONE, _NONE, _NONE, None)
-
-
-def _forward_rows(params: SocIcnnParams, X: np.ndarray, out=None) -> ForwardTrace:
-    """The forward pass over the rows of X, recording every intermediate;
-    ``forward`` and ``batch_forward`` are both this one computation.  Every
-    array is written into ``out``'s when given, and allocated otherwise."""
+def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> ForwardTrace:
+    """The forward pass over the rows of X, written into the arrays of
+    ``out``, a trace from ``empty_trace(params, len(X))``, which it returns;
+    ``forward`` and ``batch_forward`` are both this one computation."""
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
-    if out is None:
-        out = _ALLOCATE
-    else:
-        _check_trace(params, out, X.shape[0])
-
-    preacts = []
-    acts = []
     Z = None
     for layer, pre, act in zip(params.layers, out.preacts, out.acts):
         # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width);
-        # each sum is b + XW + ZW in the order of the out-of-place expression
+        # the sum runs XW + b + ZW, and that order fixes its last bits
         if layer.w_x is not None:
-            pre = np.matmul(X, layer.w_x.T, out=pre)
+            np.matmul(X, layer.w_x.T, out=pre)
             pre += layer.b
             if layer.w_z is not None:
                 pre += Z @ layer.w_z.T
         else:
-            pre = np.matmul(Z, layer.w_z.T, out=pre)
+            np.matmul(Z, layer.w_z.T, out=pre)
             pre += layer.b
-        Z = _apply_activation(params.activation, pre, out=act)
-        preacts.append(pre)
-        acts.append(Z)
+        Z = _apply_activation(params.activation, pre, act)
 
     backbone = np.matmul(Z, params.w_out, out=out.backbone_value)
     backbone += X @ params.w_skip
     backbone += params.b_out
 
     totals = np.positive(backbone, out=out.total)  # an exact copy
-    quad_q = []
-    quad_s = []
-    for br, q, s in zip(params.quad, out.quad_q, out.quad_s):
-        Q = np.matmul(X, br.proj.T, out=q)
+    for br, Q, s in zip(params.quad, out.quad_q, out.quad_s):
+        np.matmul(X, br.proj.T, out=Q)
         Q += br.offset
-        quad_q.append(Q)
-        quad_s.append(half_sqnorm_rows(Q, out=s))
-        totals += br.weight * quad_s[-1]
-    conic_u = []
-    conic_t = []
-    for br, u, t in zip(params.conic, out.conic_u, out.conic_t):
-        U = np.matmul(X, br.proj.T, out=u)
+        totals += br.weight * half_sqnorm_rows(Q, out=s)
+    for br, U, t in zip(params.conic, out.conic_u, out.conic_t):
+        np.matmul(X, br.proj.T, out=U)
         U += br.offset
-        conic_u.append(U)
-        conic_t.append(norm_rows(U, out=t))
-        totals += br.weight * conic_t[-1]
-
-    return ForwardTrace(preacts, acts, backbone, quad_q, quad_s, conic_u, conic_t, totals)
+        totals += br.weight * norm_rows(U, out=t)
+    return out
 
 
 def as_input(params: SocIcnnParams, x) -> np.ndarray:
@@ -467,7 +444,7 @@ def as_input(params: SocIcnnParams, x) -> np.ndarray:
 def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
     x = as_input(params, x)
-    rows = _forward_rows(params, x[None])
+    rows = _forward_rows(params, x[None], empty_trace(params, 1))
     return ForwardTrace(
         preacts=tuple(pre[0] for pre in rows.preacts),
         acts=tuple(act[0] for act in rows.acts),
@@ -485,14 +462,18 @@ def batch_forward(params: SocIcnnParams, X: np.ndarray, out=None) -> ForwardTrac
 
     Returns the ``ForwardTrace`` with a leading row axis on every field:
     ``.total`` holds the n forward values, and the per-layer and per-branch
-    intermediates are what the gradient engine reads.  With ``out``, a trace
-    from ``empty_trace(params, n)``, every field is written into ``out``'s
-    arrays, with the same bits as a fresh pass, and the returned trace holds
-    those arrays; an ``out`` of other shapes raises ``DimensionError``.
+    intermediates are what the gradient engine reads.  The pass writes into
+    ``out``, a trace from ``empty_trace(params, n)``, and returns it; without
+    ``out`` it writes into a fresh one.  An ``out`` of other shapes raises
+    ``DimensionError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
+    if out is None:
+        out = empty_trace(params, X.shape[0])
+    else:
+        _check_trace(params, out, X.shape[0])
     return _forward_rows(params, X, out)
 
 

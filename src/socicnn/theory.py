@@ -81,7 +81,7 @@ def build_tangent_max_affine(oracle: RowOracle, net_points) -> MaxAffine:
     return MaxAffine(slopes=slopes, intercepts=values - np.einsum("ij,ij->i", slopes, net))
 
 
-# Largest tangent net the ``theory`` command builds, in points.
+# Largest tangent net ``absorption_rate_rows`` builds, in points.
 MAX_NET_POINTS = 1 << 16
 # Affine values (samples times pieces) per block of ``sup_error_estimate``.
 SAMPLE_BLOCK_ENTRIES = 1 << 20
@@ -91,6 +91,12 @@ def midpoint_grid(dim: int, cells_per_axis: int) -> np.ndarray:
     """Cell-center grid on [-1, 1]^dim with cells_per_axis^dim points."""
     centers = -1.0 + (2.0 * np.arange(cells_per_axis) + 1.0) / cells_per_axis
     return np.array(list(product(centers, repeat=dim)), dtype=np.float64)
+
+
+def net_too_large(dim: int, cells_per_axis: int) -> bool:
+    """True when a net of cells_per_axis^dim points exceeds MAX_NET_POINTS;
+    compared in logs, so a huge dim never builds the power."""
+    return cells_per_axis > 1 and dim * math.log2(cells_per_axis) > math.log2(MAX_NET_POINTS)
 
 
 def _half_sq(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -130,21 +136,25 @@ def absorption_rate_rows(
     Each row reports the piece count N, the sampled sup error, and the
     piece lower bound evaluated at that error level (so N >= bound must
     hold row by row).  The log-log slope of error against N reveals the
-    N^(-2/d) rate.  ``num_samples`` below 1 raises ``ValueError``.
+    N^(-2/d) rate.  ``num_samples`` below 1, or a (d, cells) pair whose net
+    exceeds ``MAX_NET_POINTS``, raises ``ValueError`` before any net is built.
     """
+    pairs = list(product(dims, cells))
+    for dim, k in pairs:
+        if net_too_large(dim, k):
+            raise ValueError(f"a net of {k}**{dim} points exceeds MAX_NET_POINTS = {MAX_NET_POINTS}")
     rows = []
-    for dim in dims:
-        for k in cells:
-            approx = build_tangent_max_affine(_half_sq, midpoint_grid(dim, k))
-            err = sup_error_estimate(_half_sq, approx, num_samples=num_samples, seed=seed)
-            rows.append(
-                {
-                    "d": dim,
-                    "N": approx.num_pieces,
-                    "sup_error": err,
-                    "bound": cpwl_piece_lower_bound(2.0**dim, dim, 1.0, err),
-                }
-            )
+    for dim, k in pairs:
+        approx = build_tangent_max_affine(_half_sq, midpoint_grid(dim, k))
+        err = sup_error_estimate(_half_sq, approx, num_samples=num_samples, seed=seed)
+        rows.append(
+            {
+                "d": dim,
+                "N": approx.num_pieces,
+                "sup_error": err,
+                "bound": cpwl_piece_lower_bound(2.0**dim, dim, 1.0, err),
+            }
+        )
     return rows
 
 

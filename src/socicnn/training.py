@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -70,12 +69,10 @@ class TrainConfig:
             raise ValueError("learning rate must be positive and finite")
         for name in ("seed", "epochs", "batch_size", "early_stop_patience"):
             value = getattr(self, name)
-            try:
-                count = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            if count < 1 and name != "seed":
-                raise ValueError(f"{name} must be >= 1, got {count}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,16 @@ def test_verify_check_passes_on_a_degenerate_passthrough_off_model(tmp_path):
     assert code == 0
 
 
+def test_verify_with_one_trial_runs_only_the_passthrough_on_setting(tmp_path, capsys):
+    out = tmp_path / "verify"
+    assert main(["verify", "--trials", "1", "--d0", "3", "--width", "4", "--depth", "2",
+                 "--out", str(out), "--check"]) == 0
+    doc = json.loads((out / "diagnostics.json").read_text())
+    assert set(doc) == {"config", "passthrough_true"}
+    assert doc["passthrough_true"]["trials"] == 1
+    assert "passthrough_false" not in capsys.readouterr().out
+
+
 def test_verify_check_reports_every_breached_metric(tmp_path, capsys, monkeypatch):
     report = dict.fromkeys(_METRIC_FIELDS, 0.0)
     report.update(

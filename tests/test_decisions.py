@@ -239,6 +239,11 @@ def test_feasible_set_validation():
     for kind in ("Box", "Simplex"):
         with pytest.raises(ValueError, match="takes no budget"):
             FeasibleSet(kind, 3, budget=5.0)
+    for feasible in (FeasibleSet("Box", 3), FeasibleSet("Simplex", 3),
+                     FeasibleSet("CappedSimplex", 3, budget=1.5)):
+        for Y in (np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="expected rows of length 3"):
+                project_onto_batch(feasible, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +553,9 @@ def test_make_task_determinism_and_shapes():
     assert np.all(a.backbone_weights >= 0.8) and np.all(a.backbone_weights <= 1.6)
     with pytest.raises(ValueError):
         make_task("NoSuchFamily", 10, 0)
+    for dim in (1, 0):
+        with pytest.raises(ValueError, match="task dimension must be >= 2"):
+            make_task("SimplexSocp", dim, 0)
 
 
 def test_task_family_structure():
@@ -642,6 +650,9 @@ def test_task_objective_takes_only_batches():
     for X in (np.full(7, 0.5), np.full((1, 1, 7), 0.5), np.full((2, 6), 0.5), np.float64(0.5)):
         with pytest.raises(ValueError, match=r"must be an \(n, 7\) batch"):
             task_objective(task, theta, X)
+    for bad in (theta[:7], theta[None], np.zeros(9)):
+        with pytest.raises(ValueError, match=r"theta must have shape \(8,\)"):
+            task_objective(task, bad, np.full((2, 7), 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,25 @@ def test_parameter_gradients_validation():
         parameter_gradients(m, np.zeros((3, m.input_dim)), np.zeros(4), _gradient_model(m))
 
 
+def test_parameter_gradients_reject_a_buffer_of_another_layout():
+    # a buffer one branch short would drop a gradient and pair the rest with
+    # the wrong branches; one branch longer would leave entries unwritten
+    m = random_model(28, num_quad=1, num_conic=2)
+    X = spawn_rng(28).uniform(-1.0, 1.0, (5, m.input_dim))
+    y = np.zeros(5)
+    for other in (
+        random_model(28, num_quad=1, num_conic=1),
+        random_model(28, num_quad=1, num_conic=3),
+        random_model(28, num_quad=0, num_conic=2),
+        random_model(28, num_quad=1, num_conic=2, widths=(8, 8, 8)),
+        random_model(28, num_quad=1, num_conic=2, passthrough=False),
+    ):
+        g = np.full(flatten_params(other).size, np.nan)
+        with pytest.raises(DimensionError, match="layout"):
+            parameter_gradients(m, X, y, unflatten_params(other, g))
+        assert np.all(np.isnan(g))
+
+
 def test_parameter_gradients_reject_non_finite_targets():
     m = random_model(26)
     X = spawn_rng(26).uniform(-1.0, 1.0, (3, m.input_dim))

@@ -1,7 +1,8 @@
 """Every module-level import and private name of a library module is used
-in that module, the simplex oracle imports nothing of the library, every
-library name that ``bench/`` reaches exists, and every decide setting it
-passes is a parameter of ``decide_instance``."""
+in that module, the simplex oracle imports nothing of the library, only
+``empty_trace`` and ``forward`` build a ``ForwardTrace``, every library name
+that ``bench/`` reaches exists, and every decide setting it passes is a
+parameter of ``decide_instance``."""
 
 import ast
 import importlib
@@ -52,6 +53,16 @@ def test_simplex_imports_only_numpy_and_typing():
             modules.add("." * node.level + (node.module or "").split(".")[0])
     assert "numpy" in modules
     assert modules <= {"__future__", "numpy", "typing"}
+
+
+def test_only_empty_trace_and_forward_build_a_forward_trace():
+    # every pass writes into a trace from empty_trace and forward strips its
+    # one row; a second forward mode would build a trace somewhere else
+    callers = [f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+               for path in SOURCES for stmt in ast.parse(path.read_text()).body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ForwardTrace"]
+    assert sorted(callers) == ["model.empty_trace", "model.forward"]
 
 
 def _bench_references():

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import pkgutil
 import tracemalloc
@@ -238,6 +239,9 @@ def test_forward_validation():
         forward(m, [1.0, 2.0])
     with pytest.raises(ValueError):
         forward(m, [np.nan])
+    for X in (np.zeros((3, 2)), np.zeros((3, 0)), np.zeros(3)):
+        with pytest.raises(DimensionError, match=r"expected batch of shape \(n, 1\)"):
+            batch_forward(m, X)
 
 
 def test_trace_invariants_hold_exactly():
@@ -278,18 +282,21 @@ def test_degenerate_reduction_matches_plain_icnn_recursion():
 
 
 def test_forward_is_row_zero_of_the_batch():
-    for passthrough in (True, False):
-        m = random_model(12, num_quad=2, num_conic=2, passthrough=passthrough)
-        x = spawn_rng(12, 1).uniform(-2, 2, m.input_dim)
+    # byte for byte in every field: the scalars as float64, the vectors as row 0
+    for activation, passthrough, num_quad, num_conic in itertools.product(
+            (RELU, SOFTPLUS), (True, False), range(3), range(3)):
+        m = random_model(12, num_quad=num_quad, num_conic=num_conic,
+                         passthrough=passthrough, activation=activation)
+        x = spawn_rng(12, num_quad, num_conic, int(passthrough)).uniform(-2, 2, m.input_dim)
         tr = forward(m, x)
         rows = batch_forward(m, x[None])
-        assert tr.total == rows.total[0]
-        assert tr.backbone_value == rows.backbone_value[0]
-        for name in ("preacts", "acts", "quad_q", "conic_u"):
-            for row, full in zip(getattr(tr, name), getattr(rows, name), strict=True):
-                assert np.array_equal(row, full[0])
-        for name in ("quad_s", "conic_t"):
-            assert list(getattr(tr, name)) == [v[0] for v in getattr(rows, name)]
+        for name in ForwardTrace.__slots__:
+            point, batch = getattr(tr, name), getattr(rows, name)
+            if not isinstance(batch, list):
+                point, batch = [point], [batch]
+            assert len(point) == len(batch), name
+            for value, full in zip(point, batch):
+                assert np.asarray(value).tobytes() == full[0].tobytes(), name
 
 
 def test_batch_forward_rejects_non_finite_rows():
@@ -496,6 +503,9 @@ def test_structured_class_rejects_shapes_that_do_not_fit_the_linear_term():
     ]:
         with pytest.raises(DimensionError):
             from_structured_class(np.zeros(2), 0.0, quad_matrix, terms)
+    for linear in (np.zeros((2, 1)), np.zeros(0), 0.0):
+        with pytest.raises(DimensionError, match="linear term must be a 1-d vector"):
+            from_structured_class(linear, 0.0, None, [])
 
 
 def test_structured_class_empty_quadratic_block():

@@ -15,6 +15,7 @@ from socicnn import (
     target_values_and_subgradients,
 )
 from socicnn.theory import (
+    MAX_NET_POINTS,
     eval_max_affine_batch,
     smallest_net_reaching,
     sup_error_estimate,
@@ -116,6 +117,26 @@ def test_tangent_net_rejects_gradients_not_shaped_like_the_net():
     for grads in (np.zeros((4, 3)), np.zeros(4), np.zeros((3, 2))):
         with pytest.raises(ValueError, match="gradients must be shaped like the net"):
             build_tangent_max_affine(lambda X: (np.zeros(len(X)), grads), net)
+    for net in (np.zeros((0, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match="non-empty"):
+            build_tangent_max_affine(_half_sq, net)
+
+
+def test_max_affine_rejects_mismatched_shapes():
+    for slopes, intercepts in ((np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                               (np.zeros((3, 2)), np.zeros((3, 1)))):
+        with pytest.raises(ValueError, match="slopes must be"):
+            MaxAffine(slopes=slopes, intercepts=intercepts)
+    with pytest.raises(ValueError, match="at least one piece"):
+        MaxAffine(slopes=np.zeros((0, 2)), intercepts=np.zeros(0))
+
+
+def test_absorption_rate_rows_rejects_a_net_over_the_limit_before_building_any():
+    # the first pair is small: a rule checked net by net would build it first
+    for dims, cells in (((1,), (2, MAX_NET_POINTS + 1)), ((40,), (2, 4))):
+        with pytest.raises(ValueError, match=r"points exceeds MAX_NET_POINTS"):
+            absorption_rate_rows(dims=dims, cells=cells, num_samples=1)
+    assert len(absorption_rate_rows(dims=(1, 16), cells=(1, 2), num_samples=1)) == 4
 
 
 @pytest.mark.parametrize("num_samples", [0, -1])
@@ -172,6 +193,9 @@ def test_smallest_net_respects_piece_lower_bound():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dim must be >= 1"):
             smallest_net_reaching(0.1, dim=dim)
+    # 4096 cells reach 1 / (2 * 4096^2), about 3e-8, and no finer
+    with pytest.raises(ValueError, match="no net within 4096 cells"):
+        smallest_net_reaching(1e-12)
 
 
 def test_loglog_slope_recovers_exact_power_law():

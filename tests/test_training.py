@@ -71,10 +71,10 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="early_stop_patience must be >= 1"):
             TrainConfig(early_stop_patience=patience)
     for name in ("epochs", "batch_size", "early_stop_patience"):
-        for count in (2.5, 3.0, "3"):
+        for count in (2.5, 3.0, "3", True):
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 TrainConfig(**{name: count})
-    for seed in (2.5, 2.0, "2", None):
+    for seed in (2.5, 2.0, "2", None, True):
         with pytest.raises(TypeError, match="seed must be an integer"):
             TrainConfig(seed=seed)
     for rate in ("0.1", True, None, 1e-2 + 0j):
@@ -99,6 +99,32 @@ def test_dataset_sampling_validation():
 def test_empty_dataset_is_a_dimension_error():
     with pytest.raises(DimensionError, match="at least one row"):
         Dataset(xs=np.zeros((0, 3)), ys=np.zeros(0))
+
+
+def test_dataset_rejects_mismatched_shapes_and_non_finite_data():
+    for xs, ys in ((np.zeros((4, 3)), np.zeros(3)), (np.zeros(4), np.zeros(4)),
+                   (np.zeros((4, 3)), np.zeros((4, 1)))):
+        with pytest.raises(DimensionError, match="xs must be"):
+            Dataset(xs=xs, ys=ys)
+    for bad in (np.nan, np.inf):
+        xs, ys = np.zeros((4, 3)), np.zeros(4)
+        xs[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(xs=xs, ys=ys)
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(xs=np.zeros((4, 3)), ys=np.array([0.0, bad, 0.0, 0.0]))
+
+
+def test_train_rejects_a_dataset_of_another_width():
+    tr, va = _tiny_splits()
+    model = build_variant_model("SOC", 4, 6, 2, seed=0)
+    with pytest.raises(DimensionError, match="dataset dimension"):
+        train(model, tr, va, TrainConfig(epochs=1))
+
+
+def test_unknown_variant_is_a_named_error():
+    with pytest.raises(ValueError, match="unknown variant 'Maxout'"):
+        build_variant_model("Maxout", 3, 6, 2, seed=0)
 
 
 def test_dataset_csv_round_trip_exact(tmp_path):
