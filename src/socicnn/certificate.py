@@ -78,26 +78,48 @@ def _affine(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     return layer.b if layer.w_x is None else layer.b + layer.w_x @ x
 
 
+def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lift's rows over (x, z), one per hidden unit:
+
+        z_block @ z >= x_block @ x + b,
+
+    that is z_l - W_z z_{l-1} >= W_x x + b for every layer l, with z the
+    hidden states stacked layer by layer.  The z-block is I - W_z, and the
+    x-block holds each layer's W_x (zero on a layer that does not read x).
+    This is the only code that writes these rows: ``build_lp_lift`` moves
+    the x-block to the right-hand side, and the decision pipeline keeps x as
+    variables."""
+    n = sum(params.widths)
+    z_block = np.eye(n)
+    x_block = np.zeros((n, params.input_dim))
+    prev = lo = 0
+    for layer in params.layers:
+        hi = lo + layer.width
+        if layer.w_z is not None:
+            np.negative(layer.w_z, out=z_block[lo:hi, prev:lo])
+        if layer.w_x is not None:
+            x_block[lo:hi] = layer.w_x
+        prev, lo = lo, hi
+    return z_block, x_block, np.concatenate([layer.b for layer in params.layers])
+
+
 def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     """Lift whose optimal value is the backbone value at x (plus branches,
-    handled separately by the cone blocks).  An x of any shape but (d0,)
+    handled separately by the cone blocks): the rows of ``lift_rows`` with
+    the x-block moved to the right-hand side.  An x of any shape but (d0,)
     raises ``DimensionError``."""
     _require_relu(params)
     x = as_input(params, x)
-    widths = params.widths
-    n = sum(widths)
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    rows, x_block, rhs = lift_rows(params)
+    lo = 0
+    for layer in params.layers:
+        hi = lo + layer.width
+        if layer.w_x is not None:
+            rhs[lo:hi] += x_block[lo:hi] @ x  # b + w_x @ x, in that order
+        lo = hi
 
-    rows = np.eye(n)
-    rhs = np.zeros(n)
-    for idx, layer in enumerate(params.layers):
-        lo, hi = offsets[idx], offsets[idx + 1]
-        if layer.w_z is not None:
-            rows[lo:hi, offsets[idx - 1] : lo] = -layer.w_z
-        rhs[lo:hi] = _affine(layer, x)
-
-    objective = np.zeros(n)
-    objective[offsets[-2] :] = params.w_out
+    objective = np.zeros(rhs.shape[0])
+    objective[-params.w_out.size :] = params.w_out
     constant = float(params.w_skip @ x) + params.b_out
     return LpLift(
         objective=objective,

@@ -8,10 +8,12 @@ parameterized by an 8-dimensional context vector through frozen random
 affine maps.  One table, ``_FAMILY_TABLE``, gives each family its feasible
 set, backbone scale and terms.  One search, ``pgd_minimize`` (projected
 gradient descent with an adaptive step per restart, stopped once its
-Frank-Wolfe gap certifies its best value), minimises both a surrogate and
-the true objective; on the latter it is the oracle that decision quality is
-scored against.  ``decide_instance`` runs the whole surrogate pipeline for
-one instance.
+Frank-Wolfe gap certifies its best value), minimises the true objective,
+where it is the oracle that decision quality is scored against, and a
+Softplus surrogate.  A ReLU surrogate's minimum over the set is one LP, QP
+or SOCP over its lift (``surrogate_lift``), which ``solve_surrogate`` solves
+with the interior-point method of ``coneqp``.  ``decide_instance`` runs the
+whole surrogate pipeline for one instance.
 """
 
 from __future__ import annotations
@@ -22,8 +24,19 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import coneqp
+from .certificate import lift_rows
 from .gradients import value_and_input_gradient_batch
-from .model import norm_rows, over_norm, sigmoid, softplus, spawn_rng
+from .model import (
+    RELU,
+    SocIcnnParams,
+    batch_forward,
+    norm_rows,
+    over_norm,
+    sigmoid,
+    softplus,
+    spawn_rng,
+)
 from .targets import huber, logsumexp_rows
 from .training import Dataset, TrainConfig, build_variant_model, train
 
@@ -169,11 +182,6 @@ CERTIFIED_GAP = 1e-9
 # First step of every restart of ``pgd_minimize``.
 SEARCH_STEP = 0.05
 
-# Window, in objective calls, over which ``pgd_minimize`` judges a search
-# stalled: its best value fell by at most ``CERTIFIED_GAP`` and its gap not
-# at all.
-STALL_CALLS = 30
-
 
 def pgd_minimize(
     objective: Callable,
@@ -204,18 +212,9 @@ def pgd_minimize(
     a restart with a non-finite value is abandoned, and it is an error if
     every restart is.  The smallest Frank-Wolfe gap (``fw_gap``) of a live
     point bounds best value - min f for a convex objective.  The search
-    makes at most ``steps + 1`` objective calls and stops earlier
-
-    * once that gap is at most ``CERTIFIED_GAP`` (certified), or
-    * once it has stalled: after call k >= ``STALL_CALLS`` its best value is
-      at most ``CERTIFIED_GAP`` below its best after call k - ``STALL_CALLS``,
-      and its gap is no smaller than it was then.
-
-    A stall needs a gap that has not fallen for ``STALL_CALLS`` calls, so it
-    cannot end a search while its certificate tightens, however flat its
-    values are (at the rounding level of a large f, say).  It ends a search
-    whose gap cannot reach zero, such as one at a kink of a ReLU network,
-    where one subgradient's gap stays put while the value has settled.
+    makes at most ``steps + 1`` objective calls and stops earlier once that
+    gap is at most ``CERTIFIED_GAP`` (certified); a search whose gap cannot
+    reach it, at a kink of a nonsmooth objective say, runs to its budget.
     Returns the best point, its value as ``objective`` returned it, the
     smallest gap (above ``CERTIFIED_GAP`` unless certified) and the number of
     objective calls made.  ``objective`` maps an (n, d) batch to values and
@@ -230,7 +229,6 @@ def pgd_minimize(
     best_X = X.copy()
     alive = np.ones(restarts, dtype=bool)
     gap = np.inf
-    history = []  # (best value, smallest gap) after each call
     t = np.full(restarts, SEARCH_STEP)
     theta = np.full(restarts, np.inf)
     reach = math.sqrt(feasible.dim) / np.finfo(np.float64).eps
@@ -243,14 +241,8 @@ def pgd_minimize(
         best_X[improved] = X[improved]
         if alive.any():
             gap = min(gap, float(fw_gap(feasible, X[alive], grads[alive]).min()))
-        best = float(best_vals.min())
-        history.append((best, gap))
         if gap <= CERTIFIED_GAP or call == steps:
             break
-        if call >= STALL_CALLS:
-            then_best, then_gap = history[call - STALL_CALLS]
-            if then_best - best <= CERTIFIED_GAP and gap >= then_gap:
-                break  # stalled: no lower value and no tighter gap
         grads = np.where(alive[:, None], grads, 0.0)  # abandoned restarts stay put
         if call:
             turned = 2.0 * norm_rows(grads - last_grads)
@@ -418,13 +410,24 @@ class DecisionReport:
     known only to within sqrt(2 * oracle_gap / mu) of the true minimiser, with
     mu = alpha * min(backbone_weights) the strong-convexity modulus.
     ``oracle_evals`` is the number of objective calls the oracle made.
-    ``surrogate_value`` is the surrogate's value at the decision as its search
-    evaluated it, and ``true_value`` the true objective's value there.
-    ``surrogate_evals`` and ``surrogate_gap`` are that search's objective
-    calls and smallest Frank-Wolfe gap, above ``CERTIFIED_GAP`` where it
-    stalled or ran out of steps.  The last four have defaults (NaN, and 0
-    calls) so that a report built from the first four values alone (as
-    ``bench/tests`` does) works."""
+    ``true_value`` is the true objective's value at the decision.  The three
+    ``surrogate_*`` fields depend on the surrogate's activation:
+
+    * ReLU (the ReLU, QuadOnly, NormOnly and SOC variants): the decision is
+      the x of one ``coneqp`` solve of the surrogate's lift, projected onto
+      the set.  ``surrogate_value`` is the surrogate's one-row batch forward
+      there, ``surrogate_evals`` the solver's step count and
+      ``surrogate_gap`` its final duality gap s'z, at most 1e-10 times
+      max(1, |value|) by its stop rule.
+    * Softplus: the decision is the best point of its ``pgd_minimize``
+      search.  ``surrogate_value`` is its value as that search evaluated it,
+      and ``surrogate_evals`` and ``surrogate_gap`` are the search's
+      objective calls and smallest Frank-Wolfe gap, above ``CERTIFIED_GAP``
+      where it ran out of steps.
+
+    The last four fields have defaults (NaN, and 0 calls) so that a report
+    built from the first four values alone (as ``bench/tests`` does)
+    works."""
 
     regret: float
     oracle_gap: float
@@ -506,6 +509,86 @@ def hash_key(*parts: str) -> int:
     return acc
 
 
+def surrogate_lift(params: SocIcnnParams, feasible: FeasibleSet) -> dict:
+    """The minimum of a ReLU model over the set as one cone QP over
+    v = (x, z, t), as the keyword arguments of ``coneqp.solve``.
+
+    The objective is w_out z_L + w_skip x + b_out + sum_h w_h/2 ||P_h x + o_h||^2
+    + sum_g w_g t_g, so each quadratic branch adds to Q, q and c0.  The rows
+    are the lift's z_l >= W_z z_{l-1} + W_x x + b (``lift_rows``) and z >= 0,
+    the set's x >= 0, x <= 1 (Box and CappedSimplex) and its sum row
+    (Simplex and CappedSimplex), then one cone t_g >= ||P_g x + o_g|| per
+    conic branch.  Hidden units that reach the readout through no positive
+    weight, and conic branches of weight 0, are left out: nothing in the
+    objective bounds them, and the solver's iterates would run off along
+    them.  Every weight is read with ``float``, so nothing here writes into
+    the model (its scalars may be views of a flat vector).
+    """
+    d = params.input_dim
+    z_block, x_block, b = lift_rows(params)
+    # a unit is live if the readout, or a live unit of the next layer, reads
+    # it with a positive weight
+    keep = params.w_out > 0.0
+    live = [keep]
+    for layer in params.layers[:0:-1]:
+        keep = np.any(layer.w_z[keep] > 0.0, axis=0)
+        live.append(keep)
+    live = np.concatenate(live[::-1])
+    readout = np.zeros(live.size)
+    readout[-params.w_out.size :] = params.w_out
+    cones = [br for br in params.conic if float(br.weight) > 0.0]
+    nz = int(live.sum())
+    nv = d + nz + len(cones)
+
+    Q = np.zeros((nv, nv))
+    q = np.zeros(nv)
+    c0 = float(params.b_out)
+    q[:d] = params.w_skip
+    q[d : d + nz] = readout[live]
+    for br in params.quad:
+        weight = float(br.weight)
+        Q[:d, :d] += weight * (br.proj.T @ br.proj)
+        q[:d] += weight * (br.proj.T @ br.offset)
+        c0 += 0.5 * weight * float(br.offset @ br.offset)
+    q[d + nz :] = [float(br.weight) for br in cones]
+
+    upper = feasible.kind != "Simplex"
+    layers = np.zeros((nz, nv))
+    layers[:, :d] = x_block[live]
+    layers[:, d : d + nz] = -z_block[np.ix_(live, live)]
+    eye_x = np.eye(d, nv)
+    G = [layers, -np.eye(nz, nv, d), -eye_x] + ([eye_x] if upper else [])
+    h = [-b[live], np.zeros(nz + d)] + ([np.ones(d)] if upper else [])
+    linear = sum(block.shape[0] for block in G)
+    for j, br in enumerate(cones):
+        block = np.zeros((1 + br.proj.shape[0], nv))
+        block[0, d + nz + j] = -1.0
+        block[1:, :d] = -br.proj
+        G.append(block)
+        h.append(np.concatenate([[0.0], br.offset]))
+    total = {"Simplex": 1.0, "CappedSimplex": feasible.budget}.get(feasible.kind)
+    A = np.zeros((0 if total is None else 1, nv))
+    A[:, :d] = 1.0
+    return dict(
+        Q=Q, q=q, c0=c0, G=np.vstack(G), h=np.concatenate(h), A=A,
+        b=np.array([] if total is None else [total]),
+        linear=linear,
+        cones=[1 + br.proj.shape[0] for br in cones],
+    )
+
+
+def solve_surrogate(
+    params: SocIcnnParams, feasible: FeasibleSet
+) -> Tuple[np.ndarray, float, float, int]:
+    """A ReLU model's minimum over the set, from one ``coneqp.solve`` of
+    ``surrogate_lift``.  Returns the solution's x projected onto the set,
+    the model's value there (its one-row ``batch_forward``), the solver's
+    gap s'z and its step count."""
+    solution = coneqp.solve(**surrogate_lift(params, feasible))
+    x = project_onto(feasible, solution.v[: feasible.dim])
+    return x, float(batch_forward(params, x[None]).total[0]), solution.gap, solution.steps
+
+
 def decide_instance(
     task,
     theta,
@@ -520,8 +603,10 @@ def decide_instance(
     surrogate_lr: float = 1e-2,
 ):
     """Train a per-instance surrogate on feasible candidates and score its
-    decision against the true-objective oracle.  Returns the decision report
-    and the chosen point."""
+    decision against the true-objective oracle.  A ReLU surrogate's decision
+    is its exact minimum (``solve_surrogate``); a Softplus surrogate's is
+    its ``pgd_minimize`` search with ``restarts`` and ``steps``.  Returns the
+    decision report and the chosen point."""
     points = sample_feasible(task.feasible_set, candidates, instance_rng)
     values, _ = task_objective(task, theta, points)
     ds = Dataset(xs=points, ys=values)
@@ -540,15 +625,18 @@ def decide_instance(
     )
     trained, _ = train(surrogate, ds, ds, cfg)
 
-    # the surrogate is convex in its input, so its search stops when certified,
-    # or when it stalls at a kink where no subgradient certifies
-    x_hat, value, gap, calls = pgd_minimize(
-        lambda X: value_and_input_gradient_batch(trained, X),
-        task.feasible_set,
-        restarts,
-        steps,
-        int(instance_rng.integers(2**62)),
-    )
+    # drawn for every surrogate, so that the oracle's seed after it stays put
+    search_seed = int(instance_rng.integers(2**62))
+    if trained.activation == RELU:
+        x_hat, value, gap, calls = solve_surrogate(trained, task.feasible_set)
+    else:
+        x_hat, value, gap, calls = pgd_minimize(
+            lambda X: value_and_input_gradient_batch(trained, X),
+            task.feasible_set,
+            restarts,
+            steps,
+            search_seed,
+        )
     report = evaluate_decision_quality(
         task,
         theta,

@@ -6,7 +6,9 @@ import pytest
 from socicnn import (
     FAMILIES,
     FeasibleSet,
+    batch_forward,
     capped_simplex,
+    coneqp,
     decisions,
     evaluate_decision_quality,
     forward,
@@ -17,6 +19,7 @@ from socicnn import (
     sample_context,
     spawn_rng,
     task_objective,
+    train,
     training,
 )
 from socicnn.decisions import (
@@ -208,6 +211,17 @@ def brute_force_gap(feasible, x, g):
     if feasible.kind != "Box":
         points = points[np.abs(points.sum(axis=1) - budget) <= 1e-12]
     return float(g @ x - np.min(points @ g))
+
+
+@pytest.mark.xfail(strict=True, reason="kinks y - 1 and y coincide for rows far from the set")
+def test_capped_projection_of_far_rows_meets_the_budget():
+    # Reproducer: pgd_minimize's step cap lets x - t g reach about 1e16 on a
+    # linear objective, where y - 1 rounds to y; the capped projection then
+    # returns a 0/1 row whose sum misses the budget, and a search on a linear
+    # objective returns such a point as certified.
+    feasible = capped_simplex(5)
+    X = project_onto_batch(feasible, np.array([[1e16, -1e16, 3e15, 2e16, -5e15]]))
+    assert X.sum() == pytest.approx(feasible.budget)
 
 
 @pytest.mark.parametrize(
@@ -475,8 +489,7 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
         points.append(X)
         return X @ c, np.tile(c, (X.shape[0], 1))
 
-    # never stop early: at a CERTIFIED_GAP of -1 no gap certifies, and no
-    # search stalls, since its best value never rises
+    # never stop early: at a CERTIFIED_GAP of -1 no gap certifies
     monkeypatch.setattr(decisions, "CERTIFIED_GAP", -1.0)
     x, value, gap, _ = pgd_minimize(obj, FeasibleSet("Simplex", 3), 4, 3000, seed=1)
     assert len(points) == 3001
@@ -484,22 +497,6 @@ def test_backtracking_step_stays_finite_where_the_projection_is_fixed(monkeypatc
     assert gap <= CERTIFIED_GAP
     assert np.all(np.isfinite(np.array(points)))
     assert np.array_equal(points[-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
-
-
-def test_search_stops_where_it_stalls_at_a_kink(monkeypatch):
-    # sum |x - c| has its minimiser on a kink inside the box, where no
-    # subgradient has a small Frank-Wolfe gap: the search never certifies,
-    # and it stops once its value has settled
-    c = np.array([0.3, 0.6])
-    obj = lambda X: (np.sum(np.abs(X - c), axis=1), np.where(X >= c, 1.0, -1.0))
-    steps = 400
-    _, value, gap, calls = pgd_minimize(obj, FeasibleSet("Box", 2), 3, steps, seed=0)
-    assert calls < steps + 1 and gap > CERTIFIED_GAP
-
-    monkeypatch.setattr(decisions, "STALL_CALLS", steps + 1)  # never stalls
-    _, full_value, _, full_calls = pgd_minimize(obj, FeasibleSet("Box", 2), 3, steps, seed=0)
-    assert full_calls == steps + 1
-    assert full_value <= value <= full_value + CERTIFIED_GAP
 
 
 @pytest.mark.parametrize("constant", [1e2, 1e6, 1e10])
@@ -725,22 +722,56 @@ def test_regret_is_nonnegative_for_feasible_points():
         )
 
 
-def test_decide_runs_no_single_point_forward(monkeypatch):
-    # the surrogate's value at the decision is the one its own search found
+def _recorded_decide(monkeypatch, variant):
+    """One small decide_instance call with its trained surrogate, every
+    pgd_minimize search and every cone solve recorded; no single-point
+    forward may run."""
     fail_wherever_called(monkeypatch, forward)
-    searches = []
+    trained, searches, solves = [], [], []
 
-    def recorded(*args):
+    def recorded_train(*args):
+        trained.append(train(*args))
+        return trained[-1]
+
+    def recorded_search(*args):
         searches.append(pgd_minimize(*args))
         return searches[-1]
 
-    monkeypatch.setattr(decisions, "pgd_minimize", recorded)
+    solve = coneqp.solve
+
+    def recorded_solve(**problem):
+        solves.append(solve(**problem))
+        return solves[-1]
+
+    monkeypatch.setattr(decisions, "train", recorded_train)
+    monkeypatch.setattr(decisions, "pgd_minimize", recorded_search)
+    monkeypatch.setattr(coneqp, "solve", recorded_solve)
     task = make_task("SimplexSocp", 4, 2)
     report, x_hat = decisions.decide_instance(
-        task, sample_context(2, 0), "QuadOnly", spawn_rng(2, 1),
+        task, sample_context(2, 0), variant, spawn_rng(2, 1),
         candidates=16, surrogate_epochs=5, oracle_config=(3, 100),
     )
+    (model, _), = trained
+    return task, model, report, x_hat, searches, solves
+
+
+def test_decide_runs_no_single_point_forward(monkeypatch):
+    # a ReLU surrogate's decision is one solve of its lift, so the one search
+    # is the oracle's, and its value is the one-row batch forward there
+    task, model, report, x_hat, searches, solves = _recorded_decide(monkeypatch, "QuadOnly")
+    (oracle,), (solution,) = searches, solves
+    assert (report.oracle_gap, report.oracle_evals) == oracle[2:]
+    assert np.array_equal(x_hat, project_onto(task.feasible_set, solution.v[: task.dim]))
+    assert report.surrogate_value.hex() == float(batch_forward(model, x_hat[None]).total[0]).hex()
+    assert (report.surrogate_gap, report.surrogate_evals) == (solution.gap, solution.steps)
+
+
+def test_decide_searches_a_softplus_surrogate(monkeypatch):
+    # a smooth surrogate has no exact lift: its decision is its own search,
+    # the first of two, and its value is the one that search returned
+    _, _, report, x_hat, searches, solves = _recorded_decide(monkeypatch, "Softplus")
     (surrogate_x, surrogate_value, gap, calls), _ = searches  # the oracle's search is second
+    assert solves == []
     assert np.array_equal(x_hat, surrogate_x)
     assert report.surrogate_value.hex() == surrogate_value.hex()
     assert (report.surrogate_gap, report.surrogate_evals) == (gap, calls)
