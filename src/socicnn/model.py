@@ -65,11 +65,16 @@ def softplus(t, out=None):
     return np.add(np.maximum(t, 0.0, out=out), tail, out=out)
 
 
-def sigmoid(t):
-    """1 / (1 + exp(-t)), as where(t >= 0, 1, e) / (1 + e) with e = exp(-|t|)."""
+def sigmoid(t, out=None):
+    """1 / (1 + exp(-t)), as where(t >= 0, 1, e) / (1 + e) with e = exp(-|t|),
+    written into ``out`` when given."""
     t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    if out is None:
+        out = np.empty_like(t)
+    e = np.exp(np.negative(np.abs(t, out=out), out=out), out=out)
+    denom = e + 1.0
+    np.copyto(e, 1.0, where=t >= 0)
+    return np.divide(e, denom, out=e)
 
 
 def half_sqnorm_rows(Q: np.ndarray, out=None) -> np.ndarray:
@@ -171,7 +176,8 @@ class ForwardTrace:
     identity.  Not frozen: a frozen dataclass costs several times more to
     build, and every single-point ``forward`` builds one.  Every pass writes
     into a trace from ``empty_trace``; training builds its traces once per
-    row count, and each of its passes overwrites their arrays.
+    row count, inside the workspaces of ``gradients.empty_workspace`` for its
+    steps, and each of its passes overwrites their arrays.
     """
 
     preacts: Sequence[np.ndarray]
@@ -400,33 +406,35 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> Fo
     """The forward pass over the rows of X, written into the arrays of
     ``out``, a trace from ``empty_trace(params, len(X))``, which it returns;
     ``forward`` and ``batch_forward`` are both this one computation."""
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
     Z = None
     for layer, pre, act in zip(params.layers, out.preacts, out.acts):
         # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width);
-        # the sum runs XW + b + ZW, and that order fixes its last bits
+        # the sum runs XW + b + ZW, and that order fixes its last bits.  act
+        # holds ZW until the activation overwrites it.
         if layer.w_x is not None:
-            np.matmul(X, layer.w_x.T, out=pre)
+            np.dot(X, layer.w_x.T, out=pre)
             pre += layer.b
             if layer.w_z is not None:
-                pre += Z @ layer.w_z.T
+                pre += np.dot(Z, layer.w_z.T, out=act)
         else:
-            np.matmul(Z, layer.w_z.T, out=pre)
+            np.dot(Z, layer.w_z.T, out=pre)
             pre += layer.b
         Z = _apply_activation(params.activation, pre, act)
 
-    backbone = np.matmul(Z, params.w_out, out=out.backbone_value)
-    backbone += X @ params.w_skip
+    # total holds X @ w_skip until the copy of the backbone overwrites it
+    backbone = np.dot(Z, params.w_out, out=out.backbone_value)
+    backbone += np.dot(X, params.w_skip, out=out.total)
     backbone += params.b_out
 
     totals = np.positive(backbone, out=out.total)  # an exact copy
     for br, Q, s in zip(params.quad, out.quad_q, out.quad_s):
-        np.matmul(X, br.proj.T, out=Q)
+        np.dot(X, br.proj.T, out=Q)
         Q += br.offset
         totals += br.weight * half_sqnorm_rows(Q, out=s)
     for br, U, t in zip(params.conic, out.conic_u, out.conic_t):
-        np.matmul(X, br.proj.T, out=U)
+        np.dot(X, br.proj.T, out=U)
         U += br.offset
         totals += br.weight * norm_rows(U, out=t)
     return out

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .gradients import parameter_gradients
+from .gradients import empty_workspace, parameter_gradients
 from .model import (
     RELU,
     SOFTPLUS,
@@ -155,8 +155,10 @@ def train(
 ) -> Tuple[SocIcnnParams, List[Tuple[int, float, float]]]:
     """Projected Adam on mean-squared error; returns the best-validation model.
 
-    The model and its gradient are views of two flat buffers, and every
-    forward pass writes into the trace of its row count; all are built once.
+    The model and its gradient are views of two flat buffers.  Each step is
+    one ``parameter_gradients`` call over its batch, run in the workspace of
+    its row count (the batch, and a partial last batch), and the validation
+    forward writes into one trace; all are built once per call.
     Every Adam step updates m, v and the parameter vector in place, through
     two scratch vectors, in the order of the out-of-place update
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
@@ -198,10 +200,12 @@ def train(
     # next step's loss is then an epoch's validation loss, so each step's loss
     # and gradient are taken at the end of the epoch before it (the first here)
     fused = val_ds is train_ds and batch == n
-    # every forward pass writes into the trace of its row count, built here once
-    traces = {rows: empty_trace(params, rows) for rows in (batch, n % batch, val_ds.size) if rows}
+    # each step runs in the workspace of its row count, and validation in one
+    # trace; all are built here once
+    works = {rows: empty_workspace(model, rows) for rows in (batch, n % batch) if rows}
+    val_trace = empty_trace(model, val_ds.size)
     if fused:
-        loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, traces[n])
+        loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, works[n])
 
     best_val = np.inf
     best_flat = flat.copy()
@@ -214,7 +218,7 @@ def train(
             if not fused:
                 idx = order[start : start + batch]
                 loss = parameter_gradients(
-                    model, train_ds.xs[idx], train_ds.ys[idx], grads, traces[idx.size]
+                    model, train_ds.xs[idx], train_ds.ys[idx], grads, works[idx.size]
                 )
             if not math.isfinite(loss):
                 raise RuntimeError(
@@ -238,9 +242,9 @@ def train(
 
         train_loss = float(np.add.reduce(step_losses)) / step_losses.size
         if fused and epoch < config.epochs:
-            val_loss = loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, traces[n])
+            val_loss = loss = parameter_gradients(model, train_ds.xs, train_ds.ys, grads, works[n])
         else:
-            resid = batch_forward(model, val_ds.xs, traces[val_ds.size]).total - val_ds.ys
+            resid = batch_forward(model, val_ds.xs, val_trace).total - val_ds.ys
             val_loss = float(np.add.reduce(resid * resid)) / resid.size
         if not math.isfinite(val_loss):
             raise RuntimeError(f"training aborted: non-finite validation loss at epoch {epoch}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,19 +16,19 @@ from socicnn import (
     spawn_rng,
     value_and_input_gradient_batch,
 )
-from socicnn.gradients import chain_multipliers
+from socicnn.gradients import Workspace, chain_multipliers, empty_workspace
 from socicnn.model import (
     LayerParams,
     SocIcnnParams,
     batch_forward,
-    empty_trace,
     flatten_params,
     over_norm,
     sigmoid,
     unflatten_params,
 )
+from socicnn.training import build_variant_model
 
-from test_model import random_model, relu_scalar_model
+from test_model import random_model, relu_scalar_model, trace_arrays
 
 
 def _gradient_model(m):
@@ -203,20 +205,91 @@ def test_parameter_gradients_overwrite_every_entry_of_a_reused_buffer():
             assert np.array_equal(reused, fresh)
 
 
+def workspace_arrays(work):
+    """Every array of a workspace, its trace's included."""
+    arrays = [a for field in trace_arrays(work.trace) for a in field]
+    for name in Workspace.__slots__:
+        value = getattr(work, name)
+        if isinstance(value, list):
+            arrays.extend(value)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
 @pytest.mark.parametrize("activation", [RELU, SOFTPLUS])
-def test_parameter_gradients_into_a_reused_trace_match_a_fresh_forward(activation):
+def test_parameter_gradients_into_a_reused_workspace_match_a_fresh_call(activation):
+    # the workspace and out start as NaN, and a second batch reuses them: a
+    # value the call did not overwrite, or one left from the first batch, would show
     for passthrough in (True, False):
-        m = random_model(29, widths=(8, 8, 5), num_quad=2, num_conic=2,
-                         passthrough=passthrough, activation=activation)
-        rng = spawn_rng(29, int(passthrough))
-        for rows in (1, 37, 200):
-            trace = empty_trace(m, rows)
-            for _ in range(2):  # the second batch reuses the first one's trace
-                X = rng.uniform(-2, 2, (rows, m.input_dim))
-                y = rng.standard_normal(rows)
-                got, want = _gradient_model(m), _gradient_model(m)
-                assert parameter_gradients(m, X, y, got, trace) == parameter_gradients(m, X, y, want)
-                assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+        for num_quad in range(3):
+            for num_conic in range(3):
+                m = random_model(29, widths=(8, 8, 5), num_quad=num_quad, num_conic=num_conic,
+                                 passthrough=passthrough, activation=activation)
+                rng = spawn_rng(29, num_quad, num_conic, int(passthrough))
+                for rows in (1, 37, 64, 200):
+                    work = empty_workspace(m, rows)
+                    for a in workspace_arrays(work):
+                        a.fill(np.nan)
+                    for _ in range(2):
+                        X = rng.uniform(-2, 2, (rows, m.input_dim))
+                        y = rng.standard_normal(rows)
+                        got = unflatten_params(m, np.full(flatten_params(m).size, np.nan))
+                        want = _gradient_model(m)
+                        loss = parameter_gradients(m, X, y, got, work)
+                        assert loss == parameter_gradients(m, X, y, want)
+                        assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+
+
+def test_parameter_gradients_reject_a_workspace_of_another_model_rows_or_width():
+    # the workspace records the params object it was built for, so a twin of
+    # the same layout is refused too; nothing is written before the refusal
+    m = random_model(30, num_quad=1, num_conic=1)
+    X = spawn_rng(30).uniform(-1.0, 1.0, (5, m.input_dim))
+    y = np.zeros(5)
+    for work, batch in (
+        (empty_workspace(random_model(30, num_quad=1, num_conic=1), 5), X),
+        (empty_workspace(unflatten_params(m, flatten_params(m)), 5), X),
+        (empty_workspace(m, 6), X),
+        (empty_workspace(m, 4), X),
+        (empty_workspace(m, 5), np.hstack([X, X[:, :1]])),
+    ):
+        g = np.full(flatten_params(m).size, np.nan)
+        with pytest.raises(DimensionError):
+            parameter_gradients(m, batch, y, unflatten_params(m, g), work)
+        assert np.all(np.isnan(g))
+    work = empty_workspace(m, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        batch = X.copy()
+        batch[2, 1] = bad
+        g = np.full(flatten_params(m).size, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            parameter_gradients(m, batch, y, unflatten_params(m, g), work)
+        assert np.all(np.isnan(g))
+
+
+@pytest.mark.parametrize("variant, width, rows", [("QuadOnly", 8, 64), ("SOC", 20, 128)])
+def test_a_step_into_a_warm_workspace_allocates_under_a_third_of_it(variant, width, rows):
+    # decide's surrogate and fit's SOC step: a call without a workspace
+    # allocates a whole one; into a warm one only small temporaries remain
+    m = build_variant_model(variant, 10, width, 2, seed=0)
+    rng = spawn_rng(34)
+    X = rng.uniform(-3, 3, (rows, 10))
+    y = rng.standard_normal(rows)
+    grads = _gradient_model(m)
+    work = empty_workspace(m, rows)
+    work_bytes = sum(a.nbytes for a in workspace_arrays(work))
+    peaks = []
+    for buffers in (work, None):
+        parameter_gradients(m, X, y, grads, buffers)  # numpy's first-call set-up is not the step's
+        tracemalloc.start()
+        try:
+            parameter_gradients(m, X, y, grads, buffers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < work_bytes / 3
+    assert peaks[1] > work_bytes
 
 
 def reference_parameter_gradients(params, X, y, out):

@@ -1,8 +1,9 @@
 """Every module-level import and private name of a library module is used
 in that module, the simplex oracle imports nothing of the library, only
-``empty_trace`` and ``forward`` build a ``ForwardTrace``, every library name
-that ``bench/`` reaches exists, and every decide setting it passes is a
-parameter of ``decide_instance``."""
+``empty_trace`` and ``forward`` build a ``ForwardTrace`` and only
+``empty_workspace`` builds a gradient ``Workspace``, every library name that
+``bench/`` reaches exists, and every decide setting it passes is a parameter
+of ``decide_instance``."""
 
 import ast
 import importlib
@@ -55,14 +56,24 @@ def test_simplex_imports_only_numpy_and_typing():
     assert modules <= {"__future__", "numpy", "typing"}
 
 
+def _builders(cls: str):
+    """module.function of every call of ``cls`` in the library's sources."""
+    return sorted(f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+                  for path in SOURCES for stmt in ast.parse(path.read_text()).body
+                  for node in ast.walk(stmt)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == cls)
+
+
 def test_only_empty_trace_and_forward_build_a_forward_trace():
     # every pass writes into a trace from empty_trace and forward strips its
     # one row; a second forward mode would build a trace somewhere else
-    callers = [f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
-               for path in SOURCES for stmt in ast.parse(path.read_text()).body
-               for node in ast.walk(stmt)
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ForwardTrace"]
-    assert sorted(callers) == ["model.empty_trace", "model.forward"]
+    assert _builders("ForwardTrace") == ["model.empty_trace", "model.forward"]
+
+
+def test_only_empty_workspace_builds_a_workspace():
+    # every parameter_gradients call runs in a workspace from empty_workspace,
+    # given or built; a second backward mode would build its buffers elsewhere
+    assert _builders("Workspace") == ["gradients.empty_workspace"]
 
 
 def _bench_references():
