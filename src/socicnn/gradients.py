@@ -13,6 +13,11 @@ which steps many times over the same row counts, builds its buffers once per
 row count.  A workspace records the params object it was built for, so a
 call re-checks its buffers with one identity test; its arguments are checked
 in full on every call.
+
+The forward's trace holds the batch with a ones column appended, [X | 1].
+The gradient of each block [w_x | b] or [proj | offset] (see ``model``) is
+then one product, delta^T [X | 1], whose last column is the bias's gradient;
+only a layer that does not read x sums its delta's columns for its b.
 """
 
 from __future__ import annotations
@@ -201,14 +206,17 @@ def parameter_gradients(
         raise ValueError("batch_y contains non-finite values")
     dtotal = np.multiply(residual, 2.0 / n, out=work.dtotal)  # dL/d f(x_i)
 
-    acts = trace.acts
+    acts, inputs = trace.acts, trace.inputs
     deltas = _backbone_deltas(params, trace.preacts, dtotal, work.deltas, work.derivs)
     for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
-        if grad.w_x is not None:
-            np.dot(delta.T, X, out=grad.w_x)
+        # a block's gradient is delta^T [X | 1]: its last column, the bias's
+        # gradient, is the column sum of delta
+        if grad.affine is not None:
+            np.dot(delta.T, inputs, out=grad.affine)
+        else:
+            np.add.reduce(delta, axis=0, out=grad.b)
         if grad.w_z is not None:
             np.dot(delta.T, acts[idx - 1], out=grad.w_z)
-        np.add.reduce(delta, axis=0, out=grad.b)
     np.dot(acts[-1].T, dtotal, out=out.w_out)
     np.dot(X.T, dtotal, out=out.w_skip)
     np.add.reduce(dtotal, out=out.b_out)
@@ -226,8 +234,7 @@ def parameter_gradients(
             np.copyto(scaled, 0.0, where=~live)
         np.multiply(scaled[:, None], rows, out=dR)
         np.dot(dtotal, norms, out=grad.weight)
-        np.dot(dR.T, X, out=grad.proj)
-        np.add.reduce(dR, axis=0, out=grad.offset)
+        np.dot(dR.T, inputs, out=grad.affine)
     return loss
 
 

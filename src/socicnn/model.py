@@ -12,18 +12,26 @@ by clamping (``project_feasible``), never by reparameterization, so the stored
 arrays are exactly the data of the epigraph lift used by the certificate
 module.
 
+Every map that reads x is affine in the homogenised input (x, 1), and is
+stored as one C-contiguous block from ``affine_block``: [w_x | b] for a layer
+that reads x, [proj | offset] for a branch.  w_x, b, proj and offset are
+views of that block, and in a model from ``unflatten_params`` the block is
+itself a view of the flat vector.
+
 The forward pass is one computation over the rows of a batch, recorded in
-one ``ForwardTrace``; a single point is a one-row batch.  Every pass writes
-its intermediates into the arrays of a trace from ``empty_trace``, the only
-code that allocates them: ``batch_forward`` builds a fresh trace unless its
-caller passes one, so a caller that runs many passes over the same number of
-rows (training) builds its buffers once.
+one ``ForwardTrace``; a single point is a one-row batch.  The trace holds the
+batch with a ones column appended, [X | 1], so each block is applied as one
+product with no bias add; only a layer that does not read x adds its b.
+Every pass writes its intermediates into the arrays of a trace from
+``empty_trace``, the only code that allocates them: ``batch_forward`` builds
+a fresh trace unless its caller passes one, so a caller that runs many
+passes over the same number of rows (training) builds its buffers once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,18 +110,60 @@ def over_norm(c, t):
 # parameter containers
 
 
+def affine_block(weights, bias) -> np.ndarray:
+    """[weights | bias], the one C-contiguous (rows, cols + 1) float64 block
+    of the affine map x -> weights @ x + bias, applied as block @ (x, 1).
+
+    The parameter containers build every block here.  Weights that are not
+    a matrix, or a bias that is not a vector of one entry per row, raise
+    ``DimensionError`` naming both shapes before anything is packed.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if weights.ndim != 2 or bias.shape != weights.shape[:1]:
+        raise DimensionError(
+            f"weights of shape {weights.shape} and bias of shape {bias.shape} "
+            "are not one affine map")
+    block = np.empty((weights.shape[0], weights.shape[1] + 1))
+    block[:, :-1] = weights
+    block[:, -1] = bias
+    return block
+
+
+def _fold(params, weights: str, bias: str, block: np.ndarray) -> None:
+    """Store ``block`` as params.affine and its columns as the views named
+    ``weights`` (all but the last) and ``bias`` (the last)."""
+    object.__setattr__(params, "affine", block)
+    object.__setattr__(params, weights, block[:, :-1])
+    object.__setattr__(params, bias, block[:, -1])
+
+
 @dataclass(frozen=True, eq=False)
 class LayerParams:
     """One backbone layer: pre = w_x @ x + w_z @ z_prev + b.
 
     w_z is absent on the first layer (there is no previous hidden state) and
     must stay elementwise nonnegative.  w_x is absent past the first layer
-    when passthrough connections are disabled.
+    when passthrough connections are disabled; such a layer keeps b as its
+    own array.  A layer that reads x holds ``affine``, the (width, d0 + 1)
+    block [w_x | b], and w_x and b are views of it: built from w_x and b the
+    layer packs them with ``affine_block``, and built with ``block=`` (as
+    ``_rebuild`` does) it views that block instead.
     """
 
     w_x: Optional[np.ndarray]
     w_z: Optional[np.ndarray]
-    b: np.ndarray
+    b: Optional[np.ndarray]
+    block: InitVar[Optional[np.ndarray]] = None
+    affine: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self, block):
+        if block is None and self.w_x is not None:
+            block = affine_block(self.w_x, self.b)
+        if block is None:
+            object.__setattr__(self, "affine", None)
+        else:
+            _fold(self, "w_x", "b", block)
 
     @property
     def width(self) -> int:
@@ -125,12 +175,20 @@ class BranchParams:
     """One structural branch: weight >= 0 times a norm of proj @ x + offset.
 
     The model's ``quad`` branches apply weight/2 * ||.||^2 and its ``conic``
-    branches weight * ||.||; the data is the same.
+    branches weight * ||.||; the data is the same.  ``affine`` is the
+    branch's (k, d0 + 1) block [proj | offset], and proj and offset are views
+    of it, packed or given as for ``LayerParams``.
     """
 
     weight: float  # a 0-d view of the flat vector in a model from unflatten_params
-    proj: np.ndarray
-    offset: np.ndarray
+    proj: Optional[np.ndarray]
+    offset: Optional[np.ndarray]
+    block: InitVar[Optional[np.ndarray]] = None
+    affine: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, block):
+        _fold(self, "proj", "offset",
+              affine_block(self.proj, self.offset) if block is None else block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +224,10 @@ class ForwardTrace:
     """Everything the forward pass computed, row by row.
 
     From ``batch_forward`` over an (n, d0) batch every field has a leading
-    row axis: total and backbone_value are (n,), preacts[l] and acts[l] are
-    (n, w_l), quad_q[h] and conic_u[g] are (n, k), and quad_s[h] and
-    conic_t[g] are (n,).  ``forward`` returns its one row: the same fields
+    row axis: inputs is (n, d0 + 1), the batch with a ones column appended,
+    total and backbone_value are (n,), preacts[l] and acts[l] are (n, w_l),
+    quad_q[h] and conic_u[g] are (n, k), and quad_s[h] and conic_t[g] are
+    (n,).  ``forward`` returns its one row: the same fields
     without the row axis, the scalars as floats.
 
     quad_s[h] and conic_t[g] are stored exactly as evaluated from quad_q[h]
@@ -180,6 +239,7 @@ class ForwardTrace:
     steps, and each of its passes overwrites their arrays.
     """
 
+    inputs: np.ndarray
     preacts: Sequence[np.ndarray]
     acts: Sequence[np.ndarray]
     backbone_value: np.ndarray
@@ -272,25 +332,27 @@ def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
     """The canonical parameter layout.
 
     Calls ``leaf(value, nonneg)`` on every learnable entry in a fixed order
-    (per layer w_x, w_z, b; then w_out, w_skip, b_out; then each quadratic
-    and each conic branch as weight, proj, offset) and returns a model of the
-    same structure holding the results.  ``nonneg`` marks the sign-constrained
-    entries: w_z, w_out and the branch weights.
+    (per layer w_z, then the block [w_x | b], or b alone on a layer that
+    does not read x; then w_out, w_skip, b_out; then each quadratic and each
+    conic branch as weight and the block [proj | offset]) and returns a
+    model of the same structure holding the results, each block as one
+    leaf.  ``nonneg`` marks the sign-constrained entries: w_z, w_out and the
+    branch weights.
     """
-    layers = tuple(
-        LayerParams(
-            None if layer.w_x is None else leaf(layer.w_x, False),
-            None if layer.w_z is None else leaf(layer.w_z, True),
-            leaf(layer.b, False),
-        )
-        for layer in params.layers
-    )
+
+    def layer(old: LayerParams) -> LayerParams:
+        w_z = None if old.w_z is None else leaf(old.w_z, True)
+        if old.affine is None:
+            return LayerParams(None, w_z, leaf(old.b, False))
+        return LayerParams(None, w_z, None, block=leaf(old.affine, False))
+
+    layers = tuple(layer(old) for old in params.layers)
     w_out = leaf(params.w_out, True)
     w_skip = leaf(params.w_skip, False)
     b_out = leaf(params.b_out, False)
 
     def branch(br: BranchParams) -> BranchParams:
-        return BranchParams(leaf(br.weight, True), leaf(br.proj, False), leaf(br.offset, False))
+        return BranchParams(leaf(br.weight, True), None, None, block=leaf(br.affine, False))
 
     quad = tuple(branch(br) for br in params.quad)
     conic = tuple(branch(br) for br in params.conic)
@@ -303,7 +365,12 @@ def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
 def _leaves(params: SocIcnnParams) -> list:
     """(value, nonneg) for every learnable entry, in layout order."""
     leaves = []
-    _rebuild(params, lambda value, nonneg: leaves.append((value, nonneg)))
+
+    def record(value, nonneg):
+        leaves.append((value, nonneg))
+        return value  # the rebuilt containers view the same blocks
+
+    _rebuild(params, record)
     return leaves
 
 
@@ -370,6 +437,7 @@ def empty_trace(params: SocIcnnParams, n: int) -> ForwardTrace:
     """Uninitialised buffers for the forward pass over n rows of ``params``:
     the ``out`` of ``batch_forward``, which overwrites every entry."""
     return ForwardTrace(
+        inputs=np.empty((n, params.input_dim + 1)),
         preacts=[np.empty((n, w)) for w in params.widths],
         acts=[np.empty((n, w)) for w in params.widths],
         backbone_value=np.empty(n),
@@ -387,7 +455,8 @@ def _check_trace(params: SocIcnnParams, out: ForwardTrace, n: int) -> None:
     training checks every step's trace."""
     rows = (n,)
     ok = (
-        getattr(out.backbone_value, "shape", None) == getattr(out.total, "shape", None) == rows
+        getattr(out.inputs, "shape", None) == (n, params.input_dim + 1)
+        and getattr(out.backbone_value, "shape", None) == getattr(out.total, "shape", None) == rows
         and len(out.preacts) == len(out.acts) == len(params.layers)
         and len(out.quad_q) == len(out.quad_s) == len(params.quad)
         and len(out.conic_u) == len(out.conic_t) == len(params.conic)
@@ -408,14 +477,16 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> Fo
     ``forward`` and ``batch_forward`` are both this one computation."""
     if not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
+    inputs = out.inputs  # (X, 1): every block is one product with it
+    inputs[:, :-1] = X
+    inputs[:, -1] = 1.0
     Z = None
     for layer, pre, act in zip(params.layers, out.preacts, out.acts):
-        # layer 0 has w_x and deeper layers have w_z, so pre is always (n, width);
-        # the sum runs XW + b + ZW, and that order fixes its last bits.  act
-        # holds ZW until the activation overwrites it.
-        if layer.w_x is not None:
-            np.dot(X, layer.w_x.T, out=pre)
-            pre += layer.b
+        # layer 0 reads x and deeper layers read z, so pre is always (n, width);
+        # the sum runs [X | 1] [w_x | b]^T + ZW, or ZW + b on a layer that does
+        # not read x.  act holds ZW until the activation overwrites it.
+        if layer.affine is not None:
+            np.dot(inputs, layer.affine.T, out=pre)
             if layer.w_z is not None:
                 pre += np.dot(Z, layer.w_z.T, out=act)
         else:
@@ -430,13 +501,9 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> Fo
 
     totals = np.positive(backbone, out=out.total)  # an exact copy
     for br, Q, s in zip(params.quad, out.quad_q, out.quad_s):
-        np.dot(X, br.proj.T, out=Q)
-        Q += br.offset
-        totals += br.weight * half_sqnorm_rows(Q, out=s)
+        totals += br.weight * half_sqnorm_rows(np.dot(inputs, br.affine.T, out=Q), out=s)
     for br, U, t in zip(params.conic, out.conic_u, out.conic_t):
-        np.dot(X, br.proj.T, out=U)
-        U += br.offset
-        totals += br.weight * norm_rows(U, out=t)
+        totals += br.weight * norm_rows(np.dot(inputs, br.affine.T, out=U), out=t)
     return out
 
 
@@ -454,6 +521,7 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     x = as_input(params, x)
     rows = _forward_rows(params, x[None], empty_trace(params, 1))
     return ForwardTrace(
+        inputs=rows.inputs[0],
         preacts=tuple(pre[0] for pre in rows.preacts),
         acts=tuple(act[0] for act in rows.acts),
         backbone_value=float(rows.backbone_value[0]),
@@ -659,8 +727,9 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
     Every key and type is checked first: a missing or unknown key, a JSON
     bool where a number belongs, a non-integer size, a non-bool flag or a
     ragged array is a ``ValueError`` naming where it is.  Shapes that
-    disagree with the sizes raise ``DimensionError``, and a negative
-    sign-constrained entry raises ``ConstraintError``.
+    disagree with the sizes raise ``DimensionError``, which names both
+    shapes when a W and b, B and e or A and d are not one affine map, and a
+    negative sign-constrained entry raises ``ConstraintError``.
     """
     _entry(doc, "model document", _DOC_KEYS)
     version = doc["version"]

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from socicnn.model import (
     SocIcnnParams,
     batch_forward,
     flatten_params,
+    nonneg_mask,
     over_norm,
     sigmoid,
+    softplus,
     unflatten_params,
 )
-from socicnn.training import build_variant_model
+from socicnn.training import VARIANTS, build_variant_model
 
 from test_model import random_model, relu_scalar_model, trace_arrays
 
@@ -292,9 +295,12 @@ def test_a_step_into_a_warm_workspace_allocates_under_a_third_of_it(variant, wid
     assert peaks[1] > work_bytes
 
 
-def reference_parameter_gradients(params, X, y, out):
-    # float derivative masks, temporaries copied into out, and np.mean
-    trace = batch_forward(params, X)
+def reference_parameter_gradients(params, X, y, out, trace=None):
+    # float derivative masks, temporaries copied into out, and np.mean; the
+    # bias gradients are the column sums of delta and dR.  By default over
+    # the library's forward pass, else over the given trace.
+    if trace is None:
+        trace = batch_forward(params, X)
     residual = trace.total - y
     loss = float(np.mean(residual**2))
     dtotal = (2.0 / X.shape[0]) * residual
@@ -342,6 +348,110 @@ def test_parameter_gradients_match_the_reference_bit_for_bit(activation):
             loss = parameter_gradients(m, X, y, got)
             assert loss == reference_parameter_gradients(m, X, y, want)
             assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+
+
+def unfolded_trace(params, X):
+    """The forward pass with each bias added after its product, X @ w_x.T + b
+    and X @ proj.T + offset: the reference for the one-product blocks."""
+    activate = (lambda t: np.maximum(t, 0.0)) if params.activation == RELU else softplus
+    preacts, acts, Z = [], [], None
+    for layer in params.layers:
+        pre = layer.b if layer.w_x is None else X @ layer.w_x.T + layer.b
+        if layer.w_z is not None:
+            pre = pre + Z @ layer.w_z.T
+        Z = activate(pre)
+        preacts.append(pre)
+        acts.append(Z)
+    quad_q = [X @ br.proj.T + br.offset for br in params.quad]
+    conic_u = [X @ br.proj.T + br.offset for br in params.conic]
+    quad_s = [0.5 * np.sum(Q * Q, axis=1) for Q in quad_q]
+    conic_t = [np.sqrt(np.sum(U * U, axis=1)) for U in conic_u]
+    total = Z @ params.w_out + X @ params.w_skip + params.b_out
+    for br, values in zip(params.quad + params.conic, quad_s + conic_t):
+        total = total + br.weight * values
+    return SimpleNamespace(preacts=preacts, acts=acts, quad_q=quad_q, quad_s=quad_s,
+                           conic_u=conic_u, conic_t=conic_t, total=total)
+
+
+def unfolded_input_gradients(params, trace):
+    """Input subgradients of every row of a trace of ``unfolded_trace``."""
+    def derivative(pre):
+        return (pre > 0.0).astype(np.float64) if params.activation == RELU else sigmoid(pre)
+
+    G = np.zeros((trace.total.shape[0], params.input_dim)) + params.w_skip
+    delta = params.w_out * derivative(trace.preacts[-1])
+    for idx in range(params.depth - 1, -1, -1):
+        if params.layers[idx].w_x is not None:
+            G += delta @ params.layers[idx].w_x
+        if idx > 0:
+            delta = (delta @ params.layers[idx].w_z) * derivative(trace.preacts[idx - 1])
+    for br, Q in zip(params.quad, trace.quad_q):
+        G += br.weight * (Q @ br.proj)
+    for br, U, t in zip(params.conic, trace.conic_u, trace.conic_t):
+        G += (over_norm(br.weight, t)[:, None] * U) @ br.proj
+    return G
+
+
+def named_entries(m):
+    """(name, array) of every learnable entry of m."""
+    entries = []
+    for k, layer in enumerate(m.layers):
+        entries += [(f"layers[{k}].{name}", getattr(layer, name)) for name in ("w_x", "w_z", "b")
+                    if getattr(layer, name) is not None]
+    entries += [("w_out", m.w_out), ("w_skip", m.w_skip), ("b_out", m.b_out)]
+    for kind, branches in (("quad", m.quad), ("conic", m.conic)):
+        for k, br in enumerate(branches):
+            entries += [(f"{kind}[{k}].{name}", getattr(br, name))
+                        for name in ("weight", "proj", "offset")]
+    return entries
+
+
+def assert_close_to(got, want, where):
+    # 1e-13 of the largest entry of the reference
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, where
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0), where
+
+
+def test_one_product_per_block_matches_the_unfolded_formulas():
+    # every entry drawn at random, biases and offsets included, so each block's
+    # last column counts; a layer that does not read x keeps its own bias add
+    for variant in VARIANTS:
+        for passthrough in (True, False):
+            for d in (1, 10):
+                template = build_variant_model(variant, d, 6, 3, seed=34, passthrough=passthrough)
+                flat = 0.5 * spawn_rng(34, d, int(passthrough)).standard_normal(
+                    flatten_params(template).size)
+                m = unflatten_params(template, np.where(nonneg_mask(template), np.abs(flat), flat))
+                for rows in (1, 37, 80, 128):
+                    where = f"{variant} passthrough={passthrough} d={d} rows={rows}"
+                    rng = spawn_rng(34, d, rows)
+                    X = rng.uniform(-2, 2, (rows, d))
+                    y = rng.standard_normal(rows)
+                    want = unfolded_trace(m, X)
+
+                    got = batch_forward(m, X)
+                    assert np.array_equal(got.inputs, np.column_stack([X, np.ones(rows)]))
+                    point = forward(m, X[0])
+                    for name in ("preacts", "acts", "quad_q", "quad_s", "conic_u", "conic_t"):
+                        for k, (a, b) in enumerate(zip(getattr(got, name), getattr(want, name),
+                                                       strict=True)):
+                            assert_close_to(a, b, f"{where} {name}[{k}]")
+                            assert_close_to(getattr(point, name)[k], b[0], f"{where} point {name}[{k}]")
+                    assert_close_to(got.total, want.total, f"{where} total")
+                    assert_close_to(point.total, want.total[0], f"{where} point total")
+
+                    grads, reference = _gradient_model(m), _gradient_model(m)
+                    loss = parameter_gradients(m, X, y, grads)
+                    want_loss = reference_parameter_gradients(m, X, y, reference, trace=want)
+                    assert_close_to(loss, want_loss, f"{where} loss")
+                    for (name, a), (_, b) in zip(named_entries(grads), named_entries(reference),
+                                                 strict=True):
+                        assert_close_to(a, b, f"{where} gradient {name}")
+
+                    values, G = value_and_input_gradient_batch(m, X)
+                    assert_close_to(values, want.total, f"{where} values")
+                    assert_close_to(G, unfolded_input_gradients(m, want), f"{where} input gradients")
 
 
 def _loss_of_flat(template, flat, X, y):

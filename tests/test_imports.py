@@ -1,9 +1,10 @@
 """Every module-level import and private name of a library module is used
 in that module, the simplex oracle imports nothing of the library, only
-``empty_trace`` and ``forward`` build a ``ForwardTrace`` and only
-``empty_workspace`` builds a gradient ``Workspace``, every library name that
-``bench/`` reaches exists, and every decide setting it passes is a parameter
-of ``decide_instance``."""
+``empty_trace`` and ``forward`` build a ``ForwardTrace``, only
+``empty_workspace`` builds a gradient ``Workspace``, only the two parameter
+containers pack an affine block with ``affine_block``, every library name
+that ``bench/`` reaches exists, and every decide setting it passes is a
+parameter of ``decide_instance``."""
 
 import ast
 import importlib
@@ -74,6 +75,13 @@ def test_only_empty_workspace_builds_a_workspace():
     # every parameter_gradients call runs in a workspace from empty_workspace,
     # given or built; a second backward mode would build its buffers elsewhere
     assert _builders("Workspace") == ["gradients.empty_workspace"]
+
+
+def test_only_the_parameter_containers_pack_an_affine_block():
+    # a layer or branch built from its weights and bias packs them into one
+    # [weights | bias] block, which the forward and backward read as one
+    # matrix; a block packed anywhere else would be a copy they do not read
+    assert _builders("affine_block") == ["model.BranchParams", "model.LayerParams"]
 
 
 def _bench_references():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -606,6 +607,76 @@ def test_layout_mask_marks_exactly_the_sign_constrained_entries():
     assert int(mask.sum()) == 4 * 3 + 2 * 4 + 2 + 3
 
 
+def _blocks(m):
+    """(weights, bias, block) of every map of m that reads x."""
+    return ([(layer.w_x, layer.b, layer.affine) for layer in m.layers if layer.w_x is not None]
+            + [(br.proj, br.offset, br.affine) for br in m.quad + m.conic])
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_one_block_per_map(m):
+    # w_x and b (proj and offset) are the columns of one C-contiguous block
+    # [w_x | b], and a layer that does not read x has none
+    for layer in m.layers:
+        assert (layer.affine is None) == (layer.w_x is None)
+    for weights, bias, block in _blocks(m):
+        rows, cols = weights.shape
+        assert block.shape == (rows, cols + 1) and block.flags.c_contiguous
+        assert weights.strides == block.strides and bias.strides == block.strides[:1]
+        assert _address(weights) == _address(block)
+        assert _address(bias) == _address(block) + cols * block.itemsize
+
+
+def test_every_map_that_reads_x_is_one_block_from_every_constructor():
+    for passthrough in (True, False):
+        m = random_model(41, widths=(5, 4, 3), num_quad=2, num_conic=2, passthrough=passthrough)
+        assert len(_blocks(m)) == (3 if passthrough else 1) + 4
+        flat = flatten_params(m)
+        viewed = unflatten_params(m, flat)
+        built = (m, from_json_dict(json.loads(json.dumps(to_json_dict(m)))), viewed,
+                 project_feasible(m))
+        for model in built:
+            assert_one_block_per_map(model)
+            assert to_json_dict(model) == to_json_dict(m)
+        # the blocks of a model from unflatten_params are views of its flat
+        # vector: a write into a bias's entry of flat moves the forward pass
+        x = spawn_rng(41, 1).uniform(-2, 2, m.input_dim)
+
+        def rows():
+            tr = forward(viewed, x)
+            return np.concatenate([*tr.preacts, *tr.quad_q, *tr.conic_u, [tr.total]])
+
+        for _, _, block in _blocks(viewed):
+            assert np.shares_memory(block, flat)
+            before = rows()
+            flat[(_address(block) - _address(flat)) // flat.itemsize + block.shape[1] - 1] += 0.5
+            assert np.sum(rows() != before) >= 1
+    structured = from_structured_class(np.ones(3), 0.5, np.eye(3)[:2],
+                                       [(1.0, np.eye(3), np.zeros(3)), (2.0, np.ones((1, 3)), [1.0])])
+    assert_one_block_per_map(structured)
+    assert len(_blocks(structured)) == 4
+
+
+def test_layout_of_the_five_variants_is_the_parameter_count_and_json_of_before():
+    # the SOC anchor's 1,093 is the budget the fit comparisons match
+    counts = {v: count_parameters(build_variant_model(v, 10, 20, variant_depth(v, 10, 20), seed=0))
+              for v in VARIANTS}
+    assert counts == {"ReLU": 1491, "Softplus": 1491, "QuadOnly": 1602, "NormOnly": 1602,
+                      "SOC": 1093}
+    # init_model draws the same numbers in the same order, and the document
+    # holds them as before the blocks: the digest was taken with w_x, b, proj
+    # and offset stored as separate arrays
+    digest = hashlib.sha256()
+    for args in ((10, [20, 20], [10], [10], True, RELU, 7),
+                 (3, [4, 5, 2], [2, 1], [3], False, SOFTPLUS, 8),
+                 (1, [2], [], [1, 1], True, RELU, 9)):
+        digest.update(json.dumps(to_json_dict(init_model(*args))).encode())
+    assert digest.hexdigest() == "e120ef20982526d44756780ddb9c7d3d62b5e84498cbd4d920f5bc4048ba7b93"
+
+
 def test_count_parameters_formula():
     m = init_model(10, [20, 20], [10], [10], True, RELU, 0)
     expected = (20 * 10 + 20) + (20 * 20 + 20 + 20 * 10) + (20 + 10 + 1) + 2 * (10 * 10 + 10 + 1)
@@ -701,6 +772,22 @@ def test_load_rejects_shape_mismatches():
     doc = _doc()
     doc["c"].append(1.0)
     with pytest.raises(DimensionError):
+        from_json_dict(doc)
+
+
+@pytest.mark.parametrize("where, weights, bias", [
+    ("layers", "W", "b"), ("quad", "B", "e"), ("conic", "A", "d")])
+def test_load_names_a_map_whose_weights_and_bias_disagree_in_rows(where, weights, bias):
+    # the shapes are checked before a block is packed, so no numpy error escapes
+    doc = _doc()
+    entry = doc[where][0]
+    entry[bias] = entry[bias] + [0.0]
+    rows, cols = len(entry[weights]), len(entry[weights][0])
+    named = rf"weights of shape \({rows}, {cols}\) and bias of shape \({rows + 1},\)"
+    with pytest.raises(DimensionError, match=named):
+        from_json_dict(doc)
+    entry[bias] = 1.0
+    with pytest.raises(DimensionError, match=r"bias of shape \(\)"):
         from_json_dict(doc)
 
 

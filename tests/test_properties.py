@@ -115,12 +115,23 @@ def test_forward_is_convex_along_segments(data):
 def test_certificate_is_exact_at_constructed_kinks(data):
     m = data.draw(models(activations=(RELU,)))
     (x,) = data.draw(points(m.input_dim, 1))
-    X = x[None]
-    # the same products the forward pass forms, negated: every first-layer
-    # preactivation and every conic residual are exactly 0.  (Away from a
-    # norm kink the two norm-dual rows carry the rounding of weight/t * u.)
-    first = replace(m.layers[0], b=-(X @ m.layers[0].w_x.T)[0])
-    conic = tuple(replace(br, offset=-(X @ br.proj.T)[0]) for br in m.conic)
+    # The forward sums each bias inside one product, [x, 1] @ [w | b]^T, in
+    # its BLAS kernel's order, so a bias that negates the rest of that sum
+    # gives an exact zero only when every partial sum is exact: x and the
+    # kinked rows' weights lie on the grid of multiples of 1/64, where they
+    # are.  Every first-layer preactivation and every conic residual is then
+    # exactly 0.  (Away from a norm kink the two norm-dual rows carry the
+    # rounding of weight/t * u.)
+    x = np.round(np.asarray(x) * 64.0) / 64.0
+
+    def through_x(weights):
+        weights = np.round(weights * 64.0) / 64.0
+        return weights, -(weights @ x)
+
+    w_x, b = through_x(m.layers[0].w_x)
+    first = replace(m.layers[0], w_x=w_x, b=b)
+    conic = tuple(replace(br, proj=proj, offset=offset)
+                  for br in m.conic for proj, offset in [through_x(br.proj)])
     kinked = replace(m, layers=(first,) + m.layers[1:], conic=conic)
     trace = forward(kinked, x)
     assert np.all(trace.preacts[0] == 0.0)
