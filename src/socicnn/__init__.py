@@ -19,6 +19,7 @@ from .model import (
     ForwardTrace,
     LayerParams,
     SocIcnnParams,
+    affine_block,
     batch_forward,
     count_forward_flops,
     count_parameters,

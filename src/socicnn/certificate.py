@@ -88,7 +88,9 @@ def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     x-block holds each layer's W_x (zero on a layer that does not read x).
     This is the only code that writes these rows: ``build_lp_lift`` moves
     the x-block to the right-hand side, and the decision pipeline keeps x as
-    variables."""
+    variables.  A smooth-activation model has no such rows and raises
+    ``UnsupportedActivationError``."""
+    _require_relu(params)
     n = sum(params.widths)
     z_block = np.eye(n)
     x_block = np.zeros((n, params.input_dim))
@@ -108,7 +110,6 @@ def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     handled separately by the cone blocks): the rows of ``lift_rows`` with
     the x-block moved to the right-hand side.  An x of any shape but (d0,)
     raises ``DimensionError``."""
-    _require_relu(params)
     x = as_input(params, x)
     rows, x_block, rhs = lift_rows(params)
     lo = 0
@@ -181,9 +182,10 @@ def extract_dual_certificate(
     At an exactly-zero preactivation the multiplier is set to 0 (any value in
     the box certifies; 0 is the deterministic choice), and a vanishing norm
     gets the zero dual, which is exact because its primal term vanishes too.
+    An x of any shape but (d0,) raises ``DimensionError``.
     """
     _require_relu(params)
-    x = np.asarray(x, dtype=np.float64)
+    x = as_input(params, x)
     nus = chain_multipliers(params, trace.preacts)
 
     dual = float(params.w_skip @ x) + params.b_out

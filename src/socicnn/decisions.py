@@ -583,7 +583,8 @@ def solve_surrogate(
     """A ReLU model's minimum over the set, from one ``coneqp.solve`` of
     ``surrogate_lift``.  Returns the solution's x projected onto the set,
     the model's value there (its one-row ``batch_forward``), the solver's
-    gap s'z and its step count."""
+    gap s'z and its step count.  A smooth-activation model has no such lift
+    and raises ``UnsupportedActivationError``."""
     solution = coneqp.solve(**surrogate_lift(params, feasible))
     x = project_onto(feasible, solution.v[: feasible.dim])
     return x, float(batch_forward(params, x[None]).total[0]), solution.gap, solution.steps

@@ -160,7 +160,7 @@ def empty_workspace(params: SocIcnnParams, n: int) -> Workspace:
         dtotal=np.empty(n),
         deltas=deltas,
         derivs=derivs,
-        dR=[np.empty((n, br.proj.shape[0])) for br in params.quad + params.conic],
+        dR=[np.empty((n, br.affine.shape[0])) for br in params.quad + params.conic],
         scaled=np.empty(n),
     )
 
@@ -211,7 +211,7 @@ def parameter_gradients(
     for idx, (grad, delta) in enumerate(zip(out.layers, deltas)):
         # a block's gradient is delta^T [X | 1]: its last column, the bias's
         # gradient, is the column sum of delta
-        if grad.affine is not None:
+        if grad.affine.shape[1] > 1:  # the block [w_x | b], not b alone
             np.dot(delta.T, inputs, out=grad.affine)
         else:
             np.add.reduce(delta, axis=0, out=grad.b)

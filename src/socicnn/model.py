@@ -12,11 +12,11 @@ by clamping (``project_feasible``), never by reparameterization, so the stored
 arrays are exactly the data of the epigraph lift used by the certificate
 module.
 
-Every map that reads x is affine in the homogenised input (x, 1), and is
-stored as one C-contiguous block from ``affine_block``: [w_x | b] for a layer
-that reads x, [proj | offset] for a branch.  w_x, b, proj and offset are
-views of that block, and in a model from ``unflatten_params`` the block is
-itself a view of the flat vector.
+Every layer and branch is affine in the homogenised input (x, 1), and
+stores that map as one C-contiguous block from ``affine_block``: [w_x | b]
+for a layer, b alone for a layer that does not read x, [proj | offset] for a
+branch.  w_x, b, proj and offset are views of that block, and in a model
+from ``unflatten_params`` the block is itself a view of the flat vector.
 
 The forward pass is one computation over the rows of a batch, recorded in
 one ``ForwardTrace``; a single point is a one-row batch.  The trace holds the
@@ -31,7 +31,7 @@ passes over the same number of rows (training) builds its buffers once.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,9 +114,11 @@ def affine_block(weights, bias) -> np.ndarray:
     """[weights | bias], the one C-contiguous (rows, cols + 1) float64 block
     of the affine map x -> weights @ x + bias, applied as block @ (x, 1).
 
-    The parameter containers build every block here.  Weights that are not
-    a matrix, or a bias that is not a vector of one entry per row, raise
-    ``DimensionError`` naming both shapes before anything is packed.
+    ``init_model``, ``from_json_dict`` and ``from_structured_class`` pack
+    every block here; a layer that does not read x packs (rows, 0) weights.
+    Weights that are not a matrix, or a bias that is not a vector of one
+    entry per row, raise ``DimensionError`` naming both shapes before
+    anything is packed.
     """
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -130,44 +132,31 @@ def affine_block(weights, bias) -> np.ndarray:
     return block
 
 
-def _fold(params, weights: str, bias: str, block: np.ndarray) -> None:
-    """Store ``block`` as params.affine and its columns as the views named
-    ``weights`` (all but the last) and ``bias`` (the last)."""
-    object.__setattr__(params, "affine", block)
-    object.__setattr__(params, weights, block[:, :-1])
-    object.__setattr__(params, bias, block[:, -1])
-
-
 @dataclass(frozen=True, eq=False)
 class LayerParams:
     """One backbone layer: pre = w_x @ x + w_z @ z_prev + b.
 
     w_z is absent on the first layer (there is no previous hidden state) and
-    must stay elementwise nonnegative.  w_x is absent past the first layer
-    when passthrough connections are disabled; such a layer keeps b as its
-    own array.  A layer that reads x holds ``affine``, the (width, d0 + 1)
-    block [w_x | b], and w_x and b are views of it: built from w_x and b the
-    layer packs them with ``affine_block``, and built with ``block=`` (as
-    ``_rebuild`` does) it views that block instead.
+    must stay elementwise nonnegative.  ``affine`` is the layer's block
+    [w_x | b] from ``affine_block``, (width, d0 + 1), and w_x and b are views
+    of it.  Past the first layer with passthrough connections disabled the
+    layer does not read x: its block is b alone, (width, 1), and w_x is None.
     """
 
-    w_x: Optional[np.ndarray]
     w_z: Optional[np.ndarray]
-    b: Optional[np.ndarray]
-    block: InitVar[Optional[np.ndarray]] = None
-    affine: Optional[np.ndarray] = field(init=False, repr=False)
+    affine: np.ndarray
 
-    def __post_init__(self, block):
-        if block is None and self.w_x is not None:
-            block = affine_block(self.w_x, self.b)
-        if block is None:
-            object.__setattr__(self, "affine", None)
-        else:
-            _fold(self, "w_x", "b", block)
+    @property
+    def w_x(self) -> Optional[np.ndarray]:
+        return self.affine[:, :-1] if self.affine.shape[1] > 1 else None
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.affine[:, -1]
 
     @property
     def width(self) -> int:
-        return self.b.shape[0]
+        return self.affine.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,18 +166,19 @@ class BranchParams:
     The model's ``quad`` branches apply weight/2 * ||.||^2 and its ``conic``
     branches weight * ||.||; the data is the same.  ``affine`` is the
     branch's (k, d0 + 1) block [proj | offset], and proj and offset are views
-    of it, packed or given as for ``LayerParams``.
+    of it.
     """
 
     weight: float  # a 0-d view of the flat vector in a model from unflatten_params
-    proj: Optional[np.ndarray]
-    offset: Optional[np.ndarray]
-    block: InitVar[Optional[np.ndarray]] = None
-    affine: np.ndarray = field(init=False, repr=False)
+    affine: np.ndarray
 
-    def __post_init__(self, block):
-        _fold(self, "proj", "offset",
-              affine_block(self.proj, self.offset) if block is None else block)
+    @property
+    def proj(self) -> np.ndarray:
+        return self.affine[:, :-1]
+
+    @property
+    def offset(self) -> np.ndarray:
+        return self.affine[:, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,16 +288,17 @@ def init_model(
             w_z = None
         else:
             prev = widths[idx - 1]
-            w_x = _matrix(rng, width, input_dim, 1.0 / np.sqrt(input_dim)) if passthrough else None
+            w_x = (_matrix(rng, width, input_dim, 1.0 / np.sqrt(input_dim)) if passthrough
+                   else np.empty((width, 0)))  # b alone: the layer does not read x
             w_z = np.abs(rng.standard_normal((width, prev))) / prev
-        layers.append(LayerParams(w_x=w_x, w_z=w_z, b=np.zeros(width)))
+        layers.append(LayerParams(w_z, affine_block(w_x, np.zeros(width))))
 
     w_out = np.abs(rng.standard_normal(widths[-1])) / widths[-1]
     w_skip = rng.standard_normal(input_dim) / np.sqrt(input_dim)
 
     def branch(size: int) -> BranchParams:
         proj = _matrix(rng, size, input_dim, 1.0 / np.sqrt(input_dim))
-        return BranchParams(weight=0.1, proj=proj, offset=np.zeros(size))
+        return BranchParams(0.1, affine_block(proj, np.zeros(size)))
 
     quad = tuple(branch(r) for r in quad_ranks)
     conic = tuple(branch(k) for k in conic_dims)
@@ -332,19 +323,16 @@ def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
     """The canonical parameter layout.
 
     Calls ``leaf(value, nonneg)`` on every learnable entry in a fixed order
-    (per layer w_z, then the block [w_x | b], or b alone on a layer that
-    does not read x; then w_out, w_skip, b_out; then each quadratic and each
-    conic branch as weight and the block [proj | offset]) and returns a
-    model of the same structure holding the results, each block as one
-    leaf.  ``nonneg`` marks the sign-constrained entries: w_z, w_out and the
-    branch weights.
+    (per layer w_z, then its block; then w_out, w_skip, b_out; then each
+    quadratic and each conic branch as weight and block) and returns a model
+    of the same structure holding the results: the fields of each container
+    in the order they are declared.  ``nonneg`` marks the sign-constrained
+    entries: w_z, w_out and the branch weights.
     """
 
     def layer(old: LayerParams) -> LayerParams:
         w_z = None if old.w_z is None else leaf(old.w_z, True)
-        if old.affine is None:
-            return LayerParams(None, w_z, leaf(old.b, False))
-        return LayerParams(None, w_z, None, block=leaf(old.affine, False))
+        return LayerParams(w_z, leaf(old.affine, False))
 
     layers = tuple(layer(old) for old in params.layers)
     w_out = leaf(params.w_out, True)
@@ -352,7 +340,7 @@ def _rebuild(params: SocIcnnParams, leaf: Callable) -> SocIcnnParams:
     b_out = leaf(params.b_out, False)
 
     def branch(br: BranchParams) -> BranchParams:
-        return BranchParams(leaf(br.weight, True), None, None, block=leaf(br.affine, False))
+        return BranchParams(leaf(br.weight, True), leaf(br.affine, False))
 
     quad = tuple(branch(br) for br in params.quad)
     conic = tuple(branch(br) for br in params.conic)
@@ -441,9 +429,9 @@ def empty_trace(params: SocIcnnParams, n: int) -> ForwardTrace:
         preacts=[np.empty((n, w)) for w in params.widths],
         acts=[np.empty((n, w)) for w in params.widths],
         backbone_value=np.empty(n),
-        quad_q=[np.empty((n, br.proj.shape[0])) for br in params.quad],
+        quad_q=[np.empty((n, br.affine.shape[0])) for br in params.quad],
         quad_s=[np.empty(n) for _ in params.quad],
-        conic_u=[np.empty((n, br.proj.shape[0])) for br in params.conic],
+        conic_u=[np.empty((n, br.affine.shape[0])) for br in params.conic],
         conic_t=[np.empty(n) for _ in params.conic],
         total=np.empty(n),
     )
@@ -462,10 +450,11 @@ def _check_trace(params: SocIcnnParams, out: ForwardTrace, n: int) -> None:
         and len(out.conic_u) == len(out.conic_t) == len(params.conic)
     )
     for layer, pre, act in zip(params.layers, out.preacts, out.acts):
-        ok = ok and getattr(pre, "shape", None) == getattr(act, "shape", None) == rows + layer.b.shape
+        shape = rows + layer.affine.shape[:1]
+        ok = ok and getattr(pre, "shape", None) == getattr(act, "shape", None) == shape
     for br, q, s in zip((*params.quad, *params.conic), (*out.quad_q, *out.conic_u),
                         (*out.quad_s, *out.conic_t)):
-        ok = ok and getattr(q, "shape", None) == rows + br.offset.shape
+        ok = ok and getattr(q, "shape", None) == rows + br.affine.shape[:1]
         ok = ok and getattr(s, "shape", None) == rows
     if not ok:
         raise DimensionError(f"out is not a trace of this model over {n} rows")
@@ -485,7 +474,7 @@ def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> Fo
         # layer 0 reads x and deeper layers read z, so pre is always (n, width);
         # the sum runs [X | 1] [w_x | b]^T + ZW, or ZW + b on a layer that does
         # not read x.  act holds ZW until the activation overwrites it.
-        if layer.affine is not None:
+        if layer.affine.shape[1] > 1:  # the block [w_x | b], not b alone
             np.dot(inputs, layer.affine.T, out=pre)
             if layer.w_z is not None:
                 pre += np.dot(Z, layer.w_z.T, out=act)
@@ -581,14 +570,11 @@ def from_structured_class(linear, constant, quad_matrix, norm_terms) -> SocIcnnP
     if quad_matrix is not None:
         B = np.asarray(quad_matrix, dtype=np.float64)
         if B.size:
-            quad = (BranchParams(weight=1.0, proj=B, offset=np.zeros(B.shape[:1])),)
-    conic = tuple(
-        BranchParams(float(w), np.asarray(A, dtype=np.float64), np.asarray(e, dtype=np.float64))
-        for w, A, e in norm_terms
-    )
+            quad = (BranchParams(1.0, affine_block(B, np.zeros(B.shape[:1]))),)
+    conic = tuple(BranchParams(float(w), affine_block(A, e)) for w, A, e in norm_terms)
     params = SocIcnnParams(
         input_dim=d0,
-        layers=(LayerParams(w_x=np.zeros((1, d0)), w_z=None, b=np.zeros(1)),),
+        layers=(LayerParams(None, affine_block(np.zeros((1, d0)), np.zeros(1))),),
         w_out=np.zeros(1),
         w_skip=a,
         b_out=float(constant),
@@ -749,20 +735,23 @@ def from_json_dict(doc: dict) -> SocIcnnParams:
         _entry(entry, where, ("b",), ("W", "U"))
         w_x = _array(entry["W"], f"{where}.W") if "W" in entry else None
         w_z = _array(entry["U"], f"{where}.U") if "U" in entry else None
-        layers.append(LayerParams(w_x=w_x, w_z=w_z, b=_array(entry["b"], f"{where}.b")))
+        b = _array(entry["b"], f"{where}.b")
+        if w_x is None:  # a layer that does not read x: its block is b alone
+            w_x = np.empty(b.shape[:1] + (0,))
+        elif w_x.shape[1:] != (d0,):
+            raise DimensionError(f"d0 differs from the column count of {where}.W")
+        layers.append(LayerParams(w_z, affine_block(w_x, b)))
 
     def branches(name: str, weight: str, proj: str, offset: str) -> tuple:
         found = []
         for k, entry in enumerate(_list(doc[name], name)):
             where = f"{name}[{k}]"
             _entry(entry, where, (weight, proj, offset))
-            found.append(
-                BranchParams(
-                    weight=_number(entry[weight], f"{where}.{weight}"),
-                    proj=_array(entry[proj], f"{where}.{proj}"),
-                    offset=_array(entry[offset], f"{where}.{offset}"),
-                )
-            )
+            found.append(BranchParams(
+                _number(entry[weight], f"{where}.{weight}"),
+                affine_block(_array(entry[proj], f"{where}.{proj}"),
+                             _array(entry[offset], f"{where}.{offset}")),
+            ))
         return tuple(found)
 
     params = SocIcnnParams(
@@ -786,13 +775,11 @@ def _check_loaded(params: SocIcnnParams) -> None:
     The shapes are compared with those of a model drawn from the model's
     own sizes, which also checks the activation and the sizes themselves.
     """
-    if params.layers and np.shape(params.layers[0].w_x)[1:] != (params.input_dim,):
-        raise DimensionError("d0 differs from the column count of layers[0].W")
     reference = init_model(
         params.input_dim,
-        [np.size(layer.b) for layer in params.layers],
-        [np.size(br.offset) for br in params.quad],
-        [np.size(br.offset) for br in params.conic],
+        params.widths,
+        [br.affine.shape[0] for br in params.quad],
+        [br.affine.shape[0] for br in params.conic],
         params.passthrough,
         params.activation,
         seed=0,

@@ -23,10 +23,12 @@ from socicnn import (
     spawn_rng,
     summarize_reports,
 )
-from socicnn.certificate import _METRIC_FIELDS
+from socicnn.certificate import _METRIC_FIELDS, lift_rows
 from socicnn.cli import _VERIFY_LIMITS, FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
+from socicnn.decisions import FeasibleSet, solve_surrogate
 from socicnn.gradients import chain_multipliers
-from socicnn.model import LayerParams, SocIcnnParams, batch_forward, flatten_params, unflatten_params
+from socicnn.model import (LayerParams, SocIcnnParams, affine_block, batch_forward, flatten_params,
+                           unflatten_params)
 
 from test_model import fail_wherever_called, random_model, relu_scalar_model
 
@@ -50,6 +52,13 @@ def test_lift_counts_depth2_width3():
 
 def test_lift_rejects_softplus():
     m = random_model(32, activation=SOFTPLUS)
+    # lift_rows is the one builder of the lift's rows, so the ReLU lift of a
+    # smooth model is refused there and by every caller, the decision lift's
+    # exact minimum included, instead of answering for another model
+    with pytest.raises(UnsupportedActivationError):
+        lift_rows(m)
+    with pytest.raises(UnsupportedActivationError):
+        solve_surrogate(m, FeasibleSet("Box", m.input_dim))
     with pytest.raises(UnsupportedActivationError):
         build_lp_lift(m, np.zeros(m.input_dim))
     with pytest.raises(UnsupportedActivationError):
@@ -69,6 +78,8 @@ def test_lift_and_oracle_name_a_misshapen_input(shape):
         socp_oracle_value(m, x)
     with pytest.raises(DimensionError, match=message):
         forward(m, x)
+    with pytest.raises(DimensionError, match=message):
+        extract_dual_certificate(m, x, forward(m, np.ones(3)))
 
 
 def test_simplex_solve_scalar_examples():
@@ -84,7 +95,7 @@ def test_simplex_solve_scalar_examples():
 def test_all_zero_model_value_is_bias():
     m = SocIcnnParams(
         input_dim=2,
-        layers=(LayerParams(w_x=np.zeros((2, 2)), w_z=None, b=np.zeros(2)),),
+        layers=(LayerParams(None, affine_block(np.zeros((2, 2)), np.zeros(2))),),
         w_out=np.zeros(2),
         w_skip=np.zeros(2),
         b_out=1.25,
@@ -222,7 +233,7 @@ def test_diagnostics_trace_equalities_are_exact_zero():
 def test_diagnostics_zero_model_all_zero():
     m = SocIcnnParams(
         input_dim=2,
-        layers=(LayerParams(w_x=np.zeros((2, 2)), w_z=None, b=np.zeros(2)),),
+        layers=(LayerParams(None, affine_block(np.zeros((2, 2)), np.zeros(2))),),
         w_out=np.zeros(2),
         w_skip=np.zeros(2),
         b_out=0.0,

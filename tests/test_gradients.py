@@ -21,6 +21,7 @@ from socicnn.gradients import Workspace, chain_multipliers, empty_workspace
 from socicnn.model import (
     LayerParams,
     SocIcnnParams,
+    affine_block,
     batch_forward,
     flatten_params,
     nonneg_mask,
@@ -141,7 +142,7 @@ def test_bias_only_model_gradient():
     # f(x) = b_out with b_out = 1; y = 3 gives loss 4 and d loss / d b_out = -4
     m = SocIcnnParams(
         input_dim=1,
-        layers=(LayerParams(w_x=np.zeros((1, 1)), w_z=None, b=np.zeros(1)),),
+        layers=(LayerParams(None, affine_block(np.zeros((1, 1)), np.zeros(1))),),
         w_out=np.zeros(1),
         w_skip=np.zeros(1),
         b_out=1.0,

@@ -1,8 +1,9 @@
 """Every module-level import and private name of a library module is used
 in that module, the simplex oracle imports nothing of the library, only
 ``empty_trace`` and ``forward`` build a ``ForwardTrace``, only
-``empty_workspace`` builds a gradient ``Workspace``, only the two parameter
-containers pack an affine block with ``affine_block``, every library name
+``empty_workspace`` builds a gradient ``Workspace``, only ``init_model``,
+``from_json_dict`` and ``from_structured_class`` pack an affine block with
+``affine_block``, which ``_rebuild`` only views, every library name
 that ``bench/`` reaches exists, and every decide setting it passes is a
 parameter of ``decide_instance``."""
 
@@ -77,11 +78,13 @@ def test_only_empty_workspace_builds_a_workspace():
     assert _builders("Workspace") == ["gradients.empty_workspace"]
 
 
-def test_only_the_parameter_containers_pack_an_affine_block():
-    # a layer or branch built from its weights and bias packs them into one
-    # [weights | bias] block, which the forward and backward read as one
-    # matrix; a block packed anywhere else would be a copy they do not read
-    assert _builders("affine_block") == ["model.BranchParams", "model.LayerParams"]
+def test_only_the_three_model_builders_pack_an_affine_block():
+    # each layer and branch stores one block, which the forward and backward
+    # read as one matrix; the builders of a model from outside data pack it
+    # once per map, and _rebuild (unflatten_params, project_feasible) only
+    # views blocks, so a block packed anywhere else would be a second copy
+    assert set(_builders("affine_block")) == {
+        "model.from_json_dict", "model.from_structured_class", "model.init_model"}
 
 
 def _bench_references():

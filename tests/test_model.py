@@ -31,6 +31,7 @@ from socicnn import (
 )
 from socicnn.model import (
     ForwardTrace,
+    affine_block,
     batch_forward,
     count_forward_flops,
     empty_trace,
@@ -49,7 +50,7 @@ def relu_scalar_model():
     """f(x) = max(x, 0) in one dimension."""
     return SocIcnnParams(
         input_dim=1,
-        layers=(LayerParams(w_x=np.array([[1.0]]), w_z=None, b=np.zeros(1)),),
+        layers=(LayerParams(None, affine_block(np.array([[1.0]]), np.zeros(1))),),
         w_out=np.array([1.0]),
         w_skip=np.zeros(1),
         b_out=0.0,
@@ -159,8 +160,7 @@ def test_project_clamps_negative_hidden_weights():
     dirty = SocIcnnParams(
         input_dim=m.input_dim,
         layers=(m.layers[0],
-                LayerParams(w_x=m.layers[1].w_x, w_z=np.array([[-1.0, 2.0], [0.5, -0.25]]),
-                            b=m.layers[1].b)),
+                LayerParams(np.array([[-1.0, 2.0], [0.5, -0.25]]), m.layers[1].affine)),
         w_out=np.array([-3.0, 1.0]),
         w_skip=m.w_skip,
         b_out=m.b_out,
@@ -584,20 +584,15 @@ def test_layout_mask_marks_exactly_the_sign_constrained_entries():
     marked = SocIcnnParams(
         input_dim=m.input_dim,
         layers=tuple(
-            LayerParams(
-                w_x=np.zeros_like(layer.w_x),
-                w_z=None if layer.w_z is None else np.ones_like(layer.w_z),
-                b=np.zeros_like(layer.b),
-            )
+            LayerParams(None if layer.w_z is None else np.ones_like(layer.w_z),
+                        np.zeros_like(layer.affine))
             for layer in m.layers
         ),
         w_out=np.ones_like(m.w_out),
         w_skip=np.zeros_like(m.w_skip),
         b_out=0.0,
-        quad=tuple(BranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
-                   for br in m.quad),
-        conic=tuple(BranchParams(1.0, np.zeros_like(br.proj), np.zeros_like(br.offset))
-                    for br in m.conic),
+        quad=tuple(BranchParams(1.0, np.zeros_like(br.affine)) for br in m.quad),
+        conic=tuple(BranchParams(1.0, np.zeros_like(br.affine)) for br in m.conic),
         passthrough=m.passthrough,
         activation=m.activation,
     )
@@ -618,10 +613,15 @@ def _address(a):
 
 
 def assert_one_block_per_map(m):
-    # w_x and b (proj and offset) are the columns of one C-contiguous block
-    # [w_x | b], and a layer that does not read x has none
+    # every layer and branch stores one C-contiguous block: w_x and b (proj
+    # and offset) are its columns, and a layer that does not read x stores
+    # b alone as a (width, 1) block
     for layer in m.layers:
-        assert (layer.affine is None) == (layer.w_x is None)
+        block = layer.affine
+        assert block.ndim == 2 and block.flags.c_contiguous
+        assert (block.shape == (layer.width, 1)) == (layer.w_x is None)
+        assert layer.b.strides == block.strides[:1]
+        assert _address(layer.b) == _address(block) + (block.shape[1] - 1) * block.itemsize
     for weights, bias, block in _blocks(m):
         rows, cols = weights.shape
         assert block.shape == (rows, cols + 1) and block.flags.c_contiguous
@@ -771,6 +771,16 @@ def test_load_rejects_shape_mismatches():
         from_json_dict(doc)
     doc = _doc()
     doc["c"].append(1.0)
+    with pytest.raises(DimensionError):
+        from_json_dict(doc)
+    # a W of other than d0 columns, even of none on a layer that does not
+    # read x, and a first layer without W
+    doc = json.loads(json.dumps(to_json_dict(random_model(16, passthrough=False))))
+    doc["layers"][1]["W"] = [[] for _ in doc["layers"][1]["b"]]
+    with pytest.raises(DimensionError, match=r"column count of layers\[1\]\.W"):
+        from_json_dict(doc)
+    del doc["layers"][1]["W"]
+    del doc["layers"][0]["W"]
     with pytest.raises(DimensionError):
         from_json_dict(doc)
 

@@ -20,6 +20,7 @@ from socicnn import (
     RELU,
     ConstraintError,
     DimensionError,
+    affine_block,
     batch_forward,
     diagnostics_report,
     forward,
@@ -128,10 +129,8 @@ def test_certificate_is_exact_at_constructed_kinks(data):
         weights = np.round(weights * 64.0) / 64.0
         return weights, -(weights @ x)
 
-    w_x, b = through_x(m.layers[0].w_x)
-    first = replace(m.layers[0], w_x=w_x, b=b)
-    conic = tuple(replace(br, proj=proj, offset=offset)
-                  for br in m.conic for proj, offset in [through_x(br.proj)])
+    first = replace(m.layers[0], affine=affine_block(*through_x(m.layers[0].w_x)))
+    conic = tuple(replace(br, affine=affine_block(*through_x(br.proj))) for br in m.conic)
     kinked = replace(m, layers=(first,) + m.layers[1:], conic=conic)
     trace = forward(kinked, x)
     assert np.all(trace.preacts[0] == 0.0)
