@@ -75,7 +75,8 @@ class LpLift:
 
 def _affine(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     """The part of a layer's preactivation that does not read z: b + w_x @ x."""
-    return layer.b if layer.w_x is None else layer.b + layer.w_x @ x
+    w_x = layer.w_x
+    return layer.b if w_x is None else layer.b + w_x @ x
 
 
 def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,10 +87,10 @@ def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     that is z_l - W_z z_{l-1} >= W_x x + b for every layer l, with z the
     hidden states stacked layer by layer.  The z-block is I - W_z, and the
     x-block holds each layer's W_x (zero on a layer that does not read x).
-    This is the only code that writes these rows: ``build_lp_lift`` moves
-    the x-block to the right-hand side, and the decision pipeline keeps x as
-    variables.  A smooth-activation model has no such rows and raises
-    ``UnsupportedActivationError``."""
+    This is the only code that writes these rows: ``build_lp_lift`` keeps
+    the z-block and evaluates the right-hand side at x with ``_affine``, and
+    the decision pipeline keeps x as variables.  A smooth-activation model
+    has no such rows and raises ``UnsupportedActivationError``."""
     _require_relu(params)
     n = sum(params.widths)
     z_block = np.eye(n)
@@ -107,17 +108,12 @@ def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
 def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     """Lift whose optimal value is the backbone value at x (plus branches,
-    handled separately by the cone blocks): the rows of ``lift_rows`` with
-    the x-block moved to the right-hand side.  An x of any shape but (d0,)
-    raises ``DimensionError``."""
+    handled separately by the cone blocks): the z-block of ``lift_rows``
+    over the right-hand side b + W_x x, the map ``extract_dual_certificate``
+    reads too.  An x of any shape but (d0,) raises ``DimensionError``."""
     x = as_input(params, x)
-    rows, x_block, rhs = lift_rows(params)
-    lo = 0
-    for layer in params.layers:
-        hi = lo + layer.width
-        if layer.w_x is not None:
-            rhs[lo:hi] += x_block[lo:hi] @ x  # b + w_x @ x, in that order
-        lo = hi
+    rows = lift_rows(params)[0]
+    rhs = np.concatenate([_affine(layer, x) for layer in params.layers])
 
     objective = np.zeros(rhs.shape[0])
     objective[-params.w_out.size :] = params.w_out

@@ -10,9 +10,10 @@ A ``parameter_gradients`` call runs its forward and its backward in one
 ``Workspace``, from ``empty_workspace``, the only code that builds one: the
 call builds a fresh workspace unless its caller passes one, so training,
 which steps many times over the same row counts, builds its buffers once per
-row count.  A workspace records the params object it was built for, so a
-call re-checks its buffers with one identity test; its arguments are checked
-in full on every call.
+row count.  The call's forward is ``model.batch_forward`` into the
+workspace's trace, which answers only to the params object it was built
+for, so one identity test checks the whole workspace; the other arguments
+are checked in full on every call.
 
 The forward's trace holds the batch with a ones column appended, [X | 1].
 The gradient of each block [w_x | b] or [proj | offset] (see ``model``) is
@@ -33,7 +34,6 @@ from .model import (
     DimensionError,
     ForwardTrace,
     SocIcnnParams,
-    _forward_rows,
     batch_forward,
     empty_trace,
     forward,
@@ -127,17 +127,16 @@ def value_and_input_gradient_batch(params: SocIcnnParams, X: np.ndarray):
 class Workspace:
     """Every buffer of ``parameter_gradients`` over n rows of one model.
 
-    ``model`` is the params object the buffers were built for; a call with
-    any other object, even one of the same layout, is refused, so one
-    identity test stands for a walk over every shape.  The forward writes
-    into ``trace``.  The backward writes the residual, its square and
-    ``dtotal`` (d loss / d total) of every row; per layer a delta and the
-    activation's derivative (``_layer_buffers``); per branch, quadratic
-    first, ``dR``, d loss / d the branch's rows; and ``scaled``, ``dtotal``
-    times the branch weight.
+    The forward writes into ``trace``, which records the params object the
+    workspace was built for: ``batch_forward`` refuses any other object,
+    even one of the same layout, or another row count, so that one check
+    stands for every buffer here.  The backward writes the residual, its
+    square and ``dtotal`` (d loss / d total) of every row; per layer a delta
+    and the activation's derivative (``_layer_buffers``); per branch,
+    quadratic first, ``dR``, d loss / d the branch's rows; and ``scaled``,
+    ``dtotal`` times the branch weight.
     """
 
-    model: SocIcnnParams
     trace: ForwardTrace
     residual: np.ndarray
     square: np.ndarray
@@ -153,7 +152,6 @@ def empty_workspace(params: SocIcnnParams, n: int) -> Workspace:
     ``params``, which overwrites every entry on each call."""
     deltas, derivs = _layer_buffers(params, n)
     return Workspace(
-        model=params,
         trace=empty_trace(params, n),
         residual=np.empty(n),
         square=np.empty(n),
@@ -188,17 +186,13 @@ def parameter_gradients(
     n = X.shape[0]
     if y.shape != (n,):
         raise DimensionError("batch_y must match the number of batch rows")
-    if X.shape[1] != params.input_dim:
-        raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
     if ((out.depth, len(out.quad), len(out.conic), out.passthrough)
             != (params.depth, len(params.quad), len(params.conic), params.passthrough)):
         raise DimensionError("out is not a gradient of this model's layout")
     if work is None:
         work = empty_workspace(params, n)
-    elif work.model is not params or work.dtotal.shape != (n,):
-        raise DimensionError(f"work is not a workspace of this params object over {n} rows")
 
-    trace = _forward_rows(params, X, work.trace)
+    trace = batch_forward(params, X, work.trace)  # checks X's columns and work
     residual = np.subtract(trace.total, y, out=work.residual)
     loss = float(np.add.reduce(np.multiply(residual, residual, out=work.square))) / n
     # a non-finite y always makes the loss non-finite, so y is read only then

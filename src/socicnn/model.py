@@ -25,7 +25,9 @@ product with no bias add; only a layer that does not read x adds its b.
 Every pass writes its intermediates into the arrays of a trace from
 ``empty_trace``, the only code that allocates them: ``batch_forward`` builds
 a fresh trace unless its caller passes one, so a caller that runs many
-passes over the same number of rows (training) builds its buffers once.
+passes over the same number of rows (training) builds its buffers once.  A
+trace records the params object it was built for and answers to no other,
+so one identity test and one row count stand for its every shape.
 """
 
 from __future__ import annotations
@@ -222,13 +224,17 @@ class ForwardTrace:
 
     quad_s[h] and conic_t[g] are stored exactly as evaluated from quad_q[h]
     and conic_u[g]; downstream feasibility checks rely on that bitwise
-    identity.  Not frozen: a frozen dataclass costs several times more to
-    build, and every single-point ``forward`` builds one.  Every pass writes
-    into a trace from ``empty_trace``; training builds its traces once per
-    row count, inside the workspaces of ``gradients.empty_workspace`` for its
-    steps, and each of its passes overwrites their arrays.
+    identity.  ``model`` is the params object the trace was built for, and
+    the sequence fields are tuples, so a caller cannot pop or replace an
+    array of a trace.  Not frozen: a frozen dataclass costs several times
+    more to build, and every single-point ``forward`` builds one.  Every
+    pass writes into a trace from ``empty_trace``; training builds its
+    traces once per row count, inside the workspaces of
+    ``gradients.empty_workspace`` for its steps, and each of its passes
+    overwrites their arrays.
     """
 
+    model: SocIcnnParams
     inputs: np.ndarray
     preacts: Sequence[np.ndarray]
     acts: Sequence[np.ndarray]
@@ -424,40 +430,20 @@ def _apply_activation(activation: str, pre: np.ndarray, out: np.ndarray) -> np.n
 def empty_trace(params: SocIcnnParams, n: int) -> ForwardTrace:
     """Uninitialised buffers for the forward pass over n rows of ``params``:
     the ``out`` of ``batch_forward``, which overwrites every entry."""
+    # each tuple from a list: faster than from a generator, and every
+    # single-point forward builds a trace here
     return ForwardTrace(
+        model=params,
         inputs=np.empty((n, params.input_dim + 1)),
-        preacts=[np.empty((n, w)) for w in params.widths],
-        acts=[np.empty((n, w)) for w in params.widths],
+        preacts=tuple([np.empty((n, w)) for w in params.widths]),
+        acts=tuple([np.empty((n, w)) for w in params.widths]),
         backbone_value=np.empty(n),
-        quad_q=[np.empty((n, br.affine.shape[0])) for br in params.quad],
-        quad_s=[np.empty(n) for _ in params.quad],
-        conic_u=[np.empty((n, br.affine.shape[0])) for br in params.conic],
-        conic_t=[np.empty(n) for _ in params.conic],
+        quad_q=tuple([np.empty((n, br.affine.shape[0])) for br in params.quad]),
+        quad_s=tuple([np.empty(n) for _ in params.quad]),
+        conic_u=tuple([np.empty((n, br.affine.shape[0])) for br in params.conic]),
+        conic_t=tuple([np.empty(n) for _ in params.conic]),
         total=np.empty(n),
     )
-
-
-def _check_trace(params: SocIcnnParams, out: ForwardTrace, n: int) -> None:
-    """``DimensionError`` unless every entry of ``out`` is an array of the
-    shape ``empty_trace(params, n)`` gives it; written as loops, since
-    training checks every step's trace."""
-    rows = (n,)
-    ok = (
-        getattr(out.inputs, "shape", None) == (n, params.input_dim + 1)
-        and getattr(out.backbone_value, "shape", None) == getattr(out.total, "shape", None) == rows
-        and len(out.preacts) == len(out.acts) == len(params.layers)
-        and len(out.quad_q) == len(out.quad_s) == len(params.quad)
-        and len(out.conic_u) == len(out.conic_t) == len(params.conic)
-    )
-    for layer, pre, act in zip(params.layers, out.preacts, out.acts):
-        shape = rows + layer.affine.shape[:1]
-        ok = ok and getattr(pre, "shape", None) == getattr(act, "shape", None) == shape
-    for br, q, s in zip((*params.quad, *params.conic), (*out.quad_q, *out.conic_u),
-                        (*out.quad_s, *out.conic_t)):
-        ok = ok and getattr(q, "shape", None) == rows + br.affine.shape[:1]
-        ok = ok and getattr(s, "shape", None) == rows
-    if not ok:
-        raise DimensionError(f"out is not a trace of this model over {n} rows")
 
 
 def _forward_rows(params: SocIcnnParams, X: np.ndarray, out: ForwardTrace) -> ForwardTrace:
@@ -510,6 +496,7 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     x = as_input(params, x)
     rows = _forward_rows(params, x[None], empty_trace(params, 1))
     return ForwardTrace(
+        model=params,
         inputs=rows.inputs[0],
         preacts=tuple(pre[0] for pre in rows.preacts),
         acts=tuple(act[0] for act in rows.acts),
@@ -529,16 +516,17 @@ def batch_forward(params: SocIcnnParams, X: np.ndarray, out=None) -> ForwardTrac
     ``.total`` holds the n forward values, and the per-layer and per-branch
     intermediates are what the gradient engine reads.  The pass writes into
     ``out``, a trace from ``empty_trace(params, n)``, and returns it; without
-    ``out`` it writes into a fresh one.  An ``out`` of other shapes raises
-    ``DimensionError``.
+    ``out`` it writes into a fresh one.  An ``out`` built for another params
+    object, even one of the same layout, or over another row count raises
+    ``DimensionError`` before anything is written.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {X.shape}")
     if out is None:
         out = empty_trace(params, X.shape[0])
-    else:
-        _check_trace(params, out, X.shape[0])
+    elif out.model is not params or getattr(out.total, "shape", None) != X.shape[:1]:
+        raise DimensionError(f"out is not a trace of this params object over {X.shape[0]} rows")
     return _forward_rows(params, X, out)
 
 

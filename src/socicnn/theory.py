@@ -113,13 +113,17 @@ def sup_error_estimate(
     """Dense-sampling estimate of sup |h - approx| on [-1, 1]^dim, in blocks,
     where dim is the column count of ``approx.slopes``.  ``oracle`` maps rows
     to (values, gradients) as in ``build_tangent_max_affine``; only the values
-    are read.  ``num_samples`` below 1 raises ``ValueError``."""
+    are read.  Each block's samples are drawn as it is evaluated, so memory
+    does not grow with ``num_samples``; the blocks continue one stream, so
+    the samples are those of one whole draw.  ``num_samples`` below 1 raises
+    ``ValueError``."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     dim = approx.slopes.shape[1]
-    X = spawn_rng(seed, dim, approx.num_pieces).uniform(-1.0, 1.0, (num_samples, dim))
+    rng = spawn_rng(seed, dim, approx.num_pieces)
     rows = max(1, SAMPLE_BLOCK_ENTRIES // approx.num_pieces)
-    blocks = (X[i : i + rows] for i in range(0, num_samples, rows))
+    blocks = (rng.uniform(-1.0, 1.0, (min(rows, num_samples - i), dim))
+              for i in range(0, num_samples, rows))
     # np.max, not max: a NaN in any block must survive into the estimate
     errors = [np.max(np.abs(oracle(B)[0] - eval_max_affine_batch(approx, B))) for B in blocks]
     return float(np.max(errors))

@@ -17,6 +17,7 @@ from socicnn import (
     spawn_rng,
     value_and_input_gradient_batch,
 )
+from socicnn import gradients
 from socicnn.gradients import Workspace, chain_multipliers, empty_workspace
 from socicnn.model import (
     LayerParams,
@@ -246,8 +247,9 @@ def test_parameter_gradients_into_a_reused_workspace_match_a_fresh_call(activati
 
 
 def test_parameter_gradients_reject_a_workspace_of_another_model_rows_or_width():
-    # the workspace records the params object it was built for, so a twin of
-    # the same layout is refused too; nothing is written before the refusal
+    # the workspace's trace records the params object it was built for, so a
+    # twin of the same layout is refused too; nothing is written before the
+    # refusal, in the workspace or in the gradient
     m = random_model(30, num_quad=1, num_conic=1)
     X = spawn_rng(30).uniform(-1.0, 1.0, (5, m.input_dim))
     y = np.zeros(5)
@@ -258,10 +260,14 @@ def test_parameter_gradients_reject_a_workspace_of_another_model_rows_or_width()
         (empty_workspace(m, 4), X),
         (empty_workspace(m, 5), np.hstack([X, X[:, :1]])),
     ):
+        for a in workspace_arrays(work):
+            a.fill(np.nan)
+        before = [a.tobytes() for a in workspace_arrays(work)]
         g = np.full(flatten_params(m).size, np.nan)
         with pytest.raises(DimensionError):
             parameter_gradients(m, batch, y, unflatten_params(m, g), work)
         assert np.all(np.isnan(g))
+        assert [a.tobytes() for a in workspace_arrays(work)] == before
     work = empty_workspace(m, 5)
     for bad in (np.nan, np.inf, -np.inf):
         batch = X.copy()
@@ -270,6 +276,25 @@ def test_parameter_gradients_reject_a_workspace_of_another_model_rows_or_width()
         with pytest.raises(ValueError, match="non-finite"):
             parameter_gradients(m, batch, y, unflatten_params(m, g), work)
         assert np.all(np.isnan(g))
+
+
+def test_parameter_gradients_run_their_forward_through_batch_forward(monkeypatch):
+    # one forward per call, into the workspace's trace when one is given
+    m = random_model(35, num_quad=1, num_conic=1)
+    X = spawn_rng(35).uniform(-1.0, 1.0, (7, m.input_dim))
+    y = np.zeros(7)
+    work = empty_workspace(m, 7)
+    outs = []
+
+    def counting(params, batch, out=None):
+        outs.append(out)
+        return batch_forward(params, batch, out)
+
+    monkeypatch.setattr(gradients, "batch_forward", counting)
+    parameter_gradients(m, X, y, _gradient_model(m), work)
+    parameter_gradients(m, X, y, _gradient_model(m))
+    assert len(outs) == 2
+    assert outs[0] is work.trace and outs[1] is not None and outs[1] is not work.trace
 
 
 @pytest.mark.parametrize("variant, width, rows", [("QuadOnly", 8, 64), ("SOC", 20, 128)])

@@ -1,11 +1,12 @@
 """Every module-level import and private name of a library module is used
-in that module, the simplex oracle imports nothing of the library, only
-``empty_trace`` and ``forward`` build a ``ForwardTrace``, only
-``empty_workspace`` builds a gradient ``Workspace``, only ``init_model``,
-``from_json_dict`` and ``from_structured_class`` pack an affine block with
-``affine_block``, which ``_rebuild`` only views, every library name
-that ``bench/`` reaches exists, and every decide setting it passes is a
-parameter of ``decide_instance``."""
+in that module, no library module imports another's private name, the
+simplex oracle imports nothing of the library, only ``empty_trace`` and
+``forward`` build a ``ForwardTrace``, only ``forward`` and ``batch_forward``
+call ``_forward_rows``, only ``empty_workspace`` builds a gradient
+``Workspace``, only ``init_model``, ``from_json_dict`` and
+``from_structured_class`` pack an affine block with ``affine_block``, which
+``_rebuild`` only views, every library name that ``bench/`` reaches exists,
+and every decide setting it passes is a parameter of ``decide_instance``."""
 
 import ast
 import importlib
@@ -45,6 +46,18 @@ def test_no_unused_private_module_names(path):
     assert sorted(name for name in defined - read if name.startswith("_")) == []
 
 
+def test_no_library_module_imports_a_private_name():
+    # a private name is its module's own; another module that needs it
+    # should reach it through the public function that wraps it
+    private = sorted(f"{path.stem}: {node.module}.{alias.name}"
+                     for path in [*SOURCES, ROOT / "src" / "socicnn" / "__init__.py"]
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom)
+                     for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert private == []
+
+
 def test_simplex_imports_only_numpy_and_typing():
     # the oracle checks the forward pass, so it may share no code with it
     tree = ast.parse((ROOT / "src" / "socicnn" / "simplex.py").read_text())
@@ -59,11 +72,13 @@ def test_simplex_imports_only_numpy_and_typing():
 
 
 def _builders(cls: str):
-    """module.function of every call of ``cls`` in the library's sources."""
+    """module.function of every call of ``cls`` in the library's sources, by
+    its bare name or as an attribute."""
     return sorted(f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
                   for path in SOURCES for stmt in ast.parse(path.read_text()).body
                   for node in ast.walk(stmt)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == cls)
+                  if isinstance(node, ast.Call)
+                  and cls in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_empty_trace_and_forward_build_a_forward_trace():
@@ -72,9 +87,17 @@ def test_only_empty_trace_and_forward_build_a_forward_trace():
     assert _builders("ForwardTrace") == ["model.empty_trace", "model.forward"]
 
 
+def test_only_forward_and_batch_forward_run_the_forward_rows():
+    # batch_forward checks its trace against the params object and the rows,
+    # and forward builds its own; any other caller would skip that check and
+    # hide its pass from a tracer of batch_forward
+    assert _builders("_forward_rows") == ["model.batch_forward", "model.forward"]
+
+
 def test_only_empty_workspace_builds_a_workspace():
     # every parameter_gradients call runs in a workspace from empty_workspace,
-    # given or built; a second backward mode would build its buffers elsewhere
+    # given or built, and its forward writes through batch_forward into the
+    # workspace's trace; a second backward mode would build its buffers elsewhere
     assert _builders("Workspace") == ["gradients.empty_workspace"]
 
 

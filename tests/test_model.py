@@ -291,9 +291,10 @@ def test_forward_is_row_zero_of_the_batch():
         x = spawn_rng(12, num_quad, num_conic, int(passthrough)).uniform(-2, 2, m.input_dim)
         tr = forward(m, x)
         rows = batch_forward(m, x[None])
-        for name in ForwardTrace.__slots__:
+        assert tr.model is rows.model is m
+        for name in TRACE_ARRAY_FIELDS:
             point, batch = getattr(tr, name), getattr(rows, name)
-            if not isinstance(batch, list):
+            if not isinstance(batch, tuple):
                 point, batch = [point], [batch]
             assert len(point) == len(batch), name
             for value, full in zip(point, batch):
@@ -319,10 +320,14 @@ def test_batch_forward_matches_pointwise():
         assert forward(m, row).total == pytest.approx(total, rel=1e-13, abs=1e-13)
 
 
+# every field of a trace but ``model``, the params object it was built for
+TRACE_ARRAY_FIELDS = [name for name in ForwardTrace.__slots__ if name != "model"]
+
+
 def trace_arrays(trace):
     """Every array of a batch trace, field by field."""
-    return [[*value] if isinstance(value, list) else [value]
-            for value in (getattr(trace, name) for name in ForwardTrace.__slots__)]
+    return [[*value] if isinstance(value, tuple) else [value]
+            for value in (getattr(trace, name) for name in TRACE_ARRAY_FIELDS)]
 
 
 @pytest.mark.parametrize("activation", [RELU, SOFTPLUS])
@@ -353,25 +358,35 @@ def test_batch_forward_into_buffers_is_bitwise_a_fresh_pass(activation, passthro
 
 
 def test_batch_forward_rejects_a_mismatched_buffer():
+    # a trace answers only to the params object it was built for, so a twin
+    # of the same layout is refused too; nothing is written before the refusal
     m = random_model(32, num_quad=1, num_conic=1)
     X = spawn_rng(32).uniform(-2, 2, (37, m.input_dim))
-    short = empty_trace(m, 37)
-    short.quad_s.pop()
-    stacked = empty_trace(m, 37)
-    stacked.acts[1] = np.empty((2, 37, 8))
     for buf in (
         empty_trace(m, 36),
+        empty_trace(m, 38),
+        empty_trace(unflatten_params(m, flatten_params(m)), 37),
+        empty_trace(random_model(32, num_quad=1, num_conic=1), 37),
         empty_trace(random_model(32, widths=(8, 7), num_quad=1, num_conic=1), 37),
         empty_trace(random_model(32, num_quad=1, num_conic=2), 37),
         empty_trace(random_model(32, d0=8, num_quad=1, num_conic=1), 37),
-        short,
-        stacked,
     ):
+        for field in trace_arrays(buf):
+            for a in field:
+                a.fill(np.nan)
         with pytest.raises(DimensionError, match="37 rows"):
             batch_forward(m, X, buf)
+        assert all(np.isnan(a).all() for field in trace_arrays(buf) for a in field)
     # a single point's trace has no row axis and scalar norms
     with pytest.raises(DimensionError, match="1 rows"):
         batch_forward(m, X[:1], forward(m, X[0]))
+    # the arrays of a trace cannot be dropped or swapped for others
+    buf = empty_trace(m, 37)
+    with pytest.raises(AttributeError):
+        buf.quad_s.pop()
+    with pytest.raises(TypeError):
+        buf.acts[1] = np.empty((2, 37, 8))
+    assert batch_forward(m, X, buf) is buf
 
 
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "Softplus"])

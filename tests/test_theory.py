@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,29 @@ def test_sup_error_keeps_a_nan_from_any_block(monkeypatch):
 
     assert math.isnan(sup_error_estimate(nan_in_the_last_block, approx, num_samples=10))
     assert blocks == [2] * 5
+
+
+def test_sup_error_draws_each_block_as_it_goes(monkeypatch):
+    # 16 pieces at 2**14 affine values per block make blocks of 1,024 samples;
+    # 64 blocks drawn at once, 2 MB in 4-d, would be over four times the
+    # peak of one block, and would end in a MemoryError at a large --samples
+    approx = build_tangent_max_affine(_half_sq, midpoint_grid(4, 2))
+    num_samples = 64 * 1024
+    one_block = sup_error_estimate(_half_sq, approx, num_samples=num_samples)
+    monkeypatch.setattr("socicnn.theory.SAMPLE_BLOCK_ENTRIES", 1 << 14)
+    peaks = []
+    for samples in (1024, 1024, num_samples):  # the first call is numpy's set-up
+        tracemalloc.start()
+        try:
+            estimate = sup_error_estimate(_half_sq, approx, num_samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole = num_samples * 4 * np.dtype(np.float64).itemsize
+    assert whole >= 4 * peaks[1]
+    assert peaks[2] < peaks[1] + whole / 4
+    # the blocks continue one stream: the samples are those of one draw
+    assert estimate == one_block
 
 
 def test_tangent_net_underapproximates_convex_targets():
