@@ -107,6 +107,7 @@ def test_sup_error_draws_each_block_as_it_goes(monkeypatch):
     # peak of one block, and would end in a MemoryError at a large --samples
     approx = build_tangent_max_affine(_half_sq, midpoint_grid(4, 2))
     num_samples = 64 * 1024
+    # at the default block size every sample lies in one block
     one_block = sup_error_estimate(_half_sq, approx, num_samples=num_samples)
     monkeypatch.setattr("socicnn.theory.SAMPLE_BLOCK_ENTRIES", 1 << 14)
     peaks = []
