@@ -95,12 +95,18 @@ class _Cone:
         return out
 
     def jordan_solve(self, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The u with lam o u = r, for lam inside K."""
+        """The u with lam o u = r, for lam inside K.  A cone block of lam
+        with head or det 0 has no such u: ConeProgramError."""
         out = np.empty_like(r)
         out[: self.linear] = r[: self.linear] / lam[: self.linear]
         for sl in self.blocks:
             l, c = lam[sl], r[sl]
-            head = (l[0] * c[0] - l[1:] @ c[1:]) / self.det(lam, sl)
+            det = self.det(lam, sl)
+            if l[0] == 0.0 or det == 0.0:
+                raise ConeProgramError(
+                    "no solution: a cone block of the scaled iterate has head or determinant 0"
+                )
+            head = (l[0] * c[0] - l[1:] @ c[1:]) / det
             out[sl.start] = head
             out[sl.start + 1 : sl.stop] = (c[1:] - head * l[1:]) / l[0]
         return out

@@ -77,14 +77,19 @@ def softplus(t, out=None):
 
 def sigmoid(t, out=None):
     """1 / (1 + exp(-t)), as where(t >= 0, 1, e) / (1 + e) with e = exp(-|t|),
-    written into ``out`` when given."""
+    written into ``out`` when given (which may be t itself).
+
+    The numerator is max(t >= 0, e): 1.0 or 0.0 against e <= 1, with NaN
+    kept, so no masked copy is needed.  The sign is read before e is written
+    into ``out``.
+    """
     t = np.asarray(t, dtype=np.float64)
     if out is None:
         out = np.empty_like(t)
+    nonnegative = np.greater_equal(t, 0.0)
     e = np.exp(np.negative(np.abs(t, out=out), out=out), out=out)
     denom = e + 1.0
-    np.copyto(e, 1.0, where=t >= 0)
-    return np.divide(e, denom, out=e)
+    return np.divide(np.maximum(nonnegative, e, out=e), denom, out=e)
 
 
 def half_sqnorm_rows(Q: np.ndarray, out=None) -> np.ndarray:

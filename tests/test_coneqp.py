@@ -183,6 +183,17 @@ def test_malformed_or_infeasible_problems_raise_the_named_error(change, message)
         coneqp.solve(**{**_small_problem(), **change})
 
 
+@pytest.mark.parametrize("block", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                         ids=["zero", "zero_head", "zero_det"])
+def test_jordan_solve_on_a_cone_boundary_raises_the_named_error(block):
+    # lam o u = r has no solution there; dividing by the zero head or
+    # determinant instead would be a RuntimeWarning (an error under pytest's
+    # filterwarnings) and a NaN step
+    cone = coneqp._Cone(1, [3])
+    with pytest.raises(ConeProgramError, match="head or determinant 0"):
+        cone.jordan_solve(np.array([1.0] + block), np.ones(4))
+
+
 def test_solver_imports_only_numpy_and_typing():
     # like the simplex oracle, the solver shares no code with the forward
     # pass; and the certificate path does not reach the solver

@@ -465,6 +465,16 @@ def test_softplus_is_within_four_ulps_of_logaddexp():
     assert edge[-1] == 0.0 and edge[-2] == np.inf and edge[-3] == 0.0
 
 
+def test_activations_may_write_over_their_input():
+    # each reads t before it writes out, so out may be t itself
+    t = _activation_inputs()
+    for activation in (softplus, sigmoid):
+        expected = activation(t)
+        over = t.copy()
+        assert activation(over, out=over) is over
+        assert over.tobytes() == expected.tobytes()
+
+
 def test_midpoint_convexity_sampled():
     rng = spawn_rng(77)
     worst = -np.inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ def _dense_pivot(tableau, row, col):
     tableau -= np.outer(factors, tableau[row])
 
 
-def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter, pivots=None):
+def _one_pivot_iterate(tableau, basis, A, feas_tol, max_iter, pivots=None):
     """Reference: the dual Bland loop that picks the leaving row and the
     entering column again before every pivot, each a ``_dense_pivot``; the
-    (row, col) pivots are appended to ``pivots`` if given."""
-    m, n = abs_a.shape
+    (row, col) pivots are appended to ``pivots`` if given.  Like the
+    planner, it takes |A| of the columns it reads."""
+    m, n = A.shape
     values, costs = tableau[:m, -1], tableau[-1]
     for _ in range(max_iter):
         infeasible = (values < -feas_tol).nonzero()[0]
@@ -28,7 +31,7 @@ def _one_pivot_iterate(tableau, basis, abs_a, feas_tol, max_iter, pivots=None):
         entries = tableau[row, :-1]
         eligible = entries < 0.0
         structural = eligible[:n].nonzero()[0]
-        terms = np.abs(entries[n:]) @ abs_a[:, structural]
+        terms = np.abs(entries[n:]) @ np.abs(A[:, structural])
         eligible[structural] = -entries[structural] > simplex._PIVOT_TOL * terms
         eligible = eligible.nonzero()[0]
         if eligible.size == 0:
@@ -219,19 +222,19 @@ def _traced_solve(monkeypatch, one_at_a_time, c, A, b, max_iter=None):
     pivots, tableaus, passes = [], [], []
     plan, iterate = simplex._plan_pass, simplex._dual_iterate
 
-    def planned(tableau, basis, rows, abs_a):
-        cols = plan(tableau, basis, rows, abs_a)
+    def planned(tableau, basis, rows, A):
+        cols = plan(tableau, basis, rows, A)
         pivots.extend(zip(rows[: cols.size].tolist(), cols.tolist()))
         passes.append(cols.size)
         return cols
 
-    def limited(tableau, basis, abs_a, feas_tol, limit):
+    def limited(tableau, basis, A, feas_tol, limit):
         tableaus.append(tableau)
         limit = limit if max_iter is None else max_iter
         if one_at_a_time:
-            _one_pivot_iterate(tableau, basis, abs_a, feas_tol, limit, pivots)
+            _one_pivot_iterate(tableau, basis, A, feas_tol, limit, pivots)
         else:
-            iterate(tableau, basis, abs_a, feas_tol, limit)
+            iterate(tableau, basis, A, feas_tol, limit)
 
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "_plan_pass", planned)
@@ -319,6 +322,84 @@ def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
             assert len(passes) == len(pivots) > 0
 
 
+def _solve_from_a_copied_build(c, A, b):
+    """Reference: the tableau built from whole-array copies (-A, an identity
+    and the full |A|), run through the same pass loop; the final tableau and
+    basis, then (value, y)."""
+    c, A, b = (np.asarray(v, dtype=np.float64) for v in (c, A, b))
+    m, n = A.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = -A
+    tableau[:m, n:-1] = np.eye(m)
+    tableau[:m, -1] = -b
+    tableau[-1, :n] = c
+    basis = np.arange(n, n + m)
+    feas_tol = simplex._FEAS_TOL * float(np.max(np.abs(b), initial=0.0))
+    simplex._dual_iterate(tableau, basis, np.abs(A), feas_tol, 200 * (m + n + 10))
+    y = np.zeros(n)
+    structural = basis < n
+    y[basis[structural]] = tableau[:m, -1][structural]
+    return tableau, basis, (float(c @ y), y)
+
+
+@pytest.mark.parametrize("passthrough", [True, False])
+@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
+def test_the_in_place_build_solves_bit_for_bit_like_the_copied_one(
+        monkeypatch, d0, width, depth, passthrough):
+    # the tableau is built inside its own allocation and the planner takes
+    # |A| of the columns it gathers; |.| and negation are exact, so nothing
+    # of the solve may move by a bit
+    finals = []
+    iterate = simplex._dual_iterate
+
+    def kept(tableau, basis, A, feas_tol, limit):
+        iterate(tableau, basis, A, feas_tol, limit)
+        finals.append((tableau, basis))
+
+    for seed in (3, 4):
+        for scale in (1.0, 1e-6, 1e8):
+            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
+            ref_tableau, ref_basis, (ref_value, ref_y) = _solve_from_a_copied_build(
+                lift.objective, lift.row_coeffs, lift.row_rhs)
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, "_dual_iterate", kept)
+                value, y = solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
+            tableau, basis = finals.pop()
+            assert tableau.tobytes() == ref_tableau.tobytes()
+            assert np.array_equal(basis, ref_basis)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert y.tobytes() == ref_y.tobytes()
+
+
+@pytest.mark.parametrize("passthrough", [True, False])
+def test_a_certify_solve_allocates_little_beyond_its_tableau(monkeypatch, passthrough):
+    # at n192 a copy of -A, an identity or the full |A| is half a tableau
+    # each: the first two would show in the build, which allocates only the
+    # tableau and numpy's 64 kB buffer for a strided ufunc write, and the last
+    # through the passes, whose own temporaries span one pass's rows or columns
+    built = []
+    iterate = simplex._dual_iterate
+
+    def entered(*args):
+        built.append(tracemalloc.get_traced_memory()[1])
+        iterate(*args)
+
+    monkeypatch.setattr(simplex, "_dual_iterate", entered)
+    for seed in range(4):
+        lift = build_lp_lift(*_certify_model(20, 64, 3, passthrough, seed))
+        m, n = lift.row_coeffs.shape
+        tableau_bytes = (m + 1) * (n + m + 1) * 8
+        solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built[-1] <= 1.25 * tableau_bytes
+        assert peak <= 1.8 * tableau_bytes
+
+
 def _structured_lp(rng):
     """Rows with one positive entry among sparse, mostly negative others, as
     a lift's rows have; random right-hand sides and some zero costs."""
@@ -362,7 +443,7 @@ def test_a_structured_lp_answer_satisfies_its_rows_or_raises():
     assert np.all(A @ y - b >= -1e-9 * max(1.0, float(np.max(np.abs(b)))))
 
 
-def _iterate_both(tableau, basis, abs_a):
+def _iterate_both(tableau, basis, A):
     """Run the pass loop and the one-pivot reference on copies of a tableau
     and its basis; each run's error (or None) and final basis are equal, and
     the final tableaus close.  The first run's error, tableau and basis."""
@@ -370,7 +451,7 @@ def _iterate_both(tableau, basis, abs_a):
     for iterate in (simplex._dual_iterate, _one_pivot_iterate):
         state, final_basis = tableau.copy(), basis.copy()
         try:
-            iterate(state, final_basis, abs_a, 0.0, 10)
+            iterate(state, final_basis, A, 0.0, 10)
             outcome = None
         except SimplexError as error:
             outcome = (type(error), str(error))
