@@ -14,6 +14,7 @@ has no exact lift and is rejected rather than silently approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import List, Tuple
 
@@ -23,6 +24,7 @@ from . import simplex
 from .gradients import chain_multipliers
 from .model import (
     RELU,
+    DimensionError,
     ForwardTrace,
     LayerParams,
     SocIcnnParams,
@@ -79,40 +81,55 @@ def _affine(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     return layer.b if w_x is None else layer.b + w_x @ x
 
 
+def _z_block(params: SocIcnnParams) -> np.ndarray:
+    """I - W_z over the hidden states stacked layer by layer: the z-block of
+    the lift's rows, which only this function writes.  A smooth-activation
+    model has no such rows and raises ``UnsupportedActivationError``."""
+    _require_relu(params)
+    n = sum(params.widths)
+    z_block = np.zeros((n, n))
+    z_block.reshape(-1)[:: n + 1] = 1.0  # np.eye(n), without its wrapper
+    prev = lo = 0
+    for layer in params.layers:
+        hi = lo + layer.width
+        if layer.w_z is not None:
+            np.negative(layer.w_z, out=z_block[lo:hi, prev:lo])
+        prev, lo = lo, hi
+    return z_block
+
+
 def lift_rows(params: SocIcnnParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lift's rows over (x, z), one per hidden unit:
 
         z_block @ z >= x_block @ x + b,
 
     that is z_l - W_z z_{l-1} >= W_x x + b for every layer l, with z the
-    hidden states stacked layer by layer.  The z-block is I - W_z, and the
-    x-block holds each layer's W_x (zero on a layer that does not read x).
-    This is the only code that writes these rows: ``build_lp_lift`` keeps
-    the z-block and evaluates the right-hand side at x with ``_affine``, and
-    the decision pipeline keeps x as variables.  A smooth-activation model
-    has no such rows and raises ``UnsupportedActivationError``."""
-    _require_relu(params)
-    n = sum(params.widths)
-    z_block = np.eye(n)
-    x_block = np.zeros((n, params.input_dim))
-    prev = lo = 0
+    hidden states stacked layer by layer.  The z-block is I - W_z, from
+    ``_z_block``, and the x-block holds each layer's W_x (zero on a layer
+    that does not read x).  The decision pipeline keeps all three, with x
+    as variables; ``build_lp_lift`` builds the z-block alone and evaluates
+    the right-hand side at x with ``_affine``, so the x-block and b are
+    built here only.  A smooth-activation model has no such rows and
+    raises ``UnsupportedActivationError``."""
+    z_block = _z_block(params)
+    x_block = np.zeros((z_block.shape[0], params.input_dim))
+    lo = 0
     for layer in params.layers:
-        hi = lo + layer.width
-        if layer.w_z is not None:
-            np.negative(layer.w_z, out=z_block[lo:hi, prev:lo])
         if layer.w_x is not None:
-            x_block[lo:hi] = layer.w_x
-        prev, lo = lo, hi
+            x_block[lo : lo + layer.width] = layer.w_x
+        lo += layer.width
     return z_block, x_block, np.concatenate([layer.b for layer in params.layers])
 
 
 def build_lp_lift(params: SocIcnnParams, x) -> LpLift:
     """Lift whose optimal value is the backbone value at x (plus branches,
-    handled separately by the cone blocks): the z-block of ``lift_rows``
-    over the right-hand side b + W_x x, the map ``extract_dual_certificate``
-    reads too.  An x of any shape but (d0,) raises ``DimensionError``."""
+    handled separately by the cone blocks): the z-block of the lift's rows
+    (``_z_block``, the one ``lift_rows`` returns) over the right-hand side
+    b + W_x x, the map ``extract_dual_certificate`` reads too.  It builds no
+    x-block: x is data here, not a variable as in ``lift_rows``.  An x of
+    any shape but (d0,) raises ``DimensionError``."""
     x = as_input(params, x)
-    rows = lift_rows(params)[0]
+    rows = _z_block(params)
     rhs = np.concatenate([_affine(layer, x) for layer in params.layers])
 
     objective = np.zeros(rhs.shape[0])
@@ -149,10 +166,10 @@ def socp_oracle_value(params: SocIcnnParams, x) -> float:
     value, _ = simplex_lp_solve(build_lp_lift(params, x))
     for br in params.quad:
         resid = br.proj @ x + br.offset
-        value += br.weight * 0.5 * float(np.sum(resid * resid))
+        value += br.weight * 0.5 * float(np.add.reduce(resid * resid))
     for br in params.conic:
         resid = br.proj @ x + br.offset
-        value += br.weight * float(np.sqrt(np.sum(resid * resid)))
+        value += br.weight * math.sqrt(float(np.add.reduce(resid * resid)))
     return value
 
 
@@ -178,10 +195,16 @@ def extract_dual_certificate(
     At an exactly-zero preactivation the multiplier is set to 0 (any value in
     the box certifies; 0 is the deterministic choice), and a vanishing norm
     gets the zero dual, which is exact because its primal term vanishes too.
-    An x of any shape but (d0,) raises ``DimensionError``.
+    An x of any shape but (d0,) raises ``DimensionError``, and so does a
+    trace that is not ``forward(params, x)``'s: one built for another params
+    object, even one of the same layout, at another point or over a batch.
     """
     _require_relu(params)
     x = as_input(params, x)
+    inputs = trace.inputs  # [x | 1] on forward's one row
+    if (trace.model is not params or inputs.shape != (x.shape[0] + 1,)
+            or inputs[-1] != 1.0 or (inputs[:-1] != x).any()):
+        raise DimensionError("trace is not the forward of this params object at x")
     nus = chain_multipliers(params, trace.preacts)
 
     dual = float(params.w_skip @ x) + params.b_out
@@ -266,16 +289,16 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
     primal_viol = []
     comp_slack = []
     for pre, z in zip(trace.preacts, trace.acts):
-        primal_viol.append(np.max(pre - z, initial=0.0))
-        primal_viol.append(np.max(-z, initial=0.0))
+        primal_viol.append(np.maximum.reduce(pre - z, initial=0.0))
+        primal_viol.append(np.maximum.reduce(-z, initial=0.0))
         comp_slack.append(abs(float(cert.nu[len(comp_slack)] @ (z - pre))))
 
     dual_box = []
     upper = params.w_out
     for idx in range(params.depth - 1, -1, -1):
         nu = cert.nu[idx]
-        dual_box.append(np.max(-nu, initial=0.0))
-        dual_box.append(np.max(nu - upper, initial=0.0))
+        dual_box.append(np.maximum.reduce(-nu, initial=0.0))
+        dual_box.append(np.maximum.reduce(nu - upper, initial=0.0))
         if idx > 0:
             upper = params.layers[idx].w_z.T @ nu
 
@@ -293,8 +316,8 @@ def diagnostics_report(params: SocIcnnParams, x) -> DiagnosticsReport:
         recomputed = float(norm_rows(u[None])[0])
         norm_epi.append(max(recomputed - t, 0.0))
         norm_tight.append(abs(t - recomputed))
-        ball = max(float(np.sqrt(np.dot(mu, mu))) - br.weight, 0.0)
-        norm_ball.append(ball if np.isfinite(t) else np.nan)
+        ball = max(math.sqrt(float(mu @ mu)) - br.weight, 0.0)
+        norm_ball.append(ball if math.isfinite(t) else math.nan)
         norm_align.append(abs(float(mu @ u) - br.weight * t))
 
     return DiagnosticsReport(
@@ -329,8 +352,11 @@ def run_verification_trials(
     the other trials.  Each report holds the eleven metrics of
     ``DiagnosticsReport`` plus the trial's seed, index and model settings.
     Every branch has size ``input_dim``, and inputs are uniform on
-    [-3, 3]^input_dim.
+    [-3, 3]^input_dim.  No trials is the empty sweep; a negative count
+    raises ``ValueError``.
     """
+    if num_trials < 0:
+        raise ValueError(f"num_trials must be at least 0, got {num_trials}")
     reports = []
     for index in range(num_trials):
         model = init_model(

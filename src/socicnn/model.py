@@ -500,16 +500,17 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
     x = as_input(params, x)
     rows = _forward_rows(params, x[None], empty_trace(params, 1))
+    # each tuple from a list, as in empty_trace
     return ForwardTrace(
         model=params,
         inputs=rows.inputs[0],
-        preacts=tuple(pre[0] for pre in rows.preacts),
-        acts=tuple(act[0] for act in rows.acts),
+        preacts=tuple([pre[0] for pre in rows.preacts]),
+        acts=tuple([act[0] for act in rows.acts]),
         backbone_value=float(rows.backbone_value[0]),
-        quad_q=tuple(Q[0] for Q in rows.quad_q),
-        quad_s=tuple(float(s[0]) for s in rows.quad_s),
-        conic_u=tuple(U[0] for U in rows.conic_u),
-        conic_t=tuple(float(t[0]) for t in rows.conic_t),
+        quad_q=tuple([Q[0] for Q in rows.quad_q]),
+        quad_s=tuple([float(s[0]) for s in rows.quad_s]),
+        conic_u=tuple([U[0] for U in rows.conic_u]),
+        conic_t=tuple([float(t[0]) for t in rows.conic_t]),
         total=float(rows.total[0]),
     )
 

@@ -21,13 +21,14 @@ smallest column.
 
 The tableau is written into its one ``np.zeros``: ``-A`` and ``-b`` by
 ``np.negative`` into their blocks, and the identity onto the diagonal of the
-surplus block.  The pivot test reads |A| by column, taking ``np.abs`` of only
-the columns that it gathers.  So a solve allocates its tableau, ``y`` and,
-one pass at a time, temporaries that span the pass's rows or columns, but no
-copy of A: on the n = 192 certify lift its tracemalloc peak is 1.4 to 1.6
-times the tableau's bytes.  Three more arrays of A's size take it past
-twice the tableau, and the C heap, trimmed when they are freed, then faults
-about 1 MB back in on every solve.
+surplus block through one strided slice of the flat tableau (entry
+(i, n + i) sits at flat index n + i (n + m + 2)).  The pivot test reads |A|
+by column, taking ``np.abs`` of only the columns that it gathers.  So a
+solve allocates its tableau, ``y`` and, one pass at a time, temporaries that
+span the pass's rows or columns, but no copy of A: on the n = 192 certify
+lift its tracemalloc peak is 1.4 to 1.6 times the tableau's bytes.  Three
+more arrays of A's size take it past twice the tableau, and the C heap,
+trimmed when they are freed, then faults about 1 MB back in on every solve.
 
 The pivots come in passes.  A pass picks its first pivot by that rule, then
 adds the next infeasible rows in basic-index order to its block while each
@@ -45,7 +46,10 @@ its entries in those columns times the divided rows, over the columns that
 those rows reach.  No pivot of a pass touches another pass row or column, so
 the product reads the original columns and the divided original rows, as the
 pivots in turn would: only the order of the sums changes, and a pass of one
-pivot gives the dense rank-one update up to the sign of a zero.
+pivot gives the dense rank-one update up to the sign of a zero.  The update
+reads and writes its block at the flat indices row * (n + m + 1) + column
+of the tableau: one gather and one scatter, with the bits of the 2-D fancy
+index and about half its time on the n = 192 lift's largest pass.
 
 On a network's lift (W_z >= 0) the rows are reached in layer order, and
 each infeasible one then has a single negative entry, the -1 on its own
@@ -119,7 +123,7 @@ def _plan_pass(
     # rows that the first pivot touches, and all after them, cannot join
     reached = tableau[:m, col] != 0.0
     reached[rows[0]] = False
-    rows = rows[: max(1, np.searchsorted(basis[rows], basis[reached].min(initial=n + m)))]
+    rows = rows[: max(1, basis[rows].searchsorted(basis[reached].min(initial=n + m)))]
     order = np.arange(rows.size)
     negative = tableau[rows, :-1] < 0.0
     cols = negative.argmax(axis=1)
@@ -147,12 +151,18 @@ def _pivot_pass(tableau: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None
     tableau[rows] = pivot_rows
     reached = (tableau[:, cols] != 0.0).any(axis=1)
     reached[rows] = False
-    reached = reached.nonzero()[0][:, None]
+    # each reached row's offset in the flat tableau (see the module docstring)
+    starts = reached.nonzero()[0][:, None] * tableau.shape[1]
     spanned = (pivot_rows != 0.0).any(axis=0).nonzero()[0]
     # take keeps the product's right operand C-contiguous, as the bits of its
     # sums require; pivot_rows[:, spanned] would not be
     pivot_rows = pivot_rows.take(spanned, axis=1)
-    tableau[reached, spanned] -= tableau[reached, cols] @ pivot_rows
+    flat = tableau.reshape(-1, copy=False)  # a view, or a ValueError
+    product = flat[starts + cols] @ pivot_rows
+    # the operands go before the block's index and its copy are made, so the
+    # index costs the solve's peak nothing over the 2-D fancy update's
+    del pivot_rows
+    flat[starts + spanned] -= product
 
 
 def _dual_iterate(
@@ -193,15 +203,17 @@ def solve_min_geq(c, A, b) -> Tuple[float, np.ndarray]:
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
-    if np.any(c < 0.0):
+    if (c < 0.0).any():
         raise ValueError("LP costs must be nonnegative")
     m, n = A.shape
     max_iter = 200 * (m + n + 10)
-    feas_tol = _FEAS_TOL * float(np.max(np.abs(b), initial=0.0))
+    feas_tol = _FEAS_TOL * float(np.maximum.reduce(np.abs(b), initial=0.0))
 
-    tableau = np.zeros((m + 1, n + m + 1))
+    width = n + m + 1
+    tableau = np.zeros((m + 1, width))
     np.negative(A, out=tableau[:m, :n])
-    np.fill_diagonal(tableau[:m, n:-1], 1.0)
+    # the surplus identity, through the flat tableau (see the module docstring)
+    tableau.reshape(-1)[n : n + m * (width + 1) : width + 1] = 1.0
     np.negative(b, out=tableau[:m, -1])
     tableau[-1, :n] = c
     basis = np.arange(n, n + m)

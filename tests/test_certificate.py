@@ -23,12 +23,12 @@ from socicnn import (
     spawn_rng,
     summarize_reports,
 )
-from socicnn.certificate import _METRIC_FIELDS, lift_rows
+from socicnn.certificate import _METRIC_FIELDS, _max_over, lift_rows
 from socicnn.cli import _VERIFY_LIMITS, FEASIBILITY_THRESHOLD, GAP_THRESHOLD, ORACLE_THRESHOLD
 from socicnn.decisions import FeasibleSet, solve_surrogate
 from socicnn.gradients import chain_multipliers
 from socicnn.model import (LayerParams, SocIcnnParams, affine_block, batch_forward, flatten_params,
-                           unflatten_params)
+                           half_sqnorm_rows, norm_rows, unflatten_params)
 
 from test_model import fail_wherever_called, random_model, relu_scalar_model
 
@@ -171,6 +171,29 @@ def test_certificate_zero_norm_kink():
     assert cert.dual_value == tr.total == 0.0
 
 
+def test_a_certificate_refuses_a_trace_that_is_not_the_forward_at_x():
+    # a trace answers only to the params object it was built for, and the
+    # certificate reads its preactivations and norms as those at x: any
+    # other trace would certify another value, or fail in a broadcast
+    m = random_model(41, num_quad=2, num_conic=2)
+    x, other_x = spawn_rng(41, 1).uniform(-3, 3, (2, m.input_dim))
+    refused = {
+        "another model": forward(random_model(42, num_quad=2, num_conic=2), x),
+        "a same-layout twin": forward(unflatten_params(m, flatten_params(m)), x),
+        "another point": forward(m, other_x),
+        "a one-row batch": batch_forward(m, x[None]),
+        "a batch": batch_forward(m, np.stack([x, other_x])),
+    }
+    for name, trace in refused.items():
+        with pytest.raises(DimensionError, match="not the forward of this params object at x"):
+            extract_dual_certificate(m, x, trace)
+    # the point may come as any sequence of its values
+    trace = forward(m, x)
+    for point in (x, x.copy(), x.tolist()):
+        assert extract_dual_certificate(m, point, trace).dual_value == pytest.approx(
+            trace.total, abs=1e-9)
+
+
 def test_weak_and_strong_duality_on_random_models():
     rng = spawn_rng(36)
     for trial in range(40):
@@ -272,6 +295,73 @@ def test_degenerate_passthrough_off_models_certify(d0, width, depth, seed):
     assert report["forward_vs_oracle_abs_err"] <= ORACLE_THRESHOLD
     for name in _METRIC_FIELDS[2:]:
         assert report[name] <= FEASIBILITY_THRESHOLD
+
+
+@pytest.mark.parametrize("count", [-1, -2])
+def test_a_negative_trial_count_is_a_named_error(count):
+    with pytest.raises(ValueError, match=f"num_trials must be at least 0, got {count}"):
+        run_verification_trials(count, 6, 8, 2, 1, 1, True, seed=1)
+    assert run_verification_trials(0, 6, 8, 2, 1, 1, True, seed=1) == []
+
+
+def _rows_through_the_numpy_wrappers(params, x):
+    """Reference: the nine feasibility rows of ``diagnostics_report`` and
+    the oracle's value, reduced through ``np.max``, ``np.sum``, ``np.sqrt``,
+    ``np.dot`` and ``np.isfinite``."""
+    trace = forward(params, x)
+    cert = extract_dual_certificate(params, x, trace)
+    rows = {name: [] for name in _METRIC_FIELDS[2:]}
+    for pre, z, nu in zip(trace.preacts, trace.acts, cert.nu):
+        rows["relu_primal_violation"] += [np.max(pre - z, initial=0.0), np.max(-z, initial=0.0)]
+        rows["relu_complementarity_slack"].append(abs(float(nu @ (z - pre))))
+    upper = params.w_out
+    for idx in range(params.depth - 1, -1, -1):
+        nu = cert.nu[idx]
+        rows["relu_dual_box_violation"] += [np.max(-nu, initial=0.0),
+                                            np.max(nu - upper, initial=0.0)]
+        if idx > 0:
+            upper = params.layers[idx].w_z.T @ nu
+    for q, s in zip(trace.quad_q, trace.quad_s):
+        recomputed = float(half_sqnorm_rows(q[None])[0])
+        rows["quad_epigraph_violation"].append(max(recomputed - s, 0.0))
+        rows["quad_tightness_slack"].append(abs(s - recomputed))
+    for br, u, t, mu in zip(params.conic, trace.conic_u, trace.conic_t, cert.mu_norm):
+        recomputed = float(norm_rows(u[None])[0])
+        rows["norm_epigraph_violation"].append(max(recomputed - t, 0.0))
+        rows["norm_tightness_slack"].append(abs(t - recomputed))
+        ball = max(float(np.sqrt(np.dot(mu, mu))) - br.weight, 0.0)
+        rows["norm_dual_ball_violation"].append(ball if np.isfinite(t) else np.nan)
+        rows["norm_dual_alignment_violation"].append(abs(float(mu @ u) - br.weight * t))
+    value, _ = simplex_lp_solve(build_lp_lift(params, x))
+    for br in params.quad:
+        resid = br.proj @ x + br.offset
+        value += br.weight * 0.5 * float(np.sum(resid * resid))
+    for br in params.conic:
+        resid = br.proj @ x + br.offset
+        value += br.weight * float(np.sqrt(np.sum(resid * resid)))
+    return {name: _max_over(values) for name, values in rows.items()}, value
+
+
+def test_the_ufunc_reductions_report_the_bits_of_the_numpy_wrappers():
+    # np.maximum.reduce is what np.max dispatches to, np.add.reduce what
+    # np.sum does, and math.sqrt rounds as np.sqrt: every row keeps its
+    # bytes, the NaN rows of an overflowing model included
+    cases = [(random_model(700 + k, d0=6, widths=(8, 6, 5), num_quad=2, num_conic=2,
+                           passthrough=bool(k % 2)), spawn_rng(700 + k, 1).uniform(-3, 3, 6))
+             for k in range(30)]
+    m = init_model(3, [4, 4], [3], [3], True, RELU, seed=1)
+    cases.append((unflatten_params(m, flatten_params(m) * 1e160), np.array([1.0, -2.0, 0.5])))
+    nan_rows = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params, x in cases:
+            report = asdict(diagnostics_report(params, x))
+            rows, oracle = _rows_through_the_numpy_wrappers(params, x)
+            for name, value in rows.items():
+                assert np.float64(report[name]).tobytes() == np.float64(value).tobytes(), name
+                nan_rows += math.isnan(value)
+            assert (np.float64(socp_oracle_value(params, x)).tobytes()
+                    == np.float64(oracle).tobytes())
+    assert nan_rows == 8
 
 
 def test_report_serialization_keys():

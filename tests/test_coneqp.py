@@ -120,6 +120,40 @@ def test_lift_is_tight_at_the_forward_pass(variant):
         assert value == pytest.approx(trace.total, rel=1e-12, abs=1e-12)
 
 
+def _lift_rows_with_their_own_z_block(params):
+    """Reference: ``certificate.lift_rows`` as one function, with the
+    z-block started from ``np.eye``."""
+    n = sum(params.widths)
+    z_block = np.eye(n)
+    x_block = np.zeros((n, params.input_dim))
+    prev = lo = 0
+    for layer in params.layers:
+        hi = lo + layer.width
+        if layer.w_z is not None:
+            np.negative(layer.w_z, out=z_block[lo:hi, prev:lo])
+        if layer.w_x is not None:
+            x_block[lo:hi] = layer.w_x
+        prev, lo = lo, hi
+    return z_block, x_block, np.concatenate([layer.b for layer in params.layers])
+
+
+@pytest.mark.parametrize("variant", RELU_VARIANTS)
+@pytest.mark.parametrize("feasible", SETS, ids=lambda f: f.kind)
+def test_the_lift_keeps_its_bits_with_the_z_block_built_apart(monkeypatch, variant, feasible):
+    # the certificate's lift builds only the z-block, and lift_rows adds the
+    # x-block and b to it for this lift; nothing the solver reads may move
+    for seed in range(5):
+        for passthrough in (True, False):
+            model = build_variant_model(variant, feasible.dim, 6, 3, seed, passthrough)
+            problem = surrogate_lift(model, feasible)
+            with monkeypatch.context() as patch:
+                patch.setattr(decisions, "lift_rows", _lift_rows_with_their_own_z_block)
+                reference = surrogate_lift(model, feasible)
+            for key in ("Q", "q", "G", "h"):
+                assert problem[key].tobytes() == reference[key].tobytes(), key
+                assert problem[key].shape == reference[key].shape, key
+
+
 def test_units_and_cones_without_weight_are_left_out():
     # nothing bounds them, so they must not reach the solver; the value is
     # that of the model

@@ -6,7 +6,13 @@ call ``_forward_rows``, only ``empty_workspace`` builds a gradient
 ``Workspace``, only ``init_model``, ``from_json_dict`` and
 ``from_structured_class`` pack an affine block with ``affine_block``, which
 ``_rebuild`` only views, every library name that ``bench/`` reaches exists,
-and every decide setting it passes is a parameter of ``decide_instance``."""
+and every decide setting it passes is a parameter of ``decide_instance``.
+
+The simplex oracle and the certificate run once per certified point on
+small arrays, where numpy's Python-level wrappers (``np.max``, ``np.sum``,
+``np.any``, ``np.fill_diagonal``, ...) cost several times the reduction they
+dispatch to; those two modules call the ufunc's ``reduce`` or the array's
+method instead, which return the same bits, and a lint test pins that."""
 
 import ast
 import importlib
@@ -69,6 +75,22 @@ def test_simplex_imports_only_numpy_and_typing():
             modules.add("." * node.level + (node.module or "").split(".")[0])
     assert "numpy" in modules
     assert modules <= {"__future__", "numpy", "typing"}
+
+
+# numpy functions that are Python wrappers around a ufunc reduction or an
+# array method, with the same bits, and the modules that call neither
+NUMPY_WRAPPERS = {"max", "min", "sum", "any", "all", "fill_diagonal"}
+PER_POINT_MODULES = ("simplex.py", "certificate.py")
+
+
+@pytest.mark.parametrize("name", PER_POINT_MODULES)
+def test_per_point_modules_call_no_numpy_wrapper(name):
+    tree = ast.parse((ROOT / "src" / "socicnn" / name).read_text())
+    called = sorted(f"np.{node.func.attr} (line {node.lineno})" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in NUMPY_WRAPPERS)
+    assert called == []
 
 
 def _builders(cls: str):
