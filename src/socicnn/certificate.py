@@ -87,8 +87,7 @@ def _z_block(params: SocIcnnParams) -> np.ndarray:
     model has no such rows and raises ``UnsupportedActivationError``."""
     _require_relu(params)
     n = sum(params.widths)
-    z_block = np.zeros((n, n))
-    z_block.reshape(-1)[:: n + 1] = 1.0  # np.eye(n), without its wrapper
+    z_block = np.eye(n)
     prev = lo = 0
     for layer in params.layers:
         hi = lo + layer.width

@@ -500,7 +500,6 @@ def forward(params: SocIcnnParams, x) -> ForwardTrace:
     """Evaluate the model at one input: row 0 of the one-row batch x[None]."""
     x = as_input(params, x)
     rows = _forward_rows(params, x[None], empty_trace(params, 1))
-    # each tuple from a list, as in empty_trace
     return ForwardTrace(
         model=params,
         inputs=rows.inputs[0],

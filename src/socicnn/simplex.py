@@ -145,7 +145,11 @@ def _plan_pass(
 def _pivot_pass(tableau: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Pivot on every (rows[i], cols[i]) of a pass as one update (see the
     module docstring), gathering the pass rows once.  Its temporaries go
-    when it returns, before the next pass is planned."""
+    when it returns, before the next pass is planned.  The update goes
+    through a flat view, so a tableau that is not C-contiguous, whose flat
+    form would be a copy, raises ``ValueError``."""
+    if not tableau.flags.c_contiguous:
+        raise ValueError("a pass needs a C-contiguous tableau: its flat form would be a copy")
     pivot_rows = tableau[rows]
     pivot_rows /= tableau[rows, cols][:, None]
     tableau[rows] = pivot_rows
@@ -157,7 +161,7 @@ def _pivot_pass(tableau: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None
     # take keeps the product's right operand C-contiguous, as the bits of its
     # sums require; pivot_rows[:, spanned] would not be
     pivot_rows = pivot_rows.take(spanned, axis=1)
-    flat = tableau.reshape(-1, copy=False)  # a view, or a ValueError
+    flat = tableau.reshape(-1)
     product = flat[starts + cols] @ pivot_rows
     # the operands go before the block's index and its copy are made, so the
     # index costs the solve's peak nothing over the 2-D fancy update's

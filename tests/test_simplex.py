@@ -324,8 +324,7 @@ def test_sparse_pivot_solves_certify_lifts_exactly_like_the_dense_one(
 
 def _solve_from_a_copied_build(c, A, b):
     """Reference: the tableau built from whole-array copies (-A, an identity
-    and the full |A|), run through the same pass loop; the final tableau and
-    basis, then (value, y)."""
+    and the full |A|), run through the same pass loop; (value, y)."""
     c, A, b = (np.asarray(v, dtype=np.float64) for v in (c, A, b))
     m, n = A.shape
     tableau = np.zeros((m + 1, n + m + 1))
@@ -339,36 +338,69 @@ def _solve_from_a_copied_build(c, A, b):
     y = np.zeros(n)
     structural = basis < n
     y[basis[structural]] = tableau[:m, -1][structural]
-    return tableau, basis, (float(c @ y), y)
+    return float(c @ y), y
+
+
+def _fancy_pivot_pass(tableau, rows, cols):
+    """Reference: the pass update through the 2-D fancy index."""
+    pivot_rows = tableau[rows]
+    pivot_rows /= tableau[rows, cols][:, None]
+    tableau[rows] = pivot_rows
+    reached = (tableau[:, cols] != 0.0).any(axis=1)
+    reached[rows] = False
+    reached = reached.nonzero()[0][:, None]
+    spanned = (pivot_rows != 0.0).any(axis=0).nonzero()[0]
+    pivot_rows = pivot_rows.take(spanned, axis=1)
+    tableau[reached, spanned] -= tableau[reached, cols] @ pivot_rows
+
+
+def _assert_solves_bit_for_bit_like_the_copied_build(monkeypatch, c, A, b):
+    """Solve with ``solve_min_geq``, then with ``_solve_from_a_copied_build``
+    through ``_fancy_pivot_pass``; assert that the final tableaux, bases and
+    outcomes are byte-equal, and return the outcome: (value, y) or the
+    error's type and message."""
+    finals, outcomes = [], []
+    iterate = simplex._dual_iterate
+
+    def kept(tableau, basis, *args):
+        finals.append((tableau, basis))  # updated in place, so final even after a raise
+        iterate(tableau, basis, *args)
+
+    for solve, pivot_pass in ((solve_min_geq, simplex._pivot_pass),
+                              (_solve_from_a_copied_build, _fancy_pivot_pass)):
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_dual_iterate", kept)
+            patch.setattr(simplex, "_pivot_pass", pivot_pass)
+            try:
+                outcomes.append(solve(c, A, b))
+            except SimplexError as error:
+                outcomes.append((type(error), str(error)))
+    (tableau, basis), (ref_tableau, ref_basis) = finals
+    assert tableau.tobytes() == ref_tableau.tobytes()
+    assert np.array_equal(basis, ref_basis)
+    outcome, ref_outcome = outcomes
+    if isinstance(ref_outcome[0], type):
+        assert outcome == ref_outcome
+    else:
+        assert np.float64(outcome[0]).tobytes() == np.float64(ref_outcome[0]).tobytes()
+        assert outcome[1].tobytes() == ref_outcome[1].tobytes()
+    return outcome
 
 
 @pytest.mark.parametrize("passthrough", [True, False])
 @pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
 def test_the_in_place_build_solves_bit_for_bit_like_the_copied_one(
         monkeypatch, d0, width, depth, passthrough):
-    # the tableau is built inside its own allocation and the planner takes
-    # |A| of the columns it gathers; |.| and negation are exact, so nothing
-    # of the solve may move by a bit
-    finals = []
-    iterate = simplex._dual_iterate
-
-    def kept(tableau, basis, A, feas_tol, limit):
-        iterate(tableau, basis, A, feas_tol, limit)
-        finals.append((tableau, basis))
-
+    # the tableau is built inside its own allocation, the planner takes |A|
+    # of the columns it gathers, and a pass reads and writes its block at
+    # flat indices; |.|, negation and the flat gather and scatter are exact,
+    # and the product reads the same C-contiguous operands, so nothing of
+    # the solve may move by a bit
     for seed in (3, 4):
         for scale in (1.0, 1e-6, 1e8):
             lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
-            ref_tableau, ref_basis, (ref_value, ref_y) = _solve_from_a_copied_build(
-                lift.objective, lift.row_coeffs, lift.row_rhs)
-            with monkeypatch.context() as patch:
-                patch.setattr(simplex, "_dual_iterate", kept)
-                value, y = solve_min_geq(lift.objective, lift.row_coeffs, lift.row_rhs)
-            tableau, basis = finals.pop()
-            assert tableau.tobytes() == ref_tableau.tobytes()
-            assert np.array_equal(basis, ref_basis)
-            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-            assert y.tobytes() == ref_y.tobytes()
+            _assert_solves_bit_for_bit_like_the_copied_build(
+                monkeypatch, lift.objective, lift.row_coeffs, lift.row_rhs)
 
 
 @pytest.mark.parametrize("passthrough", [True, False])
@@ -428,92 +460,11 @@ def test_passes_pivot_like_one_at_a_time_on_structured_lps(monkeypatch):
     assert blocks > 20 and infeasible > 20
 
 
-def _fancy_pivot_pass(tableau, rows, cols):
-    """Reference: the pass update through the 2-D fancy index."""
-    pivot_rows = tableau[rows]
-    pivot_rows /= tableau[rows, cols][:, None]
-    tableau[rows] = pivot_rows
-    reached = (tableau[:, cols] != 0.0).any(axis=1)
-    reached[rows] = False
-    reached = reached.nonzero()[0][:, None]
-    spanned = (pivot_rows != 0.0).any(axis=0).nonzero()[0]
-    pivot_rows = pivot_rows.take(spanned, axis=1)
-    tableau[reached, spanned] -= tableau[reached, cols] @ pivot_rows
-
-
-def _solve_from_a_fill_diagonal_build(c, A, b):
-    """Reference: ``solve_min_geq`` with the identity written by
-    ``np.fill_diagonal``."""
-    c, A, b = (np.asarray(v, dtype=np.float64) for v in (c, A, b))
-    m, n = A.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    np.negative(A, out=tableau[:m, :n])
-    np.fill_diagonal(tableau[:m, n:-1], 1.0)
-    np.negative(b, out=tableau[:m, -1])
-    tableau[-1, :n] = c
-    basis = np.arange(n, n + m)
-    feas_tol = simplex._FEAS_TOL * float(np.max(np.abs(b), initial=0.0))
-    simplex._dual_iterate(tableau, basis, A, feas_tol, 200 * (m + n + 10))
-    y = np.zeros(n)
-    structural = basis < n
-    y[basis[structural]] = tableau[:m, -1][structural]
-    return float(c @ y), y
-
-
-def _final_state(monkeypatch, reference, c, A, b):
-    """The final tableau and basis of ``solve_min_geq``, or with
-    ``reference`` of the fill_diagonal build and the fancy pass update,
-    then (value, y) or the error's type and message."""
-    finals = []
-    iterate = simplex._dual_iterate
-
-    def kept(tableau, basis, *args):
-        finals.append((tableau, basis))
-        iterate(tableau, basis, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_dual_iterate", kept)
-        if reference:
-            patch.setattr(simplex, "_pivot_pass", _fancy_pivot_pass)
-        try:
-            outcome = (_solve_from_a_fill_diagonal_build if reference else solve_min_geq)(c, A, b)
-        except SimplexError as error:
-            outcome = (type(error), str(error))
-    return (*finals[0], outcome)
-
-
-def _assert_solves_bit_for_bit_like_the_fancy_updates(monkeypatch, c, A, b):
-    tableau, basis, outcome = _final_state(monkeypatch, False, c, A, b)
-    ref_tableau, ref_basis, ref_outcome = _final_state(monkeypatch, True, c, A, b)
-    assert tableau.tobytes() == ref_tableau.tobytes()
-    assert np.array_equal(basis, ref_basis)
-    if isinstance(ref_outcome[0], type):
-        assert outcome == ref_outcome
-    else:
-        assert np.float64(outcome[0]).tobytes() == np.float64(ref_outcome[0]).tobytes()
-        assert outcome[1].tobytes() == ref_outcome[1].tobytes()
-    return outcome
-
-
-@pytest.mark.parametrize("passthrough", [True, False])
-@pytest.mark.parametrize("d0,width,depth", CERTIFY_SIZES)
-def test_flat_index_updates_solve_certify_lifts_bit_for_bit_like_fancy_ones(
-        monkeypatch, d0, width, depth, passthrough):
-    # the strided diagonal and the flat gather and scatter move the same
-    # entries as np.fill_diagonal and the 2-D fancy index, and the product
-    # reads the same C-contiguous operands, so not a bit may move
-    for seed in (3, 4):
-        for scale in (1.0, 1e-6, 1e8):
-            lift = build_lp_lift(*_certify_model(d0, width, depth, passthrough, seed, scale))
-            _assert_solves_bit_for_bit_like_the_fancy_updates(
-                monkeypatch, lift.objective, lift.row_coeffs, lift.row_rhs)
-
-
-def test_flat_index_updates_solve_structured_lps_bit_for_bit_like_fancy_ones(monkeypatch):
+def test_structured_lps_solve_bit_for_bit_like_the_copied_build(monkeypatch):
     rng = np.random.default_rng(37)
     infeasible = 0
     for _ in range(3000):
-        outcome = _assert_solves_bit_for_bit_like_the_fancy_updates(
+        outcome = _assert_solves_bit_for_bit_like_the_copied_build(
             monkeypatch, *_structured_lp(rng))
         infeasible += outcome[0] is InfeasibleProblem
     assert 300 < infeasible < 2700
@@ -521,11 +472,12 @@ def test_flat_index_updates_solve_structured_lps_bit_for_bit_like_fancy_ones(mon
 
 def test_a_pass_refuses_a_tableau_it_cannot_write_through_a_flat_view():
     # a strided tableau has no flat view, and a write into a flat copy
-    # would be lost
+    # would be lost; the pass refuses it before it writes anything
     tableau = np.zeros((3, 8))[:, :4]
-    tableau[0, 0] = 1.0
-    with pytest.raises(ValueError, match="copy"):
+    tableau[0, 0] = 2.0
+    with pytest.raises(ValueError, match="C-contiguous"):
         simplex._pivot_pass(tableau, np.array([0]), np.array([0]))
+    assert tableau[0, 0] == 2.0
 
 
 @pytest.mark.xfail(reason="ROADMAP item 2: the oracle returns a y that violates a row of "
